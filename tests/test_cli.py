@@ -107,6 +107,13 @@ def test_design_mode_matches_golden_bytes(tmp_path):
     assert float(row["v_a"]) == pytest.approx(0.25, abs=1e-9)
 
 
+def test_public_mode_matches_golden_bytes(tmp_path):
+    code = main(["public", "--config", str(DATA / "public_example.json"), "--out", str(tmp_path)])
+    assert code == 0
+    for name in ("public_report.csv", "public_outcome.csv"):
+        assert (tmp_path / name).read_bytes() == (DATA / f"golden_{name}").read_bytes(), name
+
+
 def test_design_mode_output_is_reproducible(tmp_path):
     config = str(DATA / "private_example.json")
     main(["design", "--config", config, "--out", str(tmp_path / "a")])
