@@ -25,18 +25,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import designer_utility, optimize, solution_set
-from .game import (
-    ArtificialBugDesign,
-    GameConfig,
-    PrizeSchedule,
-    detect_prob,
-    solve_equilibrium,
+from .design import (
+    _beneficial_from,
+    _canonical_schedule,
+    _on_bug,
+    _planted,
+    _vertices,
+    designer_utility,
+    optimize,
+    solution_set,
 )
+from .game import GameConfig, PrizeSchedule, detect_prob, solve_equilibrium
 from .rootfind import bisect_decreasing
 
 MAX_TABLE_N = 10**6
 _EPS_BRACKET = 1e-12
+# Slack allowed on x >= 0 and sum(x) <= budget when accepting a projection.
+_FEAS_TOL = 1e-12
 
 
 def _require_positive_floor(config: GameConfig) -> float:
@@ -82,26 +87,28 @@ def solve_kappa_star(prizes: PrizeSchedule, config: GameConfig) -> PublicOutcome
     marks the no-participation case.
     """
     c_low = _require_positive_floor(config)
-    slope = sum(p * b.mu * b.q for p, b in zip(prizes.v, config.bugs))
-    slope += sum(a.v_a * a.q_a for a in prizes.artificial)
-    slope /= c_low
-    kappa = 0.0
-    trivial = True
-    if slope > 1.0:
-        upper = prizes.total_posted() / c_low
-
-        def gap(k: float) -> float:
-            return psi_infinity(k, prizes, config) - k
-
-        if gap(_EPS_BRACKET) > 0.0:
-            kappa = bisect_decreasing(gap, _EPS_BRACKET, upper)
-            trivial = False
+    kappa = _largest_fixed_point(prizes, config, prizes.total_posted() / c_low)
     return PublicOutcome(
         kappa_star=kappa,
         detect_inf=tuple(detect_prob_infinity(b.q, kappa) for b in config.bugs),
         utility_inf=utility_infinity(kappa, config),
-        trivial=trivial,
+        trivial=kappa == 0.0,
     )
+
+
+def _largest_fixed_point(prizes: PrizeSchedule, config: GameConfig, upper: float) -> float:
+    # Psi_inf is concave with Psi_inf(0) = 0, so a positive fixed point needs
+    # a slope above 1 at zero and Psi_inf above the diagonal just right of it.
+    c_low = config.dist.c_low
+    slope = sum(p * b.mu * b.q for p, b in zip(prizes.v, config.bugs))
+    slope += sum(a.v_a * a.q_a for a in prizes.artificial)
+
+    def gap(k: float) -> float:
+        return psi_infinity(k, prizes, config) - k
+
+    if slope / c_low <= 1.0 or gap(_EPS_BRACKET) <= 0.0:
+        return 0.0
+    return bisect_decreasing(gap, _EPS_BRACKET, upper)
 
 
 def detect_prob_infinity(q: float, kappa: float) -> float:
@@ -134,9 +141,7 @@ def solve_kappa_tilde(config: GameConfig) -> float:
     """
     c_low = _require_positive_floor(config)
     s = _weighted_q_sum(config)
-    if s < c_low:
-        return 0.0
-    if s == c_low:
+    if s <= c_low:
         return 0.0
 
     def g(k: float) -> float:
@@ -148,20 +153,14 @@ def solve_kappa_tilde(config: GameConfig) -> float:
 
 
 def solve_kappa_a(budget: float, config: GameConfig) -> float:
-    """Largest fixed point of budget (1 - exp(-kappa)) / c_low; 0 when the
-    slope budget / c_low at zero is at most 1. Non-decreasing in budget."""
-    c_low = _require_positive_floor(config)
+    """Highest inducible participation: kappa_star with the whole budget on
+    an artificial bug with q_a = 1, the fixed point of
+    budget (1 - exp(-kappa)) / c_low; 0 when budget / c_low is at most 1.
+    Non-decreasing in budget."""
+    _require_positive_floor(config)
     if not budget > 0.0:
         raise ValueError("budget must be > 0")
-    if budget / c_low <= 1.0:
-        return 0.0
-
-    def gap(k: float) -> float:
-        return budget * -math.expm1(-k) / c_low - k
-
-    if gap(_EPS_BRACKET) <= 0.0:
-        return 0.0
-    return bisect_decreasing(gap, _EPS_BRACKET, budget / c_low)
+    return solve_kappa_star(_planted(config, budget), config).kappa_star
 
 
 @dataclass(frozen=True)
@@ -176,20 +175,10 @@ def solve_kappa0(budget: float, config: GameConfig) -> Kappa0Breakdown:
     c_low = _require_positive_floor(config)
     if not budget > 0.0:
         raise ValueError("budget must be > 0")
-    values = []
-    for bug in config.bugs:
-        slope = budget * bug.mu * bug.q / c_low
-        if slope <= 1.0:
-            values.append(0.0)
-            continue
-
-        def gap(k: float, bug=bug) -> float:
-            return budget * bug.mu * -math.expm1(-bug.q * k) / c_low - k
-
-        if gap(_EPS_BRACKET) <= 0.0:
-            values.append(0.0)
-        else:
-            values.append(bisect_decreasing(gap, _EPS_BRACKET, budget * bug.mu / c_low))
+    values = [
+        _largest_fixed_point(_on_bug(config, l, budget), config, budget * bug.mu / c_low)
+        for l, bug in enumerate(config.bugs)
+    ]
     best = max(range(len(values)), key=values.__getitem__)
     return Kappa0Breakdown(kappa_0=values[best], per_bug=tuple(values), best_bug=best)
 
@@ -204,29 +193,17 @@ class PublicBenefitVerdict:
     per_bug: tuple[float, ...]
 
 
-def _beneficial_from(kt: float, ka: float, k0: float) -> tuple[bool, float, bool]:
-    # Same guard as the finite-n side: the bug pays off iff it moves the
-    # constrained optimum min(kappa_tilde, kappa_a) above kappa_0. When the
-    # best organic bug has mu q < 1 this is exactly kappa_tilde > kappa_0.
-    margin = kt - k0
-    gain = min(kt, ka) - k0
-    return gain > 1e-10, margin, abs(margin) <= 1e-10
-
-
 def is_beneficial_public(config: GameConfig) -> PublicBenefitVerdict:
     """Artificial bug helps in the limit iff min(kappa_tilde, kappa_a)
-    strictly exceeds kappa_0(budget)."""
-    kt = solve_kappa_tilde(config)
-    ka = solve_kappa_a(config.budget, config)
-    k0 = solve_kappa0(config.budget, config)
-    beneficial, margin, marginal = _beneficial_from(kt, ka, k0.kappa_0)
+    strictly exceeds kappa_0(budget); read off the solved optimize_public."""
+    report = optimize_public(config)
     return PublicBenefitVerdict(
-        beneficial=beneficial,
-        margin=margin,
-        marginal=marginal,
-        kappa_tilde=kt,
-        kappa_0=k0.kappa_0,
-        per_bug=k0.per_bug,
+        beneficial=report.beneficial,
+        margin=report.kappa_tilde - report.kappa_0,
+        marginal=report.marginal,
+        kappa_tilde=report.kappa_tilde,
+        kappa_0=report.kappa_0,
+        per_bug=report.per_bug_kappa,
     )
 
 
@@ -268,18 +245,10 @@ def optimize_public(config: GameConfig) -> PublicDesignReport:
 
     if k_star <= 0.0:
         schedule = PrizeSchedule.zero(len(config.bugs))
-    elif beneficial:
-        v_a = k_star * c_low / -math.expm1(-k_star)
-        schedule = PrizeSchedule(
-            v=(0.0,) * len(config.bugs),
-            artificial=(ArtificialBugDesign(v_a=min(v_a, config.budget), q_a=1.0),),
-        )
     else:
-        bug = config.bugs[k0.best_bug]
-        unit = bug.mu * -math.expm1(-bug.q * k_star)
-        v = [0.0] * len(config.bugs)
-        v[k0.best_bug] = min(k_star * c_low / unit, config.budget)
-        schedule = PrizeSchedule.organic_only(v)
+        schedule = _canonical_schedule(
+            config, k_star * c_low, lambda q: -math.expm1(-q * k_star), beneficial, k0.best_bug
+        )
 
     return PublicDesignReport(
         kappa_tilde=kt,
@@ -340,77 +309,30 @@ def hausdorff_distance(a, b) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def _segment_point_distance(p, a, b) -> float:
-    p, a, b = (np.asarray(x, dtype=float) for x in (p, a, b))
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
-def _segment_hausdorff(seg1, seg2) -> float:
-    # The distance-to-a-convex-set function is convex, so the sup over a
-    # segment sits at an endpoint; four point-to-segment distances suffice.
-    a1, b1 = seg1
-    a2, b2 = seg2
-    return max(
-        _segment_point_distance(a1, a2, b2),
-        _segment_point_distance(b1, a2, b2),
-        _segment_point_distance(a2, a1, b1),
-        _segment_point_distance(b2, a1, b1),
-    )
-
-
-def _line_segment_in_simplex(a1: float, a2: float, rhs: float, budget: float):
-    """Endpoints of {a1 v + a2 v_a = rhs, v >= 0, v_a >= 0, v + v_a <= budget},
-    parameterized by v; None when the set is empty."""
-    if a2 <= 0.0 or rhs <= 0.0:
-        return None
-    # v_a(v) = (rhs - a1 v) / a2 must satisfy v_a >= 0 and v + v_a <= budget
-    lo = 0.0
-    hi = rhs / a1 if a1 > 0.0 else math.inf
-    # budget cut: v (1 - a1/a2) <= budget - rhs/a2
-    slope = 1.0 - a1 / a2
-    bound = budget - rhs / a2
-    if slope > 0.0:
-        hi = min(hi, bound / slope)
-    elif slope < 0.0:
-        lo = max(lo, bound / slope)
-    elif bound < 0.0:
-        return None
-    if hi < lo - 1e-15 or not math.isfinite(hi):
-        return None
-    hi = max(hi, lo)
-
-    def point(v: float):
-        return (v, (rhs - a1 * v) / a2)
-
-    return point(lo), point(hi)
-
-
 @dataclass(frozen=True)
 class SetDistanceResult:
     distance: float
-    error_bound: float  # 0 for the exact L = 1 segment computation
-    exact: bool
     feasible: bool
     n: int
     q_a: float
 
 
-def solution_set_distance(
-    config: GameConfig, n: int, q_a: float, sample_step: float = 0.01
-) -> SetDistanceResult:
+def solution_set_distance(config: GameConfig, n: int, q_a: float) -> SetDistanceResult:
     """Hausdorff distance between the finite-n and limiting optimal prize
     sets, sliced at a fixed artificial complexity q_a.
 
     The finite-n slice is the budget-feasible part of the hyperplane whose
-    coefficients are mu_l Phi(c*; q_l) and Phi(c*; q_a) at the optimal
-    finite-n threshold; the limit slice uses mu_l (1-exp(-q_l k))/c_low and
-    (1-exp(-q_a k))/c_low at the optimal limiting participation. For a single
-    organic bug both slices are segments and the distance is exact; otherwise
-    both sets are sampled with step ``sample_step`` and the result carries
-    the a-priori bound sample_step * sqrt(dimension).
+    coefficients are mu_l Phi(c*; q_l) and Phi(c*; q_a), with right-hand side
+    the optimal finite-n threshold c*; the limit slice uses
+    mu_l (1-exp(-q_l k))/c_low and (1-exp(-q_a k))/c_low, with right-hand
+    side the optimal limiting participation k. Both slices are convex
+    polytopes and the distance to a convex set is a convex function, so each
+    directed supremum sits at a vertex: the result is exact, the largest
+    distance from a vertex of one slice to its projection onto the other.
+    A slice has at most (L+1)(L+2)/2 vertices, and each projection solves
+    every pattern of zero coordinates (2^(L+1) of them) with the budget row
+    slack and binding, O(L) work each: the cost grows as L^3 2^L, the
+    memory stays constant.
     """
     c_low = _require_positive_floor(config)
     if n < 2:
@@ -419,56 +341,53 @@ def solution_set_distance(
         raise ValueError("q_a must lie in (0, 1] for a meaningful slice")
 
     cfg_n = config.with_n(int(n))
-    report_n = optimize(cfg_n)
-    c_star = report_n.c_hat_star
-    finite_set = solution_set(cfg_n, c_star, q_a)
-
-    pub = optimize_public(config)
-    k_star = pub.kappa_hat_star
+    finite_set = solution_set(cfg_n, optimize(cfg_n).c_hat_star, q_a)
+    k_star = optimize_public(config).kappa_hat_star
     coeffs_inf = tuple(
         [b.mu * -math.expm1(-b.q * k_star) / c_low for b in config.bugs]
         + [-math.expm1(-q_a * k_star) / c_low]
     )
-
-    L = len(config.bugs)
-    if L == 1:
-        seg_n = _line_segment_in_simplex(
-            finite_set.coeffs[0], finite_set.coeffs[1], c_star, config.budget
-        )
-        seg_inf = _line_segment_in_simplex(
-            coeffs_inf[0], coeffs_inf[1], k_star * c_low, config.budget
-        )
-        if seg_n is None or seg_inf is None:
-            return SetDistanceResult(math.nan, math.nan, True, False, n, q_a)
-        return SetDistanceResult(
-            _segment_hausdorff(seg_n, seg_inf), 0.0, True, True, n, q_a
-        )
-
-    pts_n = _sample_hyperplane_simplex(
-        finite_set.coeffs, c_star, config.budget, sample_step
+    vertices_inf = _vertices(coeffs_inf, k_star, config.budget)
+    if not finite_set.feasible or not vertices_inf:
+        return SetDistanceResult(math.nan, False, n, q_a)
+    budget = config.budget
+    distance = max(
+        max(_projection_distance(v, coeffs_inf, k_star, budget) for v in finite_set.vertices),
+        max(
+            _projection_distance(v, finite_set.coeffs, finite_set.target, budget)
+            for v in vertices_inf
+        ),
     )
-    pts_inf = _sample_hyperplane_simplex(
-        coeffs_inf, k_star * c_low, config.budget, sample_step
-    )
-    if len(pts_n) == 0 or len(pts_inf) == 0:
-        return SetDistanceResult(math.nan, math.nan, False, False, n, q_a)
-    dist = hausdorff_distance(pts_n, pts_inf)
-    return SetDistanceResult(
-        dist, sample_step * math.sqrt(len(coeffs_inf)), False, True, n, q_a
-    )
+    return SetDistanceResult(distance, True, n, q_a)
 
 
-def _sample_hyperplane_simplex(coeffs, rhs: float, budget: float, step: float):
-    """Grid points of {a . x = rhs, x >= 0, sum x <= budget}, solving the
-    last coordinate from the first ones."""
-    a = np.asarray(coeffs, dtype=float)
-    if a[-1] <= 0.0 or rhs < 0.0:
-        return np.empty((0, len(a)))
-    head = a[:-1]
-    axes = [np.arange(0.0, budget + step, step) for _ in head]
-    grids = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=1)
-    last = (rhs - flat @ head) / a[-1]
-    keep = (last >= -1e-12) & (flat.sum(axis=1) + last <= budget + 1e-9)
-    pts = np.concatenate([flat[keep], last[keep, None]], axis=1)
-    return pts
+def _projection_distance(p, coeffs, rhs: float, budget: float) -> float:
+    """Distance from p to {coeffs . x = rhs, x >= 0, sum(x) <= budget}, for
+    positive coeffs and rhs.
+
+    Each choice of coordinates pinned at 0, with the budget row slack or
+    binding, is an equality-constrained QP whose one or two multipliers
+    solve by Cramer's rule; the projection is the nearest candidate that
+    satisfies every constraint.
+    """
+    dim = len(p)
+    best = math.inf
+    for mask in range(1, 1 << dim):
+        free = [i for i in range(dim) if mask >> i & 1]
+        k = len(free)
+        aa = sum(coeffs[i] * coeffs[i] for i in free)
+        a1 = sum(coeffs[i] for i in free)
+        ap = sum(coeffs[i] * p[i] for i in free) - rhs
+        p1 = sum(p[i] for i in free) - budget
+        det = aa * k - a1 * a1
+        cases = [(ap / aa, 0.0)]
+        # rows nearly parallel: the binding case is empty or already the slack one
+        if det > 1e-12 * aa * k:
+            cases.append(((ap * k - a1 * p1) / det, (aa * p1 - a1 * ap) / det))
+        pinned = sum(p[i] * p[i] for i in range(dim) if not mask >> i & 1)
+        for lam, nu in cases:
+            step = [lam * coeffs[i] + nu for i in free]
+            x = [p[i] - s for i, s in zip(free, step)]
+            if min(x) >= -_FEAS_TOL and sum(x) <= budget + _FEAS_TOL:
+                best = min(best, pinned + sum(s * s for s in step))
+    return math.sqrt(best)

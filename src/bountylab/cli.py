@@ -75,6 +75,9 @@ def _get(obj: dict, key: str, path: str, kind, required: bool = True, default=No
         return default
     value = obj[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        # exact int/float comparison: rejects inf, nan and ints beyond float range
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(f"{path}.{key}", "expected a finite number")
         return float(value)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -92,6 +95,10 @@ def _parse_dist(obj: dict, path: str) -> CostDistribution:
         raise ConfigError(f"{path}.alpha", "only valid for the power family")
     if kind != "exponential" and "rate" in obj:
         raise ConfigError(f"{path}.rate", "only valid for the exponential family")
+    # checked here so that a bad number is reported under its own field path
+    for key in ("c_low", "c_high", "alpha", "rate"):
+        if obj.get(key) is not None:
+            _get(obj, key, path, float)
     try:
         return CostDistribution.from_json(obj)
     except (ValueError, KeyError, TypeError) as exc:
@@ -146,8 +153,9 @@ def _parse_prizes(obj: dict, path: str, n_bugs: int) -> PrizeSchedule:
             )
         except ValueError as exc:
             raise ConfigError(art_path, str(exc)) from exc
+    v = [_get({f"v[{i}]": x}, f"v[{i}]", path, float) for i, x in enumerate(v)]
     try:
-        return PrizeSchedule(v=tuple(float(x) for x in v), artificial=tuple(artificial))
+        return PrizeSchedule(v=tuple(v), artificial=tuple(artificial))
     except (ValueError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -224,114 +232,62 @@ def _load_config(path: str) -> RunConfig:
 # -- mode implementations -----------------------------------------------------
 
 
+def _fields(obj, names: str) -> list[tuple[str, object]]:
+    """(name, value) columns read off same-named attributes of ``obj``."""
+    return [(name, getattr(obj, name)) for name in names.split()]
+
+
+def _write_row(path: Path, columns: list[tuple[str, object]]) -> Path:
+    _write_csv(path, [name for name, _ in columns], [[value for _, value in columns]])
+    return path
+
+
 def _run_equilibrium(cfg: RunConfig, out: Path) -> list[Path]:
     if cfg.prizes is None:
         raise ConfigError("$.prizes", "equilibrium mode requires a prize schedule")
     outcome = solve_equilibrium(cfg.prizes, cfg.game)
-    header = ["c_star", "boundary", "participation", "expected_payout", "designer_utility"]
-    row: list = [
-        outcome.c_star,
-        outcome.boundary,
-        outcome.participation,
-        outcome.expected_payout,
-        outcome.designer_utility,
-    ]
+    columns = _fields(outcome, "c_star boundary participation expected_payout designer_utility")
     for l, (cond, uncond) in enumerate(
         zip(outcome.detect_organic_conditional, outcome.detect_organic_unconditional), start=1
     ):
-        header += [f"detect_cond_bug_{l}", f"detect_uncond_bug_{l}"]
-        row += [cond, uncond]
+        columns += [(f"detect_cond_bug_{l}", cond), (f"detect_uncond_bug_{l}", uncond)]
     for k, det in enumerate(outcome.detect_artificial, start=1):
-        header.append(f"detect_artificial_{k}")
-        row.append(det)
-    path = out / "equilibrium.csv"
-    _write_csv(path, header, [row])
-    return [path]
+        columns.append((f"detect_artificial_{k}", det))
+    return [_write_row(out / "equilibrium.csv", columns)]
 
 
-def _schedule_columns(schedule: PrizeSchedule) -> tuple[list[str], list]:
-    header = [f"v_bug_{l + 1}" for l in range(len(schedule.v))]
-    row: list = list(schedule.v)
+def _schedule_columns(schedule: PrizeSchedule) -> list[tuple[str, object]]:
+    columns = [(f"v_bug_{l}", v) for l, v in enumerate(schedule.v, start=1)]
     art = schedule.artificial[0] if schedule.artificial else ArtificialBugDesign(0.0, 0.0)
-    header += ["v_a", "q_a"]
-    row += [art.v_a, art.q_a]
-    return header, row
+    return columns + [("v_a", art.v_a), ("q_a", art.q_a)]
 
 
 def _run_design(cfg: RunConfig, out: Path) -> list[Path]:
     report = design.optimize(cfg.game)
-    header = [
-        "c_tilde",
-        "c_a",
-        "c_0",
-        "c_hat_star",
-        "beneficial",
-        "marginal",
-        "utility_at_optimum",
-        "spend",
-    ]
-    row: list = [
-        report.c_tilde,
-        report.c_a,
-        report.c_0,
-        report.c_hat_star,
-        report.beneficial,
-        report.marginal,
-        report.utility_at_optimum,
-        report.spend,
-    ]
-    sched_header, sched_row = _schedule_columns(report.canonical_prizes)
-    header += sched_header
-    row += sched_row
-    for l, c_l in enumerate(report.per_bug_c, start=1):
-        header.append(f"c_l_bug_{l}")
-        row.append(c_l)
-    header.append("best_bug")
-    row.append(report.best_bug + 1)
-    path = out / "design_report.csv"
-    _write_csv(path, header, [row])
-    return [path]
+    columns = _fields(
+        report, "c_tilde c_a c_0 c_hat_star beneficial marginal utility_at_optimum spend"
+    )
+    columns += _schedule_columns(report.canonical_prizes)
+    columns += [(f"c_l_bug_{l}", c_l) for l, c_l in enumerate(report.per_bug_c, start=1)]
+    columns.append(("best_bug", report.best_bug + 1))
+    return [_write_row(out / "design_report.csv", columns)]
 
 
 def _run_public(cfg: RunConfig, out: Path) -> list[Path]:
     report = asymptotic.optimize_public(cfg.game)
-    header = [
-        "kappa_tilde",
-        "kappa_a",
-        "kappa_0",
-        "kappa_hat_star",
-        "beneficial",
-        "marginal",
-        "utility_at_optimum",
-    ]
-    row: list = [
-        report.kappa_tilde,
-        report.kappa_a,
-        report.kappa_0,
-        report.kappa_hat_star,
-        report.beneficial,
-        report.marginal,
-        report.utility_at_optimum,
-    ]
-    sched_header, sched_row = _schedule_columns(report.prizes)
-    header += sched_header
-    row += sched_row
-    for l, k_l in enumerate(report.per_bug_kappa, start=1):
-        header.append(f"kappa_l_bug_{l}")
-        row.append(k_l)
-    header += ["best_bug", "assumption_notes"]
-    row += [report.best_bug + 1, ";".join(report.assumption_notes)]
-    paths = [out / "public_report.csv"]
-    _write_csv(paths[0], header, [row])
+    columns = _fields(
+        report, "kappa_tilde kappa_a kappa_0 kappa_hat_star beneficial marginal utility_at_optimum"
+    )
+    columns += _schedule_columns(report.prizes)
+    columns += [(f"kappa_l_bug_{l}", k) for l, k in enumerate(report.per_bug_kappa, start=1)]
+    columns += [("best_bug", report.best_bug + 1)]
+    columns += [("assumption_notes", ";".join(report.assumption_notes))]
+    paths = [_write_row(out / "public_report.csv", columns)]
     if cfg.prizes is not None:
         outcome = asymptotic.solve_kappa_star(cfg.prizes, cfg.game)
-        header2 = ["kappa_star", "trivial", "utility_inf"]
-        row2: list = [outcome.kappa_star, outcome.trivial, outcome.utility_inf]
-        for l, p_inf in enumerate(outcome.detect_inf, start=1):
-            header2.append(f"detect_inf_bug_{l}")
-            row2.append(p_inf)
-        paths.append(out / "public_outcome.csv")
-        _write_csv(paths[1], header2, [row2])
+        columns = _fields(outcome, "kappa_star trivial utility_inf")
+        columns += [(f"detect_inf_bug_{l}", p) for l, p in enumerate(outcome.detect_inf, start=1)]
+        paths.append(_write_row(out / "public_outcome.csv", columns))
     return paths
 
 

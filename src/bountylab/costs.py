@@ -12,7 +12,8 @@ Three families are supported:
 * ``exponential``: rate ``rate`` shifted to start at c_low (c_high = +inf)
 
 The power family with alpha = 1 is the uniform. All three have non-decreasing
-F/f, which is re-checked numerically on a grid at construction time.
+F/f analytically (see ``hazard_ratio``), so construction checks only the
+parameters.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ _FAMILIES = (UNIFORM, POWER, EXPONENTIAL)
 
 # Quantile level used as a finite stand-in for an infinite upper endpoint.
 _EFFECTIVE_TAIL = 1e-12
-_HAZARD_GRID = 1024
 
 
 def _as_scalar_or_array(x: np.ndarray, scalar: bool):
@@ -84,20 +84,10 @@ class CostDistribution:
             raise ValueError(f"{self.kind} distribution needs a finite c_high")
         if self.kind == EXPONENTIAL and math.isfinite(self.c_high):
             raise ValueError("exponential distribution has c_high = +inf")
-        if self.kind == POWER and not self.alpha > 0:
-            raise ValueError("power distribution needs alpha > 0")
-        if self.kind == EXPONENTIAL and not self.rate > 0:
-            raise ValueError("exponential distribution needs rate > 0")
-        self._check_hazard_monotone()
-
-    def _check_hazard_monotone(self) -> None:
-        # Numerical enforcement of the standing assumption that F/f is
-        # non-decreasing; the closed forms below satisfy it analytically.
-        lo, hi = self.c_low, self.upper_bound()
-        grid = np.linspace(lo, hi, _HAZARD_GRID)
-        h = self.hazard_ratio(grid)
-        if np.any(np.diff(h) < -1e-12 * max(1.0, float(np.max(np.abs(h))))):
-            raise ValueError("F/f is not non-decreasing on the support grid")
+        if self.kind == POWER and not 0 < self.alpha < math.inf:
+            raise ValueError("power distribution needs a finite alpha > 0")
+        if self.kind == EXPONENTIAL and not 0 < self.rate < math.inf:
+            raise ValueError("exponential distribution needs a finite rate > 0")
 
     # -- support -----------------------------------------------------------
 

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .game import (
     ArtificialBugDesign,
     GameConfig,
     PrizeSchedule,
+    _detect,
     solve_equilibrium,
     win_prob_phi,
 )
@@ -40,17 +42,8 @@ def designer_utility(c_hat: float, config: GameConfig) -> float:
     n = config.n
     value = 0.0
     for bug in config.bugs:
-        value += bug.w * bug.mu * _detect_from_F(F, bug.q, n)
+        value += bug.w * bug.mu * _detect(F, bug.q, n)
     return value - n * F * c_hat
-
-
-def _detect_from_F(F: float, q: float, n: int) -> float:
-    x = q * F
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    return -math.expm1(n * math.log1p(-x))
 
 
 def _pow_one_minus(x: float, m: int) -> float:
@@ -90,11 +83,21 @@ def solve_c_a(budget: float, config: GameConfig) -> float:
     an artificial bug with q_a = 1 (fixed point of budget * Phi(c; 1))."""
     if not budget > 0.0:
         raise ValueError("budget must be > 0")
-    schedule = PrizeSchedule(
-        v=(0.0,) * len(config.bugs),
-        artificial=(ArtificialBugDesign(v_a=budget, q_a=1.0),),
+    return solve_equilibrium(_planted(config, budget), config).c_star
+
+
+def _planted(config: GameConfig, v_a: float) -> PrizeSchedule:
+    """Everything on one artificial bug with q_a = 1, nothing on organic ones."""
+    return PrizeSchedule(
+        v=(0.0,) * len(config.bugs), artificial=(ArtificialBugDesign(v_a=v_a, q_a=1.0),)
     )
-    return solve_equilibrium(schedule, config).c_star
+
+
+def _on_bug(config: GameConfig, l: int, v_l: float) -> PrizeSchedule:
+    """Everything on organic bug l, no artificial entry."""
+    v = [0.0] * len(config.bugs)
+    v[l] = v_l
+    return PrizeSchedule.organic_only(v)
 
 
 @dataclass(frozen=True)
@@ -110,12 +113,10 @@ def solve_c0(budget: float, config: GameConfig) -> C0Breakdown:
     """Per-bug fixed points of budget * mu_l * Phi(c; q_l) and their max."""
     if not budget > 0.0:
         raise ValueError("budget must be > 0")
-    thresholds = []
-    for l in range(len(config.bugs)):
-        v = [0.0] * len(config.bugs)
-        v[l] = budget
-        outcome = solve_equilibrium(PrizeSchedule.organic_only(v), config)
-        thresholds.append(outcome.c_star)
+    thresholds = [
+        solve_equilibrium(_on_bug(config, l, budget), config).c_star
+        for l in range(len(config.bugs))
+    ]
     best = max(range(len(thresholds)), key=thresholds.__getitem__)
     return C0Breakdown(c_0=thresholds[best], per_bug=tuple(thresholds), best_bug=best)
 
@@ -142,12 +143,14 @@ def is_artificial_beneficial(config: GameConfig) -> BenefitVerdict:
 
     True iff the optimal achievable threshold min(c_tilde, c_a) strictly
     exceeds c_0(budget); a margin within 1e-10 of zero reports marginal.
+    The verdict is read off the solved optimize report.
     """
-    c_tilde = solve_c_tilde(config)
-    c_a = solve_c_a(config.budget, config)
-    c_0 = solve_c0(config.budget, config).c_0
-    beneficial, margin, marginal = _beneficial_from(c_tilde, c_a, c_0)
-    return BenefitVerdict(beneficial=beneficial, margin=margin, marginal=marginal)
+    report = optimize(config)
+    return BenefitVerdict(
+        beneficial=report.beneficial,
+        margin=report.c_tilde - report.c_0,
+        marginal=report.marginal,
+    )
 
 
 @dataclass(frozen=True)
@@ -186,18 +189,14 @@ def optimize(config: GameConfig, allow_artificial: bool = True) -> DesignReport:
     floor = max(config.dist.c_low, 0.0)
     if c_hat_star <= floor or config.dist.cdf(c_hat_star) <= 0.0:
         schedule = PrizeSchedule.zero(len(config.bugs))
-    elif allow_artificial and beneficial:
-        v_a = c_hat_star / win_prob_phi(c_hat_star, 1.0, config.n, config.dist)
-        schedule = PrizeSchedule(
-            v=(0.0,) * len(config.bugs),
-            artificial=(ArtificialBugDesign(v_a=min(v_a, config.budget), q_a=1.0),),
-        )
     else:
-        bug = config.bugs[c0b.best_bug]
-        unit = bug.mu * win_prob_phi(c_hat_star, bug.q, config.n, config.dist)
-        v = [0.0] * len(config.bugs)
-        v[c0b.best_bug] = min(c_hat_star / unit, config.budget)
-        schedule = PrizeSchedule.organic_only(v)
+        schedule = _canonical_schedule(
+            config,
+            c_hat_star,
+            lambda q: win_prob_phi(c_hat_star, q, config.n, config.dist),
+            allow_artificial and beneficial,
+            c0b.best_bug,
+        )
 
     return DesignReport(
         c_tilde=c_tilde,
@@ -212,6 +211,23 @@ def optimize(config: GameConfig, allow_artificial: bool = True) -> DesignReport:
         per_bug_c=c0b.per_bug,
         best_bug=c0b.best_bug,
     )
+
+
+def _canonical_schedule(
+    config: GameConfig,
+    target: float,
+    unit: Callable[[float], float],
+    artificial: bool,
+    best_bug: int,
+) -> PrizeSchedule:
+    """Cheapest schedule whose incentive reaches ``target``, capped at the
+    budget. ``unit(q)`` is the incentive one prize unit buys on a bug of find
+    probability q; the money goes on a q_a = 1 artificial bug when
+    ``artificial``, otherwise on organic bug ``best_bug``."""
+    if artificial:
+        return _planted(config, min(target / unit(1.0), config.budget))
+    bug = config.bugs[best_bug]
+    return _on_bug(config, best_bug, min(target / (bug.mu * unit(bug.q)), config.budget))
 
 
 def collapse_artificial(prizes: PrizeSchedule, config: GameConfig) -> PrizeSchedule:
@@ -292,13 +308,20 @@ def solution_set(config: GameConfig, c_target: float, q_a: float) -> SolutionSet
         origin = (0.0,) * len(coeffs)
         return SolutionSet(coeffs, c_target, budget, q_a, True, (origin,))
 
+    vertices = _vertices(coeffs, c_target, budget)
+    return SolutionSet(coeffs, c_target, budget, q_a, bool(vertices), vertices)
+
+
+def _vertices(coeffs, rhs: float, budget: float) -> tuple[tuple[float, ...], ...]:
+    """Sorted vertices of {coeffs . x = rhs, x >= 0, sum(x) <= budget}: the
+    points where the hyperplane crosses an edge of the budget simplex."""
     vertices: list[tuple[float, ...]] = []
     dim = len(coeffs)
     for i, a_i in enumerate(coeffs):
         # single-instrument points
-        if a_i > 0.0 and c_target / a_i <= budget + 1e-12:
+        if a_i > 0.0 and rhs / a_i <= budget + 1e-12:
             point = [0.0] * dim
-            point[i] = c_target / a_i
+            point[i] = rhs / a_i
             vertices.append(tuple(point))
     for i in range(dim):
         # points where the budget constraint binds with two instruments
@@ -306,11 +329,10 @@ def solution_set(config: GameConfig, c_target: float, q_a: float) -> SolutionSet
             a_i, a_j = coeffs[i], coeffs[j]
             if a_i == a_j:
                 continue
-            x_i = (c_target - a_j * budget) / (a_i - a_j)
+            x_i = (rhs - a_j * budget) / (a_i - a_j)
             x_j = budget - x_i
             if x_i >= -1e-12 and x_j >= -1e-12:
                 point = [0.0] * dim
                 point[i], point[j] = max(x_i, 0.0), max(x_j, 0.0)
                 vertices.append(tuple(point))
-    unique = sorted(set(vertices))
-    return SolutionSet(coeffs, c_target, budget, q_a, bool(unique), tuple(unique))
+    return tuple(sorted(set(vertices)))

@@ -50,8 +50,8 @@ class OrganicBug:
             raise ValueError("mu must lie in (0, 1]")
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must lie in (0, 1]")
-        if not self.w >= 0.0:
-            raise ValueError("w must be >= 0")
+        if not 0.0 <= self.w < math.inf:
+            raise ValueError("w must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ class ArtificialBugDesign:
     q_a: float
 
     def __post_init__(self) -> None:
-        if not self.v_a >= 0.0:
-            raise ValueError("v_a must be >= 0")
+        if not 0.0 <= self.v_a < math.inf:
+            raise ValueError("v_a must be finite and >= 0")
         if not 0.0 <= self.q_a <= 1.0:
             raise ValueError("q_a must lie in [0, 1]")
 
@@ -108,8 +108,8 @@ class GameConfig:
             raise ValueError("n must be an integer >= 1")
         if len(self.bugs) == 0:
             raise ValueError("L >= 1 required: at least one organic bug")
-        if not self.budget > 0.0:
-            raise ValueError("budget must be > 0")
+        if not 0.0 < self.budget < math.inf:
+            raise ValueError("budget must be finite and > 0")
 
     def with_n(self, n: int) -> "GameConfig":
         return GameConfig(n=n, bugs=self.bugs, dist=self.dist, budget=self.budget)

@@ -85,6 +85,20 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _chunks(sim: SimConfig):
+    """(trial count, generator) per chunk, in the fixed (seed, index) order."""
+    for index, start in enumerate(range(0, sim.trials, CHUNK)):
+        yield min(CHUNK, sim.trials - start), _chunk_rng(sim.seed, index)
+
+
+def _bug_arrays(prizes: PrizeSchedule, game: GameConfig):
+    """mu, q, w per organic bug, the organic prizes, and v_a, q_a per
+    artificial entry, as arrays."""
+    bugs, art = game.bugs, prizes.artificial
+    columns = [[b.mu for b in bugs], [b.q for b in bugs], [b.w for b in bugs], prizes.v]
+    return [np.array(c) for c in columns + [[a.v_a for a in art], [a.q_a for a in art]]]
+
+
 def _binomial_stat(name, hits, n_obs, closed):
     p = hits / n_obs if n_obs > 0 else math.nan
     se = math.sqrt(p * (1.0 - p) / n_obs) if n_obs > 0 else math.nan
@@ -107,12 +121,7 @@ def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimRepo
 
     n, L = game.n, len(game.bugs)
     K = len(prizes.artificial)
-    mus = np.array([b.mu for b in game.bugs])
-    qs = np.array([b.q for b in game.bugs])
-    ws = np.array([b.w for b in game.bugs])
-    v = np.array(prizes.v)
-    va = np.array([a.v_a for a in prizes.artificial])
-    qa = np.array([a.q_a for a in prizes.artificial])
+    mus, qs, ws, v, va, qa = _bug_arrays(prizes, game)
 
     found_org = np.zeros(L)
     exists_cnt = np.zeros(L)
@@ -125,11 +134,7 @@ def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimRepo
     wins0_art = np.zeros(K)
     gain0_sum = gain0_sq = 0.0
 
-    done = 0
-    chunk_index = 0
-    while done < sim.trials:
-        m = min(CHUNK, sim.trials - done)
-        rng = _chunk_rng(sim.seed, chunk_index)
+    for m, rng in _chunks(sim):
         costs = dist.quantile(rng.random((m, n)))
         part = costs <= sim.threshold
         exists = rng.random((m, L)) < mus
@@ -165,9 +170,6 @@ def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimRepo
         gain0 = (w0 @ v + w0a @ va)[p0]
         gain0_sum += gain0.sum()
         gain0_sq += (gain0 * gain0).sum()
-
-        done += m
-        chunk_index += 1
 
     T = sim.trials
     c_hat = sim.threshold
@@ -261,18 +263,10 @@ def check_equilibrium(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -
     outcome = solve_equilibrium(prizes, game)
     n_riv, L = game.n - 1, len(game.bugs)
     K = len(prizes.artificial)
-    mus = np.array([b.mu for b in game.bugs])
-    qs = np.array([b.q for b in game.bugs])
-    v = np.array(prizes.v)
-    va = np.array([a.v_a for a in prizes.artificial])
-    qa = np.array([a.q_a for a in prizes.artificial])
+    mus, qs, _, v, va, qa = _bug_arrays(prizes, game)
 
     total = total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < sim.trials:
-        m = min(CHUNK, sim.trials - done)
-        rng = _chunk_rng(sim.seed, chunk_index)
+    for m, rng in _chunks(sim):
         exists = rng.random((m, L)) < mus
         self_finds = (rng.random((m, L)) < qs) & exists
         self_finds_a = rng.random((m, K)) < qa
@@ -294,8 +288,6 @@ def check_equilibrium(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -
         gain = win @ v + win_a @ va
         total += gain.sum()
         total_sq += (gain * gain).sum()
-        done += m
-        chunk_index += 1
 
     stat = _mean_stat("pinned_benefit", total, total_sq, sim.trials, outcome.c_star)
     return DeviationGap(

@@ -13,8 +13,10 @@ from bountylab import (
     hausdorff_distance,
     is_artificial_beneficial,
     is_beneficial_public,
+    optimize,
     optimize_public,
     psi_infinity,
+    solution_set,
     solution_set_distance,
     solve_kappa_a,
     solve_kappa_star,
@@ -267,15 +269,135 @@ def test_hausdorff_metric_properties():
 
 # -- solution-set convergence ----------------------------------------------------------
 
+TWO_BUGS = GameConfig(
+    n=2,
+    bugs=(OrganicBug(0.5, 0.5, 10.0), OrganicBug(0.5, 0.4, 8.0)),
+    dist=CostDistribution.uniform(1.0, 2.0),
+    budget=6.0,
+)
+FIG5_Q_A = (1.0 / 3.0, 0.5, 1.0)
+FIG5_N = (5, 20, 100, 500)
+
+
+def _slices(config, n, q_a):
+    """(coeffs, rhs) of the finite-n and the limit slice, built independently
+    of solution_set_distance."""
+    cfg_n = config.with_n(n)
+    c_star = optimize(cfg_n).c_hat_star
+    finite = solution_set(cfg_n, c_star, q_a).coeffs
+    k = optimize_public(config).kappa_hat_star
+    c_low = config.dist.c_low
+    limit = [b.mu * -math.expm1(-b.q * k) / c_low for b in config.bugs]
+    return (finite, c_star), (tuple(limit) + (-math.expm1(-q_a * k) / c_low,), k)
+
+
+def _grid_points(coeffs, rhs, budget, step):
+    """Grid oracle: points of {a . x = rhs, x >= 0, sum x <= budget} on a
+    step-``step`` grid in all but the last coordinate, which is solved for."""
+    a = np.asarray(coeffs, dtype=float)
+    axes = [np.arange(0.0, budget + step, step) for _ in a[:-1]]
+    flat = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    last = (rhs - flat @ a[:-1]) / a[-1]
+    keep = (last >= -1e-12) & (flat.sum(axis=1) + last <= budget + 1e-9)
+    return np.concatenate([flat[keep], last[keep, None]], axis=1)
+
+
+def _directed(pa, pb, block=1024):
+    # max over pa of the distance to the nearest point of pb, in row blocks
+    # so memory stays at block * len(pb) squared distances
+    sq_b = (pb * pb).sum(axis=1)
+    worst = 0.0
+    for i in range(0, len(pa), block):
+        rows = pa[i : i + block]
+        sq = (rows * rows).sum(axis=1)[:, None] + sq_b[None, :] - 2.0 * rows @ pb.T
+        worst = max(worst, float(sq.min(axis=1).max()))
+    return math.sqrt(max(worst, 0.0))
+
+
+def _segment_point_distance(p, a, b):
+    p, a, b = (np.asarray(x, dtype=float) for x in (p, a, b))
+    ab = b - a
+    denom = float(ab @ ab)
+    t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+    return float(np.linalg.norm(p - (a + t * ab)))
+
+
+def _segment_in_simplex(a1, a2, rhs, budget):
+    """Endpoints of {a1 v + a2 v_a = rhs, v, v_a >= 0, v + v_a <= budget}."""
+    lo, hi = 0.0, rhs / a1
+    slope, bound = 1.0 - a1 / a2, budget - rhs / a2
+    if slope > 0.0:
+        hi = min(hi, bound / slope)
+    elif slope < 0.0:
+        lo = max(lo, bound / slope)
+    assert lo <= hi
+    return [(v, (rhs - a1 * v) / a2) for v in (lo, hi)]
+
+
+def _segment_hausdorff(seg1, seg2):
+    # the sup over a segment of a convex function sits at an endpoint
+    return max(
+        max(_segment_point_distance(p, *seg2) for p in seg1),
+        max(_segment_point_distance(p, *seg1) for p in seg2),
+    )
+
 
 def test_solution_set_distance_decreasing(public_example):
     for q_a in (1.0 / 3.0, 0.5, 1.0):
         distances = []
         for n in (5, 20, 100):
             result = solution_set_distance(public_example, n, q_a)
-            assert result.feasible and result.exact
+            assert result.feasible
             distances.append(result.distance)
         assert all(b < a for a, b in zip(distances, distances[1:]))
+
+
+def test_solution_set_distance_matches_segment_formula(public_example):
+    # one organic bug: both slices are segments with a closed-form distance
+    for q_a in (1.0 / 3.0, 0.5, 1.0):
+        for n in (5, 20, 100):
+            (a_n, r_n), (a_inf, r_inf) = _slices(public_example, n, q_a)
+            budget = public_example.budget
+            oracle = _segment_hausdorff(
+                _segment_in_simplex(*a_n, r_n, budget), _segment_in_simplex(*a_inf, r_inf, budget)
+            )
+            got = solution_set_distance(public_example, n, q_a).distance
+            assert abs(got - oracle) <= 1e-12, (q_a, n, got, oracle)
+
+
+def test_solution_set_distance_within_grid_bound():
+    # the step-0.05 grid lies within 0.05 * sqrt(3) of each slice
+    step = 0.05
+    for q_a in FIG5_Q_A:
+        for n in FIG5_N:
+            (a_n, r_n), (a_inf, r_inf) = _slices(TWO_BUGS, n, q_a)
+            pts_n = _grid_points(a_n, r_n, TWO_BUGS.budget, step)
+            pts_inf = _grid_points(a_inf, r_inf, TWO_BUGS.budget, step)
+            sampled = max(_directed(pts_n, pts_inf), _directed(pts_inf, pts_n))
+            exact = solution_set_distance(TWO_BUGS, n, q_a).distance
+            assert abs(exact - sampled) <= step * math.sqrt(3.0), (q_a, n, exact, sampled)
+
+
+def test_solution_set_distance_decreasing_two_bugs():
+    for q_a in FIG5_Q_A:
+        distances = [solution_set_distance(TWO_BUGS, n, q_a).distance for n in FIG5_N]
+        assert all(math.isfinite(d) for d in distances)
+        assert all(b < a for a, b in zip(distances, distances[1:])), (q_a, distances)
+
+
+def test_solution_set_distance_vanishes_off_unit_floor():
+    # the limit slice is coeffs . x = kappa with coeffs scaled by 1 / c_low;
+    # at c_low = 2 the distance must still shrink toward 0 as n grows
+    config = GameConfig(
+        n=2,
+        bugs=(OrganicBug(0.5, 0.5, 20.0),),
+        dist=CostDistribution.uniform(2.0, 3.0),
+        budget=10.0,
+    )
+    for q_a in (1.0 / 3.0, 1.0):
+        distances = [solution_set_distance(config, n, q_a).distance for n in (20, 100, 1000)]
+        assert all(b < a for a, b in zip(distances, distances[1:]))
+        assert distances[-1] < 0.01
 
 
 def test_solution_set_distance_infeasible_slice(public_example):
@@ -289,20 +411,6 @@ def test_solution_set_distance_rejects_bad_args(public_example):
         solution_set_distance(public_example, 1, 0.5)
     with pytest.raises(ValueError):
         solution_set_distance(public_example, 5, 0.0)
-
-
-def test_solution_set_distance_sampled_branch():
-    config = GameConfig(
-        n=2,
-        bugs=(OrganicBug(0.5, 0.5, 10.0), OrganicBug(0.5, 0.4, 8.0)),
-        dist=CostDistribution.uniform(1.0, 2.0),
-        budget=6.0,
-    )
-    r1 = solution_set_distance(config, 10, 1.0, sample_step=0.05)
-    r2 = solution_set_distance(config, 200, 1.0, sample_step=0.05)
-    assert r1.feasible and not r1.exact
-    assert r1.error_bound == pytest.approx(0.05 * math.sqrt(3.0))
-    assert r2.distance < r1.distance + r1.error_bound
 
 
 # -- finite/asymptotic verdict agreement -----------------------------------------------

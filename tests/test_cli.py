@@ -91,6 +91,31 @@ def test_public_mode_requires_positive_floor(tmp_path, capsys):
     assert "c_low" in capsys.readouterr().err
 
 
+POWER = {"kind": "power", "c_low": 0.0, "c_high": 1.0, "alpha": math.inf}
+EXPONENTIAL = {"kind": "exponential", "c_low": 0.0, "c_high": None, "rate": math.inf}
+
+
+@pytest.mark.parametrize(
+    "mode, path, poison",
+    [
+        ("equilibrium", "$.prizes.v[0]", lambda c: c["prizes"].update(v=[math.inf])),
+        ("equilibrium", "$.prizes.artificial[0].v_a", lambda c: c["prizes"]["artificial"][0].update(v_a=math.inf)),
+        ("design", "$.game.bugs[0].w", lambda c: c["game"]["bugs"][0].update(w=math.inf)),
+        ("design", "$.game.budget", lambda c: c["game"].update(budget=math.inf)),
+        ("design", "$.game.dist.alpha", lambda c: c["game"].update(dist=POWER)),
+        ("design", "$.game.dist.rate", lambda c: c["game"].update(dist=EXPONENTIAL)),
+    ],
+    ids=["v", "v_a", "w", "budget", "alpha", "rate"],
+)
+def test_non_finite_field_rejected(tmp_path, capsys, mode, path, poison):
+    cfg = _base_config(prizes={"v": [0.0], "artificial": [{"v_a": 0.25, "q_a": 1.0}]})
+    poison(cfg)  # json.dumps writes math.inf as the non-standard token Infinity
+    code = main([mode, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert path in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # -- golden run ------------------------------------------------------------------
 
 
@@ -272,6 +297,29 @@ def test_figure_3_4_5_datasets(tmp_path):
 
     assert (tmp_path / "fig3_utility_convergence.csv").exists()
     assert (tmp_path / "fig4_utility_convergence_scaled.csv").exists()
+
+
+def test_figure_5_two_bugs_is_exact_and_bounded(tmp_path):
+    # two organic bugs used to take the sampled path, whose distance array
+    # needs about 250 GB at the default step
+    cfg = {
+        "spec_version": 1,
+        "game": {
+            "n": 2,
+            "budget": 6.0,
+            "dist": {"kind": "uniform", "c_low": 1.0, "c_high": 2.0},
+            "bugs": [{"mu": 0.5, "q": 0.5, "w": 10.0}, {"mu": 0.5, "q": 0.4, "w": 8.0}],
+        },
+        "figures": {"which": [5]},
+    }
+    code = main(["figures", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 0
+    fig5 = _read_csv(tmp_path / "fig5_set_distances.csv")
+    assert len(fig5) == 12
+    for q_a in {r["q_a"] for r in fig5}:
+        d = [float(r["d_hausdorff"]) for r in fig5 if r["q_a"] == q_a]
+        assert all(math.isfinite(x) for x in d)
+        assert all(b < a for a, b in zip(d, d[1:]))
 
 
 def test_figures_3_4_require_prizes(tmp_path, capsys):

@@ -155,3 +155,14 @@ def test_json_roundtrip():
         assert CostDistribution.from_json(dist.to_json()) == dist
     with pytest.raises(ValueError):
         CostDistribution.from_json({"kind": "exponential", "c_low": 0.0, "c_high": 2.0})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda v: CostDistribution.power(0.0, 1.0, v), lambda v: CostDistribution.exponential(0.0, v)],
+    ids=["alpha", "rate"],
+)
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_shape_rejected(build, value):
+    with pytest.raises(ValueError):
+        build(value)

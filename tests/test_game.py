@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,20 @@ def test_game_config_validation(uniform01):
         ArtificialBugDesign(v_a=-0.1, q_a=0.5)
     with pytest.raises(ValueError):
         PrizeSchedule(v=(-1.0,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: OrganicBug(mu=0.5, q=0.5, w=v),
+        lambda v: ArtificialBugDesign(v_a=v, q_a=0.5),
+        lambda v: GameConfig(
+            n=2, bugs=(OrganicBug(0.5, 0.5, 1.0),), dist=CostDistribution.uniform(0, 1), budget=v
+        ),
+    ],
+    ids=["w", "v_a", "budget"],
+)
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_parameter_rejected(build, value):
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
