@@ -291,8 +291,11 @@ def solution_set(config: GameConfig, c_target: float, q_a: float) -> SolutionSet
 
     Round-tripping any returned point through solve_equilibrium reproduces
     c_target, provided the target is an interior equilibrium level (above
-    max(c_low, 0) and at most c_a). A target of 0 leaves only the origin;
-    an unreachable target is flagged infeasible with no vertices.
+    max(c_low, 0) and at most c_a). A target of 0 is met by the origin and by
+    any budget-feasible split over instruments whose coefficient is 0 (an
+    artificial bug with q_a = 0): the vertices are the origin and budget * e_j
+    for each such j. An unreachable target is flagged infeasible with no
+    vertices.
     """
     if not 0.0 <= q_a <= 1.0:
         raise ValueError("q_a must lie in [0, 1]")
@@ -305,8 +308,13 @@ def solution_set(config: GameConfig, c_target: float, q_a: float) -> SolutionSet
     if c_target < 0.0:
         return SolutionSet(coeffs, c_target, budget, q_a, False, ())
     if c_target == 0.0:
-        origin = (0.0,) * len(coeffs)
-        return SolutionSet(coeffs, c_target, budget, q_a, True, (origin,))
+        vertices = [(0.0,) * len(coeffs)]
+        for j, a_j in enumerate(coeffs):
+            if a_j == 0.0:
+                point = [0.0] * len(coeffs)
+                point[j] = budget
+                vertices.append(tuple(point))
+        return SolutionSet(coeffs, c_target, budget, q_a, True, tuple(sorted(vertices)))
 
     vertices = _vertices(coeffs, c_target, budget)
     return SolutionSet(coeffs, c_target, budget, q_a, bool(vertices), vertices)

@@ -1,9 +1,25 @@
 """Seeded Monte Carlo runs of the second-stage game.
 
-Each trial draws n private costs, lets agents at or below the strategy
-threshold search, realizes bug existence and finds, and hands each found
-bug's prize to one uniformly random finder. Estimates come with standard
-errors and the matching closed forms so a report row reads as a z-test.
+Each trial plays the game from the seat of one reference agent (agent 0)
+against n - 1 rivals who search iff their cost is at most the strategy
+threshold. Per trial it draws counts and agent 0's own outcomes only:
+
+* whether agent 0 searches, u < F(threshold) (always, when pinned);
+* the number of searching rivals, S ~ Bin(n - 1, F(threshold));
+* per organic bug, whether it exists, u < mu;
+* per organic or artificial bug, the number of rival finders,
+  T | S ~ Bin(S, q), and whether agent 0 finds it, u < q;
+* whether agent 0 wins a bug it found: the prize goes to one uniformly
+  random finder, a chance of 1 / (T + 1), decided by the same uniform as
+  u (T + 1) < q (given u < q, u / q is again uniform).
+
+That is 1 + L + (L + K) uniforms (L + (L + K) when pinned) and at most
+1 + (L + K) binomials a trial. Given S the finder counts of different bugs
+are independent, so bugs are correlated only through shared participation,
+as in the game. No array has an n axis: a chunk holds O(CHUNK (L + K))
+numbers whatever n is. The draws use no closed form; estimates come with
+standard errors and the matching closed forms so a report row reads as a
+z-test.
 
 Randomness is counter-based: trial chunks of fixed size draw from Philox
 streams keyed by (seed, chunk index), so runs are reproducible bit-for-bit
@@ -36,10 +52,16 @@ class SimConfig:
     threshold: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if not (_is_int(self.trials) and self.trials >= 1):
             raise ValueError("trials must be an integer >= 1")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
+        if not math.isfinite(self.threshold):
+            raise ValueError("threshold must be finite")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -92,11 +114,52 @@ def _chunks(sim: SimConfig):
 
 
 def _bug_arrays(prizes: PrizeSchedule, game: GameConfig):
-    """mu, q, w per organic bug, the organic prizes, and v_a, q_a per
-    artificial entry, as arrays."""
+    """mu and w per organic bug, then q and the prize per bug, organic
+    bugs first and artificial entries after them, as arrays."""
     bugs, art = game.bugs, prizes.artificial
-    columns = [[b.mu for b in bugs], [b.q for b in bugs], [b.w for b in bugs], prizes.v]
-    return [np.array(c) for c in columns + [[a.v_a for a in art], [a.q_a for a in art]]]
+    columns = [
+        [b.mu for b in bugs],
+        [b.w for b in bugs],
+        [b.q for b in bugs] + [a.q_a for a in art],
+        list(prizes.v) + [a.v_a for a in art],
+    ]
+    return [np.array(c, dtype=float) for c in columns]
+
+
+def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: bool):
+    """Per chunk, the outcomes of its trials as boolean arrays with trials
+    along the last axis: searching (m,), exists (L, m), found (L+K, m) and
+    won (L+K, m) -- agent 0 searches, the organic bug exists, someone finds
+    the bug, agent 0 wins its prize. A pinned agent 0 always searches."""
+    dist = game.dist
+    if not dist.c_low <= sim.threshold <= dist.upper_bound():
+        raise ValueError("threshold must lie within the cost support")
+    if len(prizes.v) != len(game.bugs):
+        raise ValueError("prize list length must match bug count")
+    F = dist.cdf(sim.threshold)
+    mus, _, q, _ = _bug_arrays(prizes, game)
+    L, J = len(mus), len(q)
+    mus, q = mus[:, None], q[:, None]
+    for m, rng in _chunks(sim):
+        # Trials are exchangeable, so they are ordered by S: the S = 0 prefix
+        # needs no finder draws, and runs of equal S reuse the sampler's set-up.
+        rivals = np.sort(rng.binomial(game.n - 1, F, m))
+        idle = int(np.searchsorted(rivals, 0, side="right"))
+        finders = np.zeros((J, m), dtype=np.int64)
+        finders[:, idle:] = rng.binomial(rivals[idle:], q, (J, m - idle))
+        u = rng.random((L + J + (not pinned), m))
+        searching = np.ones(m, dtype=bool) if pinned else u[L + J] < F
+        exists = u[:L] < mus
+        # One uniform per bug: u < q is agent 0's find, and given it u / q is
+        # again uniform, so u (T + 1) < q is winning among the T + 1 finders.
+        u_find = u[L : L + J]
+        own = u_find < q
+        own[:L] &= exists
+        own &= searching
+        found = own | (finders > 0)
+        found[:L] &= exists
+        won = own & (u_find * (finders + 1.0) < q)
+        yield searching, exists, found, won
 
 
 def _binomial_stat(name, hits, n_obs, closed):
@@ -113,114 +176,60 @@ def _mean_stat(name, total, total_sq, count, closed):
 
 def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimReport:
     """Run the stage game sim.trials times at the given threshold strategy."""
-    dist = game.dist
-    if not dist.c_low <= sim.threshold <= dist.upper_bound():
-        raise ValueError("threshold must lie within the cost support")
-    if len(prizes.v) != len(game.bugs):
-        raise ValueError("prize list length must match bug count")
-
     n, L = game.n, len(game.bugs)
     K = len(prizes.artificial)
-    mus, qs, ws, v, va, qa = _bug_arrays(prizes, game)
+    mus, ws, q, prize = _bug_arrays(prizes, game)
 
-    found_org = np.zeros(L)
+    found_cnt = np.zeros(L + K)
     exists_cnt = np.zeros(L)
-    found_art = np.zeros(K)
     pay_sum = pay_sq = 0.0
     util_sum = util_sq = 0.0
     agent0_n = 0.0
-    wins0_org = np.zeros(L)
+    wins0 = np.zeros(L + K)
     wins0_org_n = np.zeros(L)  # trials with agent 0 searching and bug existing
-    wins0_art = np.zeros(K)
     gain0_sum = gain0_sq = 0.0
 
-    for m, rng in _chunks(sim):
-        costs = dist.quantile(rng.random((m, n)))
-        part = costs <= sim.threshold
-        exists = rng.random((m, L)) < mus
-        finds = (rng.random((m, n, L)) < qs) & part[:, :, None]
-        keys = rng.random((m, n, L))
-        finds_a = (rng.random((m, n, K)) < qa) & part[:, :, None]
-        keys_a = rng.random((m, n, K))
-
-        found = exists & finds.any(axis=1)
-        # uniform tie-splitting: iid keys make argmax a uniform draw
-        winner = np.argmax(np.where(finds, keys, -1.0), axis=1)
-        found_a = finds_a.any(axis=1)
-        winner_a = np.argmax(np.where(finds_a, keys_a, -1.0), axis=1)
-
-        pay = found @ v + found_a @ va
-        util = found @ ws - pay
+    for searching, exists, found, won in _trials(prizes, game, sim, pinned=False):
+        pay = prize @ found
+        util = ws @ found[:L] - pay
         pay_sum += pay.sum()
         pay_sq += (pay * pay).sum()
         util_sum += util.sum()
         util_sq += (util * util).sum()
 
-        found_org += found.sum(axis=0)
-        exists_cnt += exists.sum(axis=0)
-        found_art += found_a.sum(axis=0)
-
-        p0 = part[:, 0]
-        w0 = found & (winner == 0)
-        w0a = found_a & (winner_a == 0)
-        wins0_org += w0.sum(axis=0)
-        wins0_org_n += (exists & p0[:, None]).sum(axis=0)
-        wins0_art += w0a.sum(axis=0)
-        agent0_n += p0.sum()
-        gain0 = (w0 @ v + w0a @ va)[p0]
+        found_cnt += np.count_nonzero(found, axis=1)
+        exists_cnt += np.count_nonzero(exists, axis=1)
+        wins0 += np.count_nonzero(won, axis=1)
+        wins0_org_n += np.count_nonzero(exists & searching, axis=1)
+        agent0_n += np.count_nonzero(searching)
+        gain0 = prize @ won  # 0 wherever agent 0 does not search
         gain0_sum += gain0.sum()
         gain0_sq += (gain0 * gain0).sum()
 
     T = sim.trials
     c_hat = sim.threshold
+    dist = game.dist
+    det = [detect_prob(c_hat, q_j, n, dist) for q_j in q]
+    phi = [win_prob_phi(c_hat, q_j, n, dist) for q_j in q]
+    org, art = range(L), range(L, L + K)
     det_uncond = tuple(
-        _binomial_stat(
-            f"detect_uncond_bug_{l + 1}",
-            found_org[l],
-            T,
-            mus[l] * detect_prob(c_hat, qs[l], n, dist),
-        )
-        for l in range(L)
+        _binomial_stat(f"detect_uncond_bug_{j + 1}", found_cnt[j], T, mus[j] * det[j]) for j in org
     )
     det_cond = tuple(
-        _binomial_stat(
-            f"detect_cond_bug_{l + 1}",
-            found_org[l],
-            exists_cnt[l],
-            detect_prob(c_hat, qs[l], n, dist),
-        )
-        for l in range(L)
+        _binomial_stat(f"detect_cond_bug_{j + 1}", found_cnt[j], exists_cnt[j], det[j]) for j in org
     )
     det_art = tuple(
-        _binomial_stat(
-            f"detect_artificial_{k + 1}",
-            found_art[k],
-            T,
-            detect_prob(c_hat, qa[k], n, dist),
-        )
-        for k in range(K)
+        _binomial_stat(f"detect_artificial_{j - L + 1}", found_cnt[j], T, det[j]) for j in art
     )
     win_org = tuple(
-        _binomial_stat(
-            f"win_bug_{l + 1}",
-            wins0_org[l],
-            wins0_org_n[l],
-            win_prob_phi(c_hat, qs[l], n, dist),
-        )
-        for l in range(L)
+        _binomial_stat(f"win_bug_{j + 1}", wins0[j], wins0_org_n[j], phi[j]) for j in org
     )
     win_art = tuple(
-        _binomial_stat(
-            f"win_artificial_{k + 1}",
-            wins0_art[k],
-            agent0_n,
-            win_prob_phi(c_hat, qa[k], n, dist),
-        )
-        for k in range(K)
+        _binomial_stat(f"win_artificial_{j - L + 1}", wins0[j], agent0_n, phi[j]) for j in art
     )
     det_uncond_cf = np.array([s.closed_form for s in det_uncond])
     det_art_cf = np.array([s.closed_form for s in det_art])
-    payout_cf = float(det_uncond_cf @ v + det_art_cf @ va)
+    payout_cf = float(det_uncond_cf @ prize[:L] + det_art_cf @ prize[L:])
     utility_cf = float(det_uncond_cf @ ws - payout_cf)
     return SimReport(
         trials=T,
@@ -259,36 +268,14 @@ class DeviationGap:
 def check_equilibrium(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> DeviationGap:
     """Pin one agent to always search against n - 1 threshold rivals and
     compare the pinned agent's mean winnings to the equilibrium threshold."""
-    dist = game.dist
-    outcome = solve_equilibrium(prizes, game)
-    n_riv, L = game.n - 1, len(game.bugs)
-    K = len(prizes.artificial)
-    mus, qs, _, v, va, qa = _bug_arrays(prizes, game)
-
+    prize = _bug_arrays(prizes, game)[3]
     total = total_sq = 0.0
-    for m, rng in _chunks(sim):
-        exists = rng.random((m, L)) < mus
-        self_finds = (rng.random((m, L)) < qs) & exists
-        self_finds_a = rng.random((m, K)) < qa
-        if n_riv > 0:
-            costs = dist.quantile(rng.random((m, n_riv)))
-            part = costs <= sim.threshold
-            riv = (rng.random((m, n_riv, L)) < qs) & part[:, :, None]
-            riv_a = (rng.random((m, n_riv, K)) < qa) & part[:, :, None]
-            riv_finders = riv.sum(axis=1)
-            riv_finders_a = riv_a.sum(axis=1)
-        else:
-            riv_finders = np.zeros((m, L))
-            riv_finders_a = np.zeros((m, K))
-        # winner among the pinned finder plus t rival finders: chance 1/(t+1)
-        u = rng.random((m, L))
-        u_a = rng.random((m, K))
-        win = self_finds & (u < 1.0 / (riv_finders + 1.0))
-        win_a = self_finds_a & (u_a < 1.0 / (riv_finders_a + 1.0))
-        gain = win @ v + win_a @ va
+    for _, _, _, won in _trials(prizes, game, sim, pinned=True):
+        gain = prize @ won
         total += gain.sum()
         total_sq += (gain * gain).sum()
 
+    outcome = solve_equilibrium(prizes, game)
     stat = _mean_stat("pinned_benefit", total, total_sq, sim.trials, outcome.c_star)
     return DeviationGap(
         gap=abs(stat.estimate - outcome.c_star),

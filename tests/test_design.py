@@ -319,6 +319,21 @@ def test_solution_set_origin_only_at_zero(private_example):
     assert sset.vertices == ((0.0, 0.0),)
 
 
+def test_solution_set_zero_target_keeps_zero_coefficient_face(private_example):
+    # with q_a = 0 a planted prize never moves the threshold, so any v_a in
+    # [0, budget] next to v = 0 still induces c* = 0
+    sset = solution_set(private_example, 0.0, 0.0)
+    assert sset.feasible
+    assert sset.vertices == ((0.0, 0.0), (0.0, private_example.budget))
+    for point in sset.sample(points_per_edge=3):
+        sched = PrizeSchedule(
+            v=tuple(point[:-1]), artificial=(ArtificialBugDesign(point[-1], 0.0),)
+        )
+        out = solve_equilibrium(sched, private_example)
+        assert out.c_star == 0.0
+        assert out.boundary == "pinned_low"
+
+
 def test_solution_set_points_reproduce_threshold(private_example):
     sset = solution_set(private_example, 2 / 9, 1.0)
     utilities = []

@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -134,3 +138,105 @@ def test_simulation_rejects_bad_inputs(private_example):
         simulate(CANONICAL, private_example, SimConfig(10, 1, threshold=5.0))
     with pytest.raises(ValueError):
         simulate(PrizeSchedule.zero(2), private_example, SimConfig(10, 1, 0.5))
+    for trials, seed, threshold in [
+        (True, 1, 0.5),
+        (10, False, 0.5),
+        (10, 1, math.nan),
+        (10, 1, math.inf),
+        (10, 1, -math.inf),
+    ]:
+        with pytest.raises(ValueError):
+            SimConfig(trials, seed, threshold)
+
+
+def test_check_equilibrium_rejects_bad_inputs(private_example):
+    exponential = GameConfig(
+        n=2,
+        bugs=private_example.bugs,
+        dist=CostDistribution.exponential(0.0, 1.0),
+        budget=1.0,
+    )
+    with pytest.raises(ValueError):
+        check_equilibrium(CANONICAL, exponential, SimConfig(10, 1, 1e9))
+    with pytest.raises(ValueError):
+        check_equilibrium(CANONICAL, private_example, SimConfig(10, 1, -0.5))
+    with pytest.raises(ValueError):
+        check_equilibrium(PrizeSchedule.zero(2), private_example, SimConfig(10, 1, 0.5))
+
+
+def test_memory_does_not_grow_with_n():
+    """At n = 10^6 one (65536, n) float array per chunk would take 5e14
+    bytes; the kernel draws counts, so its peak matches the n = 2 run."""
+    bugs = (OrganicBug(0.5, 0.5, 2.0),)
+    sched = PrizeSchedule(v=(1.0,), artificial=(ArtificialBugDesign(0.5, 1.0),))
+    peaks = []
+    for n in (2, 10**6):
+        config = GameConfig(n=n, bugs=bugs, dist=CostDistribution.uniform(0.0, 1.0), budget=2.0)
+        out = solve_equilibrium(sched, config)
+        tracemalloc.start()
+        try:
+            # n F = 2 searchers on average keeps every detection row away from 0 and 1
+            report = simulate(sched, config, SimConfig(1 << 16, 11, min(2.0 / n, 0.5)))
+            gap = check_equilibrium(sched, config, SimConfig(1 << 16, 12, out.c_star))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # At n = 10^6 one agent wins about 2^16 mu / n < 0.1 prizes in the
+        # whole run, so the agent-0 rows (win_*, marginal_benefit) carry no data.
+        rows = report.detect_unconditional + report.detect_conditional + report.detect_artificial
+        for stat in rows + (report.payout, report.utility):
+            assert abs(stat.z_score) <= 4.0, (n, stat)
+        assert gap.gap <= 4.0 * gap.std_error, (n, gap)
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def _payout_law(config, sched, F):
+    """Exact law of the total payout, {value: probability}, by enumerating
+    which of the n agents search, which organic bugs exist and which agent
+    finds which bug."""
+    mus = [b.mu for b in config.bugs]
+    qs = [b.q for b in config.bugs] + [a.q_a for a in sched.artificial]
+    prizes = list(sched.v) + [a.v_a for a in sched.artificial]
+    n, L, J = config.n, len(mus), len(qs)
+    law: dict[float, float] = {}
+    for part in product((False, True), repeat=n):
+        p_part = math.prod(F if s else 1.0 - F for s in part)
+        for exists in product((False, True), repeat=L):
+            p_exists = math.prod(mu if e else 1.0 - mu for mu, e in zip(mus, exists))
+            for finds in product((False, True), repeat=n * J):
+                p_finds = math.prod(qs[k % J] if f else 1.0 - qs[k % J] for k, f in enumerate(finds))
+                pay = sum(
+                    prizes[j]
+                    for j in range(J)
+                    if (j >= L or exists[j]) and any(part[i] and finds[i * J + j] for i in range(n))
+                )
+                law[pay] = law.get(pay, 0.0) + p_part * p_exists * p_finds
+    return law
+
+
+def test_payout_variance_matches_joint_enumeration(uniform01):
+    """The payout's variance holds the cross-bug covariance that shared
+    participation creates; a sampler drawing each bug's finder count on its
+    own would match every marginal z-test but miss it by > 100 standard errors."""
+    config = GameConfig(
+        n=3,
+        bugs=(OrganicBug(0.9, 0.8, 1.0), OrganicBug(0.7, 0.9, 2.0)),
+        dist=uniform01,
+        budget=5.0,
+    )
+    sched = PrizeSchedule(v=(1.0, 1.5), artificial=(ArtificialBugDesign(1.0, 0.9),))
+    trials = 1 << 18
+    law = _payout_law(config, sched, F=0.5)
+    mean = sum(x * p for x, p in law.items())
+    var = sum((x - mean) ** 2 * p for x, p in law.items())
+    mu4 = sum((x - mean) ** 4 * p for x, p in law.items())
+    var_se = math.sqrt((mu4 - var * var) / trials)  # std error of the sample variance
+
+    report = simulate(sched, config, SimConfig(trials, 5, threshold=0.5))
+    assert report.payout.closed_form == pytest.approx(mean, rel=1e-12)
+    assert abs(report.payout.std_error**2 * trials - var) <= 4.0 * var_se
+
+    detect = [s.closed_form for s in report.detect_unconditional + report.detect_artificial]
+    prizes = list(sched.v) + [a.v_a for a in sched.artificial]
+    var_independent = sum(v * v * p * (1.0 - p) for v, p in zip(prizes, detect))
+    assert abs(var_independent - var) > 100.0 * var_se
