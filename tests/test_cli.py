@@ -139,6 +139,35 @@ def test_public_mode_matches_golden_bytes(tmp_path):
         assert (tmp_path / name).read_bytes() == (DATA / f"golden_{name}").read_bytes(), name
 
 
+FIGURE_FILES = (
+    "fig1_solution_sets.csv",
+    "fig2_utility_curves.csv",
+    "fig2_markers.csv",
+    "fig3_utility_convergence.csv",
+    "fig4_utility_convergence_scaled.csv",
+    "convergence_table.csv",
+    "fig5_set_distances.csv",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, config, names",
+    [
+        (["equilibrium"], "equilibrium_example.json", ("equilibrium.csv",)),
+        (["simulate", "--seed", "7", "--trials", "4096"], "equilibrium_example.json", ("sim_report.csv",)),
+        (["figures"], "figures_example.json", FIGURE_FILES),
+    ],
+    ids=["equilibrium", "simulate", "figures"],
+)
+def test_config_mode_matches_golden_bytes(tmp_path, capsys, argv, config, names):
+    code = main(argv + ["--config", str(DATA / config), "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [str(tmp_path / name) for name in names]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (DATA / f"golden_{name}").read_bytes(), name
+
+
 def test_design_mode_output_is_reproducible(tmp_path):
     config = str(DATA / "private_example.json")
     main(["design", "--config", config, "--out", str(tmp_path / "a")])
@@ -327,6 +356,7 @@ def test_figures_3_4_require_prizes(tmp_path, capsys):
     code = main(["figures", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
     assert code == 2
     assert "prize" in capsys.readouterr().err
+
 
 
 # -- credibility subcommands -------------------------------------------------------
