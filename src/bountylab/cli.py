@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -19,11 +20,17 @@ import numpy as np
 
 from . import asymptotic, credibility, design
 from .costs import CostDistribution
-from .game import ArtificialBugDesign, GameConfig, OrganicBug, PrizeSchedule, solve_equilibrium
+from .game import (
+    ArtificialBugDesign,
+    GameConfig,
+    OrganicBug,
+    PrizeSchedule,
+    _is_int,
+    solve_equilibrium,
+)
 from .simulation import SimConfig, simulate
 
 SPEC_VERSION = 1
-MODES = ("equilibrium", "design", "public", "simulate", "figures", "commit", "reveal-verify", "coin")
 
 FIGURE_DEFAULTS = {
     "which": [1, 2, 3, 4, 5],
@@ -34,6 +41,13 @@ FIGURE_DEFAULTS = {
     "n_list_curves": [2, 5, 10, 50, 200, 1000],
     "n_list_distance": [5, 20, 100, 500],
 }
+
+TOP_LEVEL_FIELDS = set(
+    "spec_version mode game prizes output_dir seed trials threshold n_list figures".split()
+)
+
+# One output file: (file name, header, rows).
+Table = tuple[str, list[str], list[list]]
 
 
 class ConfigError(Exception):
@@ -54,7 +68,6 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
@@ -68,22 +81,51 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"{path}.{key}", "unknown field")
 
 
-def _get(obj: dict, key: str, path: str, kind, required: bool = True, default=None):
+def _get(obj: dict, key: str, path: str, kind, required: bool = True):
     if key not in obj:
         if required:
             raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
+        return None
     value = obj[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         # exact int/float comparison: rejects inf, nan and ints beyond float range
         if not -sys.float_info.max <= value <= sys.float_info.max:
             raise ConfigError(f"{path}.{key}", "expected a finite number")
         return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
+    if kind is int and _is_int(value):
         return value
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}")
     return value
+
+
+def _check_list(value, path: str, kind) -> list:
+    """``value``, once it is a list whose entries all pass ``_get`` as ``kind``."""
+    if isinstance(value, list):
+        try:
+            for x in value:
+                _get({"x": x}, "x", path, kind)
+            return value
+        except ConfigError:
+            pass
+    noun = "integers" if kind is int else "finite numbers"
+    raise ConfigError(path, f"expected a list of {noun}")
+
+
+def _parse_objects(items: list, path: str, cls) -> tuple:
+    """Each entry of ``items`` as ``cls``, its float fields checked under ``path[i]``."""
+    names = [field.name for field in dataclasses.fields(cls)]
+    parsed = []
+    for i, item in enumerate(items):
+        item_path = f"{path}[{i}]"
+        if not isinstance(item, dict):
+            raise ConfigError(item_path, "expected object")
+        _check_keys(item, set(names), item_path)
+        try:
+            parsed.append(cls(**{name: _get(item, name, item_path, float) for name in names}))
+        except ValueError as exc:
+            raise ConfigError(item_path, str(exc)) from exc
+    return tuple(parsed)
 
 
 def _parse_dist(obj: dict, path: str) -> CostDistribution:
@@ -110,25 +152,9 @@ def _parse_game(obj: dict, path: str) -> GameConfig:
     n = _get(obj, "n", path, int)
     budget = _get(obj, "budget", path, float)
     dist = _parse_dist(_get(obj, "dist", path, dict), f"{path}.dist")
-    bugs_raw = _get(obj, "bugs", path, list)
-    bugs = []
-    for i, bug in enumerate(bugs_raw):
-        bug_path = f"{path}.bugs[{i}]"
-        if not isinstance(bug, dict):
-            raise ConfigError(bug_path, "expected object")
-        _check_keys(bug, {"mu", "q", "w"}, bug_path)
-        try:
-            bugs.append(
-                OrganicBug(
-                    mu=_get(bug, "mu", bug_path, float),
-                    q=_get(bug, "q", bug_path, float),
-                    w=_get(bug, "w", bug_path, float),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(bug_path, str(exc)) from exc
+    bugs = _parse_objects(_get(obj, "bugs", path, list), f"{path}.bugs", OrganicBug)
     try:
-        return GameConfig(n=n, bugs=tuple(bugs), dist=dist, budget=budget)
+        return GameConfig(n=n, bugs=bugs, dist=dist, budget=budget)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -138,40 +164,28 @@ def _parse_prizes(obj: dict, path: str, n_bugs: int) -> PrizeSchedule:
     v = _get(obj, "v", path, list)
     if len(v) != n_bugs:
         raise ConfigError(f"{path}.v", f"expected {n_bugs} entries, got {len(v)}")
-    artificial = []
-    for i, art in enumerate(obj.get("artificial", [])):
-        art_path = f"{path}.artificial[{i}]"
-        if not isinstance(art, dict):
-            raise ConfigError(art_path, "expected object")
-        _check_keys(art, {"v_a", "q_a"}, art_path)
-        try:
-            artificial.append(
-                ArtificialBugDesign(
-                    v_a=_get(art, "v_a", art_path, float),
-                    q_a=_get(art, "q_a", art_path, float),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(art_path, str(exc)) from exc
+    artificial = _parse_objects(
+        _get(obj, "artificial", path, list, required=False) or [],
+        f"{path}.artificial",
+        ArtificialBugDesign,
+    )
     v = [_get({f"v[{i}]": x}, f"v[{i}]", path, float) for i, x in enumerate(v)]
     try:
-        return PrizeSchedule(v=tuple(v), artificial=tuple(artificial))
+        return PrizeSchedule(v=tuple(v), artificial=artificial)
     except (ValueError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
 def _parse_figures(obj: dict, path: str) -> dict:
     _check_keys(obj, set(FIGURE_DEFAULTS), path)
-    params = dict(FIGURE_DEFAULTS)
-    for key, value in obj.items():
-        params[key] = value
+    params = {**FIGURE_DEFAULTS, **obj}
     for key in ("which", "n_list_curves", "n_list_distance"):
-        if not isinstance(params[key], list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in params[key]
-        ):
-            raise ConfigError(f"{path}.{key}", "expected a list of integers")
+        _check_list(params[key], f"{path}.{key}", int)
     if any(w not in (1, 2, 3, 4, 5) for w in params["which"]):
         raise ConfigError(f"{path}.which", "figure numbers must lie in 1..5")
+    for key in ("w_list", "q_a_fig1", "q_a_fig5"):
+        _check_list(params[key], f"{path}.{key}", float)
+    _get(params, "grid_points", path, int)
     return params
 
 
@@ -179,21 +193,9 @@ class RunConfig:
     """Parsed, validated run configuration."""
 
     def __init__(self, raw: dict):
-        allowed = {
-            "spec_version",
-            "mode",
-            "game",
-            "prizes",
-            "output_dir",
-            "seed",
-            "trials",
-            "threshold",
-            "n_list",
-            "figures",
-        }
         if not isinstance(raw, dict):
             raise ConfigError("$", "top-level value must be an object")
-        _check_keys(raw, allowed, "$")
+        _check_keys(raw, TOP_LEVEL_FIELDS, "$")
         if _get(raw, "spec_version", "$", int) != SPEC_VERSION:
             raise ConfigError("$.spec_version", f"expected {SPEC_VERSION}")
         self.mode = _get(raw, "mode", "$", str, required=False)
@@ -210,11 +212,10 @@ class RunConfig:
         self.trials = _get(raw, "trials", "$", int, required=False)
         self.threshold = _get(raw, "threshold", "$", float, required=False)
         self.n_list = _get(raw, "n_list", "$", list, required=False)
-        if self.n_list is not None and not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in self.n_list
-        ):
-            raise ConfigError("$.n_list", "expected a list of integers")
-        self.figures = _parse_figures(raw.get("figures", {}), "$.figures")
+        if self.n_list is not None:
+            _check_list(self.n_list, "$.n_list", int)
+        figures = _get(raw, "figures", "$", dict, required=False)
+        self.figures = _parse_figures(figures or {}, "$.figures")
 
 
 def _load_config(path: str) -> RunConfig:
@@ -229,7 +230,7 @@ def _load_config(path: str) -> RunConfig:
     return RunConfig(raw)
 
 
-# -- mode implementations -----------------------------------------------------
+# -- config modes: each maps a RunConfig to the tables it outputs ---------------
 
 
 def _fields(obj, names: str) -> list[tuple[str, object]]:
@@ -237,12 +238,11 @@ def _fields(obj, names: str) -> list[tuple[str, object]]:
     return [(name, getattr(obj, name)) for name in names.split()]
 
 
-def _write_row(path: Path, columns: list[tuple[str, object]]) -> Path:
-    _write_csv(path, [name for name, _ in columns], [[value for _, value in columns]])
-    return path
+def _one_row(name: str, columns: list[tuple[str, object]]) -> Table:
+    return name, [key for key, _ in columns], [[value for _, value in columns]]
 
 
-def _run_equilibrium(cfg: RunConfig, out: Path) -> list[Path]:
+def _equilibrium(cfg: RunConfig) -> list[Table]:
     if cfg.prizes is None:
         raise ConfigError("$.prizes", "equilibrium mode requires a prize schedule")
     outcome = solve_equilibrium(cfg.prizes, cfg.game)
@@ -253,7 +253,7 @@ def _run_equilibrium(cfg: RunConfig, out: Path) -> list[Path]:
         columns += [(f"detect_cond_bug_{l}", cond), (f"detect_uncond_bug_{l}", uncond)]
     for k, det in enumerate(outcome.detect_artificial, start=1):
         columns.append((f"detect_artificial_{k}", det))
-    return [_write_row(out / "equilibrium.csv", columns)]
+    return [_one_row("equilibrium.csv", columns)]
 
 
 def _schedule_columns(schedule: PrizeSchedule) -> list[tuple[str, object]]:
@@ -262,7 +262,7 @@ def _schedule_columns(schedule: PrizeSchedule) -> list[tuple[str, object]]:
     return columns + [("v_a", art.v_a), ("q_a", art.q_a)]
 
 
-def _run_design(cfg: RunConfig, out: Path) -> list[Path]:
+def _design(cfg: RunConfig) -> list[Table]:
     report = design.optimize(cfg.game)
     columns = _fields(
         report, "c_tilde c_a c_0 c_hat_star beneficial marginal utility_at_optimum spend"
@@ -270,10 +270,10 @@ def _run_design(cfg: RunConfig, out: Path) -> list[Path]:
     columns += _schedule_columns(report.canonical_prizes)
     columns += [(f"c_l_bug_{l}", c_l) for l, c_l in enumerate(report.per_bug_c, start=1)]
     columns.append(("best_bug", report.best_bug + 1))
-    return [_write_row(out / "design_report.csv", columns)]
+    return [_one_row("design_report.csv", columns)]
 
 
-def _run_public(cfg: RunConfig, out: Path) -> list[Path]:
+def _public(cfg: RunConfig) -> list[Table]:
     report = asymptotic.optimize_public(cfg.game)
     columns = _fields(
         report, "kappa_tilde kappa_a kappa_0 kappa_hat_star beneficial marginal utility_at_optimum"
@@ -282,49 +282,42 @@ def _run_public(cfg: RunConfig, out: Path) -> list[Path]:
     columns += [(f"kappa_l_bug_{l}", k) for l, k in enumerate(report.per_bug_kappa, start=1)]
     columns += [("best_bug", report.best_bug + 1)]
     columns += [("assumption_notes", ";".join(report.assumption_notes))]
-    paths = [_write_row(out / "public_report.csv", columns)]
+    tables = [_one_row("public_report.csv", columns)]
     if cfg.prizes is not None:
         outcome = asymptotic.solve_kappa_star(cfg.prizes, cfg.game)
         columns = _fields(outcome, "kappa_star trivial utility_inf")
         columns += [(f"detect_inf_bug_{l}", p) for l, p in enumerate(outcome.detect_inf, start=1)]
-        paths.append(_write_row(out / "public_outcome.csv", columns))
-    return paths
+        tables.append(_one_row("public_outcome.csv", columns))
+    return tables
 
 
-def _run_simulate(cfg: RunConfig, out: Path, seed, trials) -> list[Path]:
+def _simulate(cfg: RunConfig) -> list[Table]:
     if cfg.prizes is None:
         raise ConfigError("$.prizes", "simulate mode requires a prize schedule")
-    seed = seed if seed is not None else cfg.seed
-    trials = trials if trials is not None else cfg.trials
-    if seed is None:
+    if cfg.seed is None:
         raise ConfigError("$.seed", "simulate mode requires a seed")
-    if trials is None:
+    if cfg.trials is None:
         raise ConfigError("$.trials", "simulate mode requires a trial count")
     threshold = cfg.threshold
     if threshold is None:
         threshold = solve_equilibrium(cfg.prizes, cfg.game).c_star
     try:
-        sim = SimConfig(trials=trials, seed=seed, threshold=threshold)
+        sim = SimConfig(trials=cfg.trials, seed=cfg.seed, threshold=threshold)
         report = simulate(cfg.prizes, cfg.game, sim)
     except ValueError as exc:
         raise ConfigError("$.threshold", str(exc)) from exc
-    rows = [
-        [s.name, s.estimate, s.std_error, s.closed_form, s.z_score] for s in report.rows()
-    ]
-    path = out / "sim_report.csv"
-    _write_csv(path, ["statistic", "estimate", "std_error", "closed_form", "z_score"], rows)
-    return [path]
+    header = ["statistic", "estimate", "std_error", "closed_form", "z_score"]
+    rows = [[s.name, s.estimate, s.std_error, s.closed_form, s.z_score] for s in report.rows()]
+    return [("sim_report.csv", header, rows)]
 
 
-def _run_figures(cfg: RunConfig, out: Path) -> list[Path]:
+def _figures(cfg: RunConfig) -> list[Table]:
     params = cfg.figures
     game = cfg.game
     which = set(params["which"])
     grid_points = params["grid_points"]
-    lo = max(game.dist.c_low, 0.0)
-    hi = game.dist.upper_bound()
-    c_grid = np.linspace(lo, hi, grid_points)
-    paths: list[Path] = []
+    c_grid = np.linspace(max(game.dist.c_low, 0.0), game.dist.upper_bound(), grid_points)
+    tables: list[Table] = []
 
     if 1 in which:
         if len(game.bugs) != 1:
@@ -342,8 +335,7 @@ def _run_figures(cfg: RunConfig, out: Path) -> list[Path]:
                 rows.append([f"qa_{q_a:.6g}", q_a, v, (c_target - a_org * v) / a_art])
         for v in np.linspace(0.0, game.budget, grid_points):
             rows.append(["budget", "", v, game.budget - v])
-        paths.append(out / "fig1_solution_sets.csv")
-        _write_csv(paths[-1], ["curve", "q_a", "v", "v_a"], rows)
+        tables.append(("fig1_solution_sets.csv", ["curve", "q_a", "v", "v_a"], rows))
 
     if 2 in which:
         rows = []
@@ -352,14 +344,12 @@ def _run_figures(cfg: RunConfig, out: Path) -> list[Path]:
             game_w = GameConfig(n=game.n, bugs=bugs, dist=game.dist, budget=game.budget)
             for c_hat in c_grid:
                 rows.append([w, c_hat, design.designer_utility(float(c_hat), game_w)])
-        paths.append(out / "fig2_utility_curves.csv")
-        _write_csv(paths[-1], ["w", "c_hat", "W"], rows)
+        tables.append(("fig2_utility_curves.csv", ["w", "c_hat", "W"], rows))
         markers = [
             ["c_0", design.solve_c0(game.budget, game).c_0],
             ["c_a", design.solve_c_a(game.budget, game)],
         ]
-        paths.append(out / "fig2_markers.csv")
-        _write_csv(paths[-1], ["name", "value"], markers)
+        tables.append(("fig2_markers.csv", ["name", "value"], markers))
 
     if which & {3, 4}:
         if cfg.prizes is None:
@@ -373,18 +363,16 @@ def _run_figures(cfg: RunConfig, out: Path) -> list[Path]:
                 curve_rows.append([n, c_hat, w_n])
                 scaled_rows.append([n, n * game.dist.cdf(float(c_hat)), w_n])
         if 3 in which:
-            paths.append(out / "fig3_utility_convergence.csv")
-            _write_csv(paths[-1], ["n", "c_hat", "W_n"], curve_rows)
+            tables.append(("fig3_utility_convergence.csv", ["n", "c_hat", "W_n"], curve_rows))
         if 4 in which:
-            paths.append(out / "fig4_utility_convergence_scaled.csv")
-            _write_csv(paths[-1], ["n", "n_F_c_hat", "W_n"], scaled_rows)
+            header = ["n", "n_F_c_hat", "W_n"]
+            tables.append(("fig4_utility_convergence_scaled.csv", header, scaled_rows))
         try:
             table = asymptotic.convergence_table(game, cfg.prizes, [int(n) for n in n_list])
         except ValueError as exc:
             raise ConfigError("$.game.dist.c_low", str(exc)) from exc
         header = list(table[0].keys())
-        paths.append(out / "convergence_table.csv")
-        _write_csv(paths[-1], header, [[r[k] for k in header] for r in table])
+        tables.append(("convergence_table.csv", header, [[r[k] for k in header] for r in table]))
 
     if 5 in which:
         rows = []
@@ -400,35 +388,55 @@ def _run_figures(cfg: RunConfig, out: Path) -> list[Path]:
                         f"infeasible slice at q_a={q_a}, n={n}: no budget-feasible prizes",
                     )
                 rows.append([q_a, n, result.distance])
-        paths.append(out / "fig5_set_distances.csv")
-        _write_csv(paths[-1], ["q_a", "n", "d_hausdorff"], rows)
+        tables.append(("fig5_set_distances.csv", ["q_a", "n", "d_hausdorff"], rows))
 
-    return paths
+    return tables
+
+
+CONFIG_MODES = {
+    "equilibrium": _equilibrium,
+    "design": _design,
+    "public": _public,
+    "simulate": _simulate,
+    "figures": _figures,
+}
+MODES = (*CONFIG_MODES, "commit", "reveal-verify", "coin")
+
+
+def _run_config_mode(args) -> int:
+    cfg = _load_config(args.config)
+    if cfg.mode is not None and cfg.mode != args.command:
+        message = f"config says {cfg.mode!r} but subcommand is {args.command!r}"
+        raise ConfigError("$.mode", message)
+    cfg.seed = cfg.seed if args.seed is None else args.seed
+    cfg.trials = cfg.trials if args.trials is None else args.trials
+    # the mode computes every table before any is written: a failed run leaves no CSV
+    tables = CONFIG_MODES[args.command](cfg)
+    out = Path(args.out) if args.out else Path(cfg.output_dir or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, header, rows in tables:
+        _write_csv(out / name, header, rows)
+    for name, _, _ in tables:
+        print(out / name)
+    return 0
 
 
 # -- credibility subcommands --------------------------------------------------
 
 
 def _cmd_commit(args) -> int:
-    payload_path = Path(args.payload)
     try:
-        payload = payload_path.read_bytes()
+        payload = Path(args.payload).read_bytes()
     except OSError as exc:
-        print(f"error: cannot read payload: {exc}", file=sys.stderr)
-        return 2
+        raise OSError(f"cannot read payload: {exc}") from exc
     if args.salt_hex is not None:
         try:
             salt = bytes.fromhex(args.salt_hex)
         except ValueError:
-            print("error: --salt-hex must be valid hex", file=sys.stderr)
-            return 2
+            raise ValueError("--salt-hex must be valid hex") from None
     else:
         salt = os.urandom(credibility.SALT_LEN)
-    try:
-        record = credibility.commit(payload, salt=salt, created_at=args.timestamp)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    record = credibility.commit(payload, salt=salt, created_at=args.timestamp)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     commitment_path = out / "commitment.txt"
@@ -441,28 +449,19 @@ def _cmd_commit(args) -> int:
 
 
 def _cmd_reveal_verify(args) -> int:
-    try:
-        commitment = credibility.read_commitment_file(args.commitment)
-        reveal = credibility.read_reveal_file(args.reveal)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    commitment = credibility.read_commitment_file(args.commitment)
+    reveal = credibility.read_reveal_file(args.reveal)
     ok = credibility.verify_reveal(commitment, reveal)
     print(f"verified: {'true' if ok else 'false'}")
     return 0 if ok else 1
 
 
 def _cmd_coin(args) -> int:
-    try:
-        commitment = credibility.read_commitment_file(args.commitment)
-        reveal = credibility.read_reveal_file(args.reveal)
-        beacon = bytes.fromhex(args.beacon)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    commitment = credibility.read_commitment_file(args.commitment)
+    reveal = credibility.read_reveal_file(args.reveal)
+    beacon = bytes.fromhex(args.beacon)
     if not 0.0 <= args.mu_a <= 1.0:
-        print("error: --mu-a must lie in [0, 1]", file=sys.stderr)
-        return 2
+        raise ValueError("--mu-a must lie in [0, 1]")
     if args.claimed is not None:
         claimed = args.claimed == "true"
         ok = credibility.verify_coin(commitment, reveal, beacon, args.mu_a, claimed)
@@ -472,42 +471,13 @@ def _cmd_coin(args) -> int:
         print("verified: false")
         return 1
     if len(reveal.payload) != credibility.SALT_LEN:
-        print("error: revealed payload is not a 32-byte coin seed", file=sys.stderr)
-        return 2
+        raise ValueError("revealed payload is not a 32-byte coin seed")
     insert = credibility.coin_resolve(reveal.payload, beacon, args.mu_a)
     print(f"insert: {'true' if insert else 'false'}")
     return 0
 
 
 # -- entry point ---------------------------------------------------------------
-
-
-def _run_config_mode(mode: str, args) -> int:
-    try:
-        cfg = _load_config(args.config)
-        if cfg.mode is not None and cfg.mode != mode:
-            raise ConfigError("$.mode", f"config says {cfg.mode!r} but subcommand is {mode!r}")
-        out = Path(args.out) if args.out else Path(cfg.output_dir or ".")
-        out.mkdir(parents=True, exist_ok=True)
-        if mode == "equilibrium":
-            paths = _run_equilibrium(cfg, out)
-        elif mode == "design":
-            paths = _run_design(cfg, out)
-        elif mode == "public":
-            paths = _run_public(cfg, out)
-        elif mode == "simulate":
-            paths = _run_simulate(cfg, out, args.seed, args.trials)
-        else:
-            paths = _run_figures(cfg, out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for path in paths:
-        print(path)
-    return 0
 
 
 def main(argv=None) -> int:
@@ -518,22 +488,25 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for mode in ("equilibrium", "design", "public", "simulate", "figures"):
+    for mode in CONFIG_MODES:
         p = sub.add_parser(mode, help=f"run {mode} mode on a JSON config")
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory for CSV files")
         p.add_argument("--seed", type=int, default=None, help="simulation seed (u64)")
         p.add_argument("--trials", type=int, default=None, help="simulation trial count")
+        p.set_defaults(run=_run_config_mode)
 
     p = sub.add_parser("commit", help="commit to a payload file")
     p.add_argument("--payload", required=True)
     p.add_argument("--salt-hex", default=None, help="64 hex chars; fresh entropy if omitted")
     p.add_argument("--timestamp", default=None, help="RFC-3339 timestamp to record")
     p.add_argument("--out", default=".")
+    p.set_defaults(run=_cmd_commit)
 
     p = sub.add_parser("reveal-verify", help="check a reveal against a commitment")
     p.add_argument("--commitment", required=True)
     p.add_argument("--reveal", required=True)
+    p.set_defaults(run=_cmd_reveal_verify)
 
     p = sub.add_parser("coin", help="resolve or verify the insertion coin")
     p.add_argument("--commitment", required=True)
@@ -541,15 +514,14 @@ def main(argv=None) -> int:
     p.add_argument("--beacon", required=True, help="public randomness, hex")
     p.add_argument("--mu-a", type=float, required=True, dest="mu_a")
     p.add_argument("--claimed", choices=["true", "false"], default=None)
+    p.set_defaults(run=_cmd_coin)
 
     args = parser.parse_args(argv)
-    if args.command in ("equilibrium", "design", "public", "simulate", "figures"):
-        return _run_config_mode(args.command, args)
-    if args.command == "commit":
-        return _cmd_commit(args)
-    if args.command == "reveal-verify":
-        return _cmd_reveal_verify(args)
-    return _cmd_coin(args)
+    try:
+        return args.run(args)
+    except (ConfigError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -104,7 +104,7 @@ class GameConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bugs", tuple(self.bugs))
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (_is_int(self.n) and self.n >= 1):
             raise ValueError("n must be an integer >= 1")
         if len(self.bugs) == 0:
             raise ValueError("L >= 1 required: at least one organic bug")
@@ -191,8 +191,13 @@ def detect_prob(c_hat: float, q: float, n: int, dist: CostDistribution) -> float
 def _check_q_n(q: float, n: int) -> None:
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    if not (isinstance(n, int) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         raise ValueError("n must be an integer >= 1")
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool: True would otherwise pass as n = 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def expected_benefit_psi(c_hat: float, prizes: PrizeSchedule, config: GameConfig) -> float:

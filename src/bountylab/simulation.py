@@ -36,6 +36,7 @@ import numpy as np
 from .game import (
     GameConfig,
     PrizeSchedule,
+    _is_int,
     detect_prob,
     expected_benefit_psi,
     solve_equilibrium,
@@ -58,10 +59,6 @@ class SimConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not math.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

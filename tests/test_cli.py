@@ -116,6 +116,27 @@ def test_non_finite_field_rejected(tmp_path, capsys, mode, path, poison):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "mode, path, poison",
+    [
+        ("design", "$.figures", lambda c: c.update(figures=[])),
+        ("equilibrium", "$.prizes.artificial", lambda c: c["prizes"].update(artificial=5)),
+        ("figures", "$.figures.grid_points", lambda c: c.update(figures={"grid_points": "x"})),
+        ("figures", "$.figures.q_a_fig1", lambda c: c.update(figures={"which": [1], "q_a_fig1": ["a"]})),
+        ("figures", "$.figures.w_list", lambda c: c.update(figures={"which": [2], "w_list": ["2"]})),
+        ("figures", "$.figures.q_a_fig5", lambda c: c.update(figures={"which": [5], "q_a_fig5": [math.nan]})),
+    ],
+    ids=["figures", "artificial", "grid_points", "q_a_fig1", "w_list", "q_a_fig5"],
+)
+def test_wrongly_typed_field_rejected(tmp_path, capsys, mode, path, poison):
+    cfg = _base_config(prizes={"v": [0.0], "artificial": [{"v_a": 0.25, "q_a": 1.0}]})
+    poison(cfg)
+    code = main([mode, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"config error at {path}: expected" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # -- golden run ------------------------------------------------------------------
 
 
@@ -358,6 +379,16 @@ def test_figures_3_4_require_prizes(tmp_path, capsys):
     assert "prize" in capsys.readouterr().err
 
 
+def test_failing_figures_run_writes_no_csv(tmp_path, capsys):
+    # c_low = 0: figures 1-4 succeed, then the convergence table needs c_low > 0
+    cfg = _base_config(prizes={"v": [0.0], "artificial": [{"v_a": 0.25, "q_a": 1.0}]})
+    code = main(["figures", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "$.game.dist.c_low" in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.glob("*.csv"))
+
 
 # -- credibility subcommands -------------------------------------------------------
 
@@ -456,3 +487,30 @@ def test_coin_bad_beacon_hex(tmp_path, capsys):
         ["coin", "--commitment", "x", "--reveal", "y", "--beacon", "zz", "--mu-a", "0.5"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["commit", "--payload", "{d}/seed.bin", "--salt-hex", "zz"], "--salt-hex must be valid hex"),
+        (["commit", "--payload", "{d}/seed.bin", "--salt-hex", "00"], "salt must be exactly 32 bytes"),
+        (["commit", "--payload", "{d}/none.bin"], "cannot read payload"),
+        (["reveal-verify", "--commitment", "{d}/none.txt", "--reveal", "{d}/none.txt"], "No such file"),
+        (["coin", "--commitment", "{d}/commitment.txt", "--reveal", "{d}/reveal.txt",
+          "--beacon", "00", "--mu-a", "1.5"], "--mu-a must lie in [0, 1]"),
+    ],
+    ids=["salt_hex", "salt_length", "payload", "reveal_files", "mu_a"],
+)
+def test_credibility_argument_errors_exit_2(tmp_path, capsys, argv, message):
+    (tmp_path / "seed.bin").write_bytes(bytes(32))
+    setup = ["commit", "--payload", str(tmp_path / "seed.bin"), "--salt-hex", "00" * 32]
+    assert main(setup + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    if argv[0] == "commit":
+        argv = argv + ["--out", "{d}/x"]
+    code = main([arg.format(d=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "x").exists()

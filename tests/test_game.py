@@ -262,6 +262,14 @@ def test_game_config_validation(uniform01):
         PrizeSchedule(v=(-1.0,))
 
 
+def test_bool_agent_count_rejected(uniform01):
+    # bool is an int subclass: True would otherwise pass as n = 1
+    with pytest.raises(ValueError, match="integer"):
+        GameConfig(n=True, bugs=(OrganicBug(0.5, 0.5, 1.0),), dist=uniform01, budget=1.0)
+    with pytest.raises(ValueError, match="integer"):
+        win_prob_phi(0.5, 0.5, True, uniform01)
+
+
 @pytest.mark.parametrize(
     "build",
     [
