@@ -87,28 +87,23 @@ def solve_kappa_star(prizes: PrizeSchedule, config: GameConfig) -> PublicOutcome
     marks the no-participation case.
     """
     c_low = _require_positive_floor(config)
-    kappa = _largest_fixed_point(prizes, config, prizes.total_posted() / c_low)
-    return PublicOutcome(
-        kappa_star=kappa,
-        detect_inf=tuple(detect_prob_infinity(b.q, kappa) for b in config.bugs),
-        utility_inf=utility_infinity(kappa, config),
-        trivial=kappa == 0.0,
-    )
-
-
-def _largest_fixed_point(prizes: PrizeSchedule, config: GameConfig, upper: float) -> float:
     # Psi_inf is concave with Psi_inf(0) = 0, so a positive fixed point needs
     # a slope above 1 at zero and Psi_inf above the diagonal just right of it.
-    c_low = config.dist.c_low
     slope = sum(p * b.mu * b.q for p, b in zip(prizes.v, config.bugs))
     slope += sum(a.v_a * a.q_a for a in prizes.artificial)
 
     def gap(k: float) -> float:
         return psi_infinity(k, prizes, config) - k
 
-    if slope / c_low <= 1.0 or gap(_EPS_BRACKET) <= 0.0:
-        return 0.0
-    return bisect_decreasing(gap, _EPS_BRACKET, upper)
+    kappa = 0.0
+    if slope / c_low > 1.0 and gap(_EPS_BRACKET) > 0.0:
+        kappa = bisect_decreasing(gap, _EPS_BRACKET, prizes.total_posted() / c_low)
+    return PublicOutcome(
+        kappa_star=kappa,
+        detect_inf=tuple(detect_prob_infinity(b.q, kappa) for b in config.bugs),
+        utility_inf=utility_infinity(kappa, config),
+        trivial=kappa == 0.0,
+    )
 
 
 def detect_prob_infinity(q: float, kappa: float) -> float:
@@ -172,12 +167,12 @@ class Kappa0Breakdown:
 
 def solve_kappa0(budget: float, config: GameConfig) -> Kappa0Breakdown:
     """Per-bug fixed points of budget mu_l (1 - exp(-q_l kappa)) / c_low."""
-    c_low = _require_positive_floor(config)
+    _require_positive_floor(config)
     if not budget > 0.0:
         raise ValueError("budget must be > 0")
     values = [
-        _largest_fixed_point(_on_bug(config, l, budget), config, budget * bug.mu / c_low)
-        for l, bug in enumerate(config.bugs)
+        solve_kappa_star(_on_bug(config, l, budget), config).kappa_star
+        for l in range(len(config.bugs))
     ]
     best = max(range(len(values)), key=values.__getitem__)
     return Kappa0Breakdown(kappa_0=values[best], per_bug=tuple(values), best_bug=best)

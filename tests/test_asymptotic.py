@@ -18,6 +18,7 @@ from bountylab import (
     psi_infinity,
     solution_set,
     solution_set_distance,
+    solve_kappa0,
     solve_kappa_a,
     solve_kappa_star,
     solve_kappa_tilde,
@@ -125,6 +126,21 @@ def test_kappa_a_values(public_example):
     assert solve_kappa_a(100.0, public_example) == pytest.approx(100.0, abs=1e-6)
     grid = [solve_kappa_a(b, public_example) for b in (1.5, 2.0, 5.0, 20.0)]
     assert all(b >= a for a, b in zip(grid, grid[1:]))
+
+
+def test_kappa0_is_kappa_star_of_the_single_bug_schedule(public_example):
+    # kappa_0 per bug is kappa_star with the whole budget on that bug, to the bit
+    rng = np.random.default_rng(41)
+    configs = [public_example] + [random_public_game(rng, nice_floor=True) for _ in range(4)]
+    assert sum(len(config.bugs) for config in configs) >= 5
+    for config in configs:
+        breakdown = solve_kappa0(config.budget, config)
+        for l in range(len(config.bugs)):
+            v = [0.0] * len(config.bugs)
+            v[l] = config.budget
+            expected = solve_kappa_star(PrizeSchedule.organic_only(v), config).kappa_star
+            assert breakdown.per_bug[l] == expected
+        assert breakdown.kappa_0 == max(breakdown.per_bug)
 
 
 # -- the public optimum ------------------------------------------------------------
