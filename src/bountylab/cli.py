@@ -42,10 +42,6 @@ FIGURE_DEFAULTS = {
     "n_list_distance": [5, 20, 100, 500],
 }
 
-TOP_LEVEL_FIELDS = set(
-    "spec_version mode game prizes output_dir seed trials threshold n_list figures".split()
-)
-
 # One output file: (file name, header, rows).
 Table = tuple[str, list[str], list[list]]
 
@@ -193,9 +189,21 @@ class RunConfig:
     """Parsed, validated run configuration."""
 
     def __init__(self, raw: dict):
+        allowed = {
+            "spec_version",
+            "mode",
+            "game",
+            "prizes",
+            "output_dir",
+            "seed",
+            "trials",
+            "threshold",
+            "n_list",
+            "figures",
+        }
         if not isinstance(raw, dict):
             raise ConfigError("$", "top-level value must be an object")
-        _check_keys(raw, TOP_LEVEL_FIELDS, "$")
+        _check_keys(raw, allowed, "$")
         if _get(raw, "spec_version", "$", int) != SPEC_VERSION:
             raise ConfigError("$.spec_version", f"expected {SPEC_VERSION}")
         self.mode = _get(raw, "mode", "$", str, required=False)
@@ -316,7 +324,9 @@ def _figures(cfg: RunConfig) -> list[Table]:
     game = cfg.game
     which = set(params["which"])
     grid_points = params["grid_points"]
-    c_grid = np.linspace(max(game.dist.c_low, 0.0), game.dist.upper_bound(), grid_points)
+    lo = max(game.dist.c_low, 0.0)
+    hi = game.dist.upper_bound()
+    c_grid = np.linspace(lo, hi, grid_points)
     tables: list[Table] = []
 
     if 1 in which:
