@@ -36,7 +36,7 @@ from .design import (
     solution_set,
 )
 from .game import GameConfig, PrizeSchedule, detect_prob, solve_equilibrium
-from .rootfind import bisect_decreasing
+from .rootfind import PINNED_LOW, bisect_decreasing
 
 MAX_TABLE_N = 10**6
 _EPS_BRACKET = 1e-12
@@ -96,8 +96,9 @@ def solve_kappa_star(prizes: PrizeSchedule, config: GameConfig) -> PublicOutcome
         return psi_infinity(k, prizes, config) - k
 
     kappa = 0.0
-    if slope / c_low > 1.0 and gap(_EPS_BRACKET) > 0.0:
-        kappa = bisect_decreasing(gap, _EPS_BRACKET, prizes.total_posted() / c_low)
+    if slope / c_low > 1.0:
+        root, where = bisect_decreasing(gap, _EPS_BRACKET, prizes.total_posted() / c_low)
+        kappa = 0.0 if where == PINNED_LOW else root
     return PublicOutcome(
         kappa_star=kappa,
         detect_inf=tuple(detect_prob_infinity(b.q, kappa) for b in config.bugs),
@@ -144,7 +145,7 @@ def solve_kappa_tilde(config: GameConfig) -> float:
 
     q_min = min(b.q for b in config.bugs if b.w * b.mu * b.q > 0.0)
     upper = math.log(s / c_low) / q_min
-    return bisect_decreasing(g, 0.0, upper)
+    return bisect_decreasing(g, 0.0, upper)[0]
 
 
 def solve_kappa_a(budget: float, config: GameConfig) -> float:
@@ -235,7 +236,7 @@ def optimize_public(config: GameConfig) -> PublicDesignReport:
     kt = solve_kappa_tilde(config)
     ka = solve_kappa_a(config.budget, config)
     k0 = solve_kappa0(config.budget, config)
-    beneficial, _, marginal = _beneficial_from(kt, ka, k0.kappa_0)
+    beneficial, marginal = _beneficial_from(kt, ka, k0.kappa_0)
     k_star = min(kt, ka)
 
     if k_star <= 0.0:

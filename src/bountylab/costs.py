@@ -18,6 +18,7 @@ parameters.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,12 +30,23 @@ EXPONENTIAL = "exponential"
 
 _FAMILIES = (UNIFORM, POWER, EXPONENTIAL)
 
-# Quantile level used as a finite stand-in for an infinite upper endpoint.
+# Tail mass cut off by the finite stand-in for an infinite upper endpoint that
+# the figure grid and the simulation threshold check use; root solves need none.
 _EFFECTIVE_TAIL = 1e-12
 
 
-def _as_scalar_or_array(x: np.ndarray, scalar: bool):
-    return float(x) if scalar else x
+def _elementwise(method):
+    """Evaluate a cost-law method on a float array of at least one dimension
+    and give a scalar argument a float back. A scalar goes through a 1-element
+    array, not a 0-d one: numpy's 0-d ``**`` can differ in the last bit."""
+
+    @functools.wraps(method)
+    def wrapper(self, x):
+        arr = np.asarray(x, dtype=float)
+        out = method(self, np.atleast_1d(arr))
+        return float(out[0]) if arr.ndim == 0 else out
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -92,83 +104,68 @@ class CostDistribution:
     # -- support -----------------------------------------------------------
 
     def upper_bound(self) -> float:
-        """Finite upper endpoint; the 1 - 1e-12 quantile if c_high is infinite."""
+        """Finite upper endpoint; the 1 - 1e-12 quantile if c_high is infinite.
+
+        Used for the figure grid and the simulation threshold check only.
+        """
         if math.isfinite(self.c_high):
             return self.c_high
         return float(self.quantile(1.0 - _EFFECTIVE_TAIL))
 
     # -- distribution functions --------------------------------------------
 
-    def cdf(self, c):
+    @_elementwise
+    def cdf(self, x):
         """F(c); clamps to 0 below c_low and to 1 above c_high."""
-        arr = np.asarray(c, dtype=float)
-        scalar = arr.ndim == 0
-        x = np.atleast_1d(arr)
         span = self.c_high - self.c_low
         if self.kind == UNIFORM:
             out = (x - self.c_low) / span
         elif self.kind == POWER:
-            t = np.clip((x - self.c_low) / span, 0.0, 1.0)
-            out = t**self.alpha
+            out = np.clip((x - self.c_low) / span, 0.0, 1.0) ** self.alpha
         else:
             out = -np.expm1(-self.rate * np.maximum(x - self.c_low, 0.0))
-        out = np.clip(out, 0.0, 1.0)
-        return _as_scalar_or_array(out[0] if scalar else out, scalar)
+        return np.clip(out, 0.0, 1.0)
 
-    def pdf(self, c):
+    @_elementwise
+    def pdf(self, x):
         """f(c); zero outside the support."""
-        arr = np.asarray(c, dtype=float)
-        scalar = arr.ndim == 0
-        x = np.atleast_1d(arr)
         inside = (x >= self.c_low) & (x <= self.c_high)
         span = self.c_high - self.c_low
         if self.kind == UNIFORM:
-            out = np.where(inside, 1.0 / span, 0.0)
-        elif self.kind == POWER:
+            return np.where(inside, 1.0 / span, 0.0)
+        if self.kind == POWER:
             t = np.clip((x - self.c_low) / span, 0.0, 1.0)
             with np.errstate(divide="ignore"):
-                out = np.where(inside, self.alpha / span * t ** (self.alpha - 1.0), 0.0)
-        else:
-            out = np.where(inside, self.rate * np.exp(-self.rate * np.maximum(x - self.c_low, 0.0)), 0.0)
-        return _as_scalar_or_array(out[0] if scalar else out, scalar)
+                return np.where(inside, self.alpha / span * t ** (self.alpha - 1.0), 0.0)
+        return np.where(inside, self.rate * np.exp(-self.rate * np.maximum(x - self.c_low, 0.0)), 0.0)
 
-    def hazard_ratio(self, c):
+    @_elementwise
+    def hazard_ratio(self, x):
         """F(c)/f(c) in closed form; returns the limit 0 at and below c_low.
 
         uniform:      c - c_low
         power:        (c - c_low) / alpha
         exponential:  (exp(rate (c - c_low)) - 1) / rate
         """
-        arr = np.asarray(c, dtype=float)
-        scalar = arr.ndim == 0
-        x = np.atleast_1d(arr)
-        if math.isfinite(self.c_high):
-            x = np.minimum(x, self.c_high)
-        d = np.maximum(x - self.c_low, 0.0)
+        d = np.maximum(np.minimum(x, self.c_high) - self.c_low, 0.0)
         if self.kind == UNIFORM:
-            out = d
-        elif self.kind == POWER:
-            out = d / self.alpha
-        else:
-            out = np.expm1(self.rate * d) / self.rate
-        return _as_scalar_or_array(out[0] if scalar else out, scalar)
+            return d
+        if self.kind == POWER:
+            return d / self.alpha
+        return np.expm1(self.rate * d) / self.rate
 
-    def quantile(self, u):
-        """Inverse CDF; rejects u outside [0, 1]."""
-        arr = np.asarray(u, dtype=float)
-        scalar = arr.ndim == 0
-        x = np.atleast_1d(arr)
+    @_elementwise
+    def quantile(self, x):
+        """Inverse CDF; rejects levels outside [0, 1]."""
         if np.any((x < 0.0) | (x > 1.0)) or np.any(np.isnan(x)):
             raise ValueError("quantile level must lie in [0, 1]")
         span = self.c_high - self.c_low
         if self.kind == UNIFORM:
-            out = self.c_low + x * span
-        elif self.kind == POWER:
-            out = self.c_low + span * x ** (1.0 / self.alpha)
-        else:
-            with np.errstate(divide="ignore"):
-                out = self.c_low - np.log1p(-x) / self.rate
-        return _as_scalar_or_array(out[0] if scalar else out, scalar)
+            return self.c_low + x * span
+        if self.kind == POWER:
+            return self.c_low + span * x ** (1.0 / self.alpha)
+        with np.errstate(divide="ignore"):
+            return self.c_low - np.log1p(-x) / self.rate
 
     def sample(self, seed: int, count: int) -> np.ndarray:
         """``count`` iid draws; a pure function of (seed, count)."""

@@ -71,11 +71,10 @@ def solve_c_tilde(config: GameConfig) -> float:
     """Fixed point of Omega: the unconstrained optimal threshold.
 
     Clamped to the designer-relevant range [max(c_low, 0), c_high]; when
-    Omega is one-sided on that range the nearer endpoint is returned.
+    Omega is one-sided on that range the nearer (finite) endpoint is returned.
     """
     lo = max(config.dist.c_low, 0.0)
-    hi = config.dist.upper_bound()
-    return bisect_decreasing(lambda c: omega(c, config) - c, lo, hi)
+    return bisect_decreasing(lambda c: omega(c, config) - c, lo, config.dist.c_high)[0]
 
 
 def solve_c_a(budget: float, config: GameConfig) -> float:
@@ -128,14 +127,12 @@ class BenefitVerdict:
     marginal: bool  # |margin| within the tolerance band
 
 
-def _beneficial_from(c_tilde: float, c_a: float, c_0: float) -> tuple[bool, float, bool]:
+def _beneficial_from(c_tilde: float, c_a: float, c_0: float) -> tuple[bool, bool]:
     # An artificial bug pays off iff it moves the constrained optimum, i.e.
     # min(c_tilde, c_a) > c_0. On any config whose best organic bug has
     # mu q < 1 this is the plain c_tilde > c_0 test (since then c_a > c_0);
     # the min() guard only matters when c_0 = c_a and nothing can be gained.
-    margin = c_tilde - c_0
-    gain = min(c_tilde, c_a) - c_0
-    return gain > MARGINAL_BAND, margin, abs(margin) <= MARGINAL_BAND
+    return min(c_tilde, c_a) - c_0 > MARGINAL_BAND, abs(c_tilde - c_0) <= MARGINAL_BAND
 
 
 def is_artificial_beneficial(config: GameConfig) -> BenefitVerdict:
@@ -182,7 +179,7 @@ def optimize(config: GameConfig, allow_artificial: bool = True) -> DesignReport:
     c_tilde = solve_c_tilde(config)
     c_a = solve_c_a(config.budget, config)
     c0b = solve_c0(config.budget, config)
-    beneficial, _, marginal = _beneficial_from(c_tilde, c_a, c0b.c_0)
+    beneficial, marginal = _beneficial_from(c_tilde, c_a, c0b.c_0)
     cap = c_a if allow_artificial else c0b.c_0
     c_hat_star = min(c_tilde, cap)
 

@@ -13,7 +13,7 @@ iff the cost is at most a threshold. With rivals at threshold ``c_hat``:
                         artificial ones.
 
 The symmetric equilibrium threshold is the fixed point of Psi, pinned at an
-endpoint when Psi never crosses the identity (solve_equilibrium).
+end of the cost support when Psi never crosses the identity (solve_equilibrium).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .costs import CostDistribution
-from .rootfind import bisect_decreasing
+from .rootfind import INTERIOR, PINNED_HIGH, PINNED_LOW, bisect_decreasing  # noqa: F401
 
 # Below this participation level Phi switches to its analytic limit q,
 # avoiding the 0/0 in P / (n F).
@@ -31,10 +31,6 @@ _F_FLOOR = 1e-14
 
 # Largest n for which the combinatorial oracle is allowed to run.
 ORACLE_MAX_N = 25
-
-INTERIOR = "interior"
-PINNED_LOW = "pinned_low"
-PINNED_HIGH = "pinned_high"
 
 
 @dataclass(frozen=True)
@@ -219,23 +215,15 @@ def solve_equilibrium(prizes: PrizeSchedule, config: GameConfig) -> EquilibriumO
     """Symmetric equilibrium threshold and the stage outcomes evaluated there.
 
     Psi - id is continuous and strictly decreasing wherever F > 0, so the
-    three cases are: pinned at c_low when Psi(c_low) <= c_low, pinned at the
-    (effective) upper endpoint when Psi there still exceeds it, and otherwise
-    the unique interior fixed point found by bisection.
+    three cases are: pinned at c_low when Psi(c_low) <= c_low, pinned at a
+    finite c_high when Psi there still exceeds it, and otherwise the unique
+    interior fixed point, which on an unbounded support always exists.
     """
-    dist = config.dist
-    lo = dist.c_low
-    hi = dist.upper_bound()
 
     def gap(c: float) -> float:
         return expected_benefit_psi(c, prizes, config) - c
 
-    if gap(lo) <= 0.0:
-        c_star, boundary = lo, PINNED_LOW
-    elif gap(hi) >= 0.0:
-        c_star, boundary = hi, PINNED_HIGH
-    else:
-        c_star, boundary = bisect_decreasing(gap, lo, hi), INTERIOR
+    c_star, boundary = bisect_decreasing(gap, config.dist.c_low, config.dist.c_high)
     return _outcome_at(c_star, boundary, prizes, config)
 
 

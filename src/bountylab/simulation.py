@@ -161,7 +161,9 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
 
 def _binomial_stat(name, hits, n_obs, closed):
     p = hits / n_obs if n_obs > 0 else math.nan
-    se = math.sqrt(p * (1.0 - p) / n_obs) if n_obs > 0 else math.nan
+    # at p = 0 or 1 the plug-in error is 0; the closed form's keeps z finite
+    p_se = closed if p in (0.0, 1.0) else p
+    se = math.sqrt(p_se * (1.0 - p_se) / n_obs) if n_obs > 0 else math.nan
     return SimStat(name, p, se, closed)
 
 

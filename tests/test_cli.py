@@ -269,6 +269,22 @@ def test_simulate_flags_override_config(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "overrides, flags, message",
+    [
+        ({}, ["--seed", "-1", "--trials", "10"], "$.seed: seed must be"),
+        ({}, ["--seed", "1", "--trials", "0"], "$.trials: trials must be"),
+        ({"threshold": 5.0}, ["--seed", "1", "--trials", "10"], "$.threshold: threshold must lie"),
+    ],
+    ids=["seed", "trials", "threshold"],
+)
+def test_simulate_error_names_its_field(tmp_path, capsys, overrides, flags, message):
+    cfg = _base_config(prizes={"v": [1.0], "artificial": []}, **overrides)
+    argv = ["simulate", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)]
+    assert main(argv + flags) == 2
+    assert f"config error at {message}" in capsys.readouterr().err
+
+
 # -- figures --------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from bountylab import (
     PrizeSchedule,
     collapse_artificial,
     designer_utility,
+    expected_benefit_psi,
     is_artificial_beneficial,
     omega,
     optimize,
@@ -93,6 +96,37 @@ def test_c_a_vanishes_with_budget(private_example):
 def test_c_a_monotone_in_budget(private_example):
     values = [solve_c_a(b, private_example) for b in (0.1, 0.3, 0.8, 1.5, 3.0)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def test_c_a_on_unbounded_support_is_the_interior_root():
+    # Psi(c) = 100 (1 - F(c) / 2) crosses c at 50, far past the 1 - 1e-12
+    # quantile (27.63) that once stood in for the infinite upper end.
+    config = GameConfig(
+        n=2,
+        bugs=(OrganicBug(0.5, 0.5, 1.0),),
+        dist=CostDistribution.exponential(0.0, 1.0),
+        budget=100.0,
+    )
+    planted = PrizeSchedule(v=(0.0,), artificial=(ArtificialBugDesign(100.0, 1.0),))
+    c_a = solve_c_a(100.0, config)
+    out = solve_equilibrium(planted, config)
+    assert out.boundary == "interior" and out.c_star == c_a
+    assert c_a == pytest.approx(50.0, abs=1e-9)
+    assert abs(expected_benefit_psi(c_a, planted, config) - c_a) <= 1e-10
+
+
+def test_c_tilde_on_unbounded_support_is_a_sign_change_of_omega():
+    # Omega(c) - c = 1e30 e^-c - e^c + 1 - c, with its root near 15 ln 10.
+    config = GameConfig(
+        n=2,
+        bugs=(OrganicBug(1.0, 1.0, 1e30),),
+        dist=CostDistribution.exponential(0.0, 1.0),
+        budget=1.0,
+    )
+    c = solve_c_tilde(config)
+    assert c == pytest.approx(15 * math.log(10), abs=1e-2)
+    below, above = c * (1 - 1e-9), c * (1 + 1e-9)
+    assert omega(below, config) - below > 0.0 > omega(above, config) - above
 
 
 def test_c0_golden(private_example):

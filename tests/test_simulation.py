@@ -149,6 +149,25 @@ def test_simulation_rejects_bad_inputs(private_example):
             SimConfig(trials, seed, threshold)
 
 
+def test_binomial_rows_where_every_trial_agrees(uniform01):
+    # At n = 30 and threshold 0.9 the bug is found in all 4096 trials while
+    # its closed form is a hair under 1: the error comes from the closed form.
+    config = GameConfig(n=30, bugs=(OrganicBug(1.0, 0.5, 1.0),), dist=uniform01, budget=1.0)
+    report = simulate(PrizeSchedule.organic_only((0.5,)), config, SimConfig(4096, 3, 0.9))
+    for stat in (report.detect_unconditional[0], report.detect_conditional[0]):
+        p0 = stat.closed_form
+        assert stat.estimate == 1.0 and p0 < 1.0
+        assert stat.std_error == pytest.approx(math.sqrt(p0 * (1.0 - p0) / 4096))
+        assert math.isfinite(stat.z_score)
+    # a certain find at a certain closed form reads z = 0
+    certain = GameConfig(n=2, bugs=(OrganicBug(1.0, 1.0, 1.0),), dist=uniform01, budget=1.0)
+    stat = simulate(PrizeSchedule.organic_only((0.5,)), certain, SimConfig(64, 1, 1.0))
+    assert stat.detect_conditional[0].z_score == 0.0
+    # no observations: the reference agent never searches at threshold c_low
+    idle = simulate(PrizeSchedule.organic_only((0.5,)), config, SimConfig(64, 1, 0.0))
+    assert math.isnan(idle.win_organic[0].estimate) and math.isnan(idle.win_organic[0].std_error)
+
+
 def test_check_equilibrium_rejects_bad_inputs(private_example):
     exponential = GameConfig(
         n=2,
