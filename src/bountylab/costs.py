@@ -31,7 +31,7 @@ EXPONENTIAL = "exponential"
 _FAMILIES = (UNIFORM, POWER, EXPONENTIAL)
 
 # Tail mass cut off by the finite stand-in for an infinite upper endpoint that
-# the figure grid and the simulation threshold check use; root solves need none.
+# the figure grid uses; root solves and the simulation need none.
 _EFFECTIVE_TAIL = 1e-12
 
 
@@ -106,7 +106,7 @@ class CostDistribution:
     def upper_bound(self) -> float:
         """Finite upper endpoint; the 1 - 1e-12 quantile if c_high is infinite.
 
-        Used for the figure grid and the simulation threshold check only.
+        Used for the figure grid only.
         """
         if math.isfinite(self.c_high):
             return self.c_high
@@ -124,6 +124,26 @@ class CostDistribution:
             out = np.clip((x - self.c_low) / span, 0.0, 1.0) ** self.alpha
         else:
             out = -np.expm1(-self.rate * np.maximum(x - self.c_low, 0.0))
+        return np.clip(out, 0.0, 1.0)
+
+    @_elementwise
+    def sf(self, x):
+        """1 - F(c) in closed form, so it keeps its digits where F rounds to 1;
+        clamps to 1 below c_low and to 0 above c_high.
+
+        uniform:      (c_high - c) / span
+        power:        -expm1(alpha log t), log t taken as log1p(-(c_high - c) / span)
+        exponential:  exp(-rate (c - c_low))
+        """
+        span = self.c_high - self.c_low
+        if self.kind == UNIFORM:
+            out = (self.c_high - x) / span
+        elif self.kind == POWER:
+            with np.errstate(divide="ignore"):
+                log_t = np.log1p(-np.clip((self.c_high - x) / span, 0.0, 1.0))
+            out = -np.expm1(self.alpha * log_t)
+        else:
+            out = np.exp(-self.rate * np.maximum(x - self.c_low, 0.0))
         return np.clip(out, 0.0, 1.0)
 
     @_elementwise

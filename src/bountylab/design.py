@@ -27,6 +27,7 @@ from .game import (
     GameConfig,
     PrizeSchedule,
     _detect,
+    _log_miss,
     solve_equilibrium,
     win_prob_phi,
 )
@@ -38,33 +39,22 @@ MARGINAL_BAND = 1e-10
 
 def designer_utility(c_hat: float, config: GameConfig) -> float:
     """W(c_hat): expected bug value to the designer net of expected payouts."""
-    F = config.dist.cdf(c_hat)
-    n = config.n
+    n, dist = config.n, config.dist
+    F = dist.cdf(c_hat)
     value = 0.0
     for bug in config.bugs:
-        value += bug.w * bug.mu * _detect(F, bug.q, n)
+        value += bug.w * bug.mu * _detect(c_hat, F, bug.q, n, dist)
     return value - n * F * c_hat
-
-
-def _pow_one_minus(x: float, m: int) -> float:
-    """(1 - x)**m for x in [0, 1], stable for large m."""
-    if m == 0:
-        return 1.0
-    if x >= 1.0:
-        return 0.0
-    if x <= 0.0:
-        return 1.0
-    return math.exp(m * math.log1p(-x))
 
 
 def omega(c_hat: float, config: GameConfig) -> float:
     """First-order locus: marginal bug value minus the hazard ratio F/f."""
-    F = config.dist.cdf(c_hat)
-    n = config.n
+    n, dist = config.n, config.dist
+    F = dist.cdf(c_hat)
     total = 0.0
     for bug in config.bugs:
-        total += bug.w * bug.mu * bug.q * _pow_one_minus(bug.q * F, n - 1)
-    return total - config.dist.hazard_ratio(c_hat)
+        total += bug.w * bug.mu * bug.q * math.exp(_log_miss(c_hat, F, bug.q, n - 1, dist))
+    return total - dist.hazard_ratio(c_hat)
 
 
 def solve_c_tilde(config: GameConfig) -> float:

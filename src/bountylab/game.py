@@ -132,21 +132,30 @@ class EquilibriumOutcome:
     designer_utility: float
 
 
-def _detect(F: float, q: float, n: int) -> float:
+def _log_miss(c: float, F: float, q: float, m: int, dist: CostDistribution) -> float:
+    """m log(1 - q F): the log-chance that m searchers at threshold c, where
+    F = F(c), all miss a bug of find probability q. Above q F = 1/2 the base
+    is taken as (1 - q) + q sf(c), an exact rewrite of 1 - q F that keeps its
+    digits where F rounds to 1."""
     x = q * F
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    return -math.expm1(n * math.log1p(-x))
+    if x <= 0.5:
+        return m * math.log1p(-x)
+    base = (1.0 - q) + q * dist.sf(c)
+    if base <= 0.0:
+        return -math.inf if m else 0.0
+    return m * math.log(base)
 
 
-def _phi(F: float, q: float, n: int) -> float:
+def _detect(c: float, F: float, q: float, n: int, dist: CostDistribution) -> float:
+    return -math.expm1(_log_miss(c, F, q, n, dist))
+
+
+def _phi(c: float, F: float, q: float, n: int, dist: CostDistribution) -> float:
     if q <= 0.0:
         return 0.0
     if F < _F_FLOOR:
         return q
-    return _detect(F, q, n) / (n * F)
+    return _detect(c, F, q, n, dist) / (n * F)
 
 
 def win_prob_phi(c_hat: float, q: float, n: int, dist: CostDistribution) -> float:
@@ -154,7 +163,7 @@ def win_prob_phi(c_hat: float, q: float, n: int, dist: CostDistribution) -> floa
     with find probability q, conditional on the bug existing, against n - 1
     rivals at threshold c_hat. Equals q when nobody else participates."""
     _check_q_n(q, n)
-    return _phi(dist.cdf(c_hat), q, n)
+    return _phi(c_hat, dist.cdf(c_hat), q, n, dist)
 
 
 def win_prob_phi_oracle(c_hat: float, q: float, n: int, dist: CostDistribution) -> float:
@@ -181,7 +190,7 @@ def win_prob_phi_oracle(c_hat: float, q: float, n: int, dist: CostDistribution) 
 def detect_prob(c_hat: float, q: float, n: int, dist: CostDistribution) -> float:
     """P(c_hat; q) = 1 - (1 - q F(c_hat))**n, evaluated stably."""
     _check_q_n(q, n)
-    return _detect(dist.cdf(c_hat), q, n)
+    return _detect(c_hat, dist.cdf(c_hat), q, n, dist)
 
 
 def _check_q_n(q: float, n: int) -> None:
@@ -205,9 +214,9 @@ def expected_benefit_psi(c_hat: float, prizes: PrizeSchedule, config: GameConfig
     F = config.dist.cdf(c_hat)
     total = 0.0
     for prize, bug in zip(prizes.v, config.bugs):
-        total += prize * bug.mu * _phi(F, bug.q, config.n)
+        total += prize * bug.mu * _phi(c_hat, F, bug.q, config.n, config.dist)
     for art in prizes.artificial:
-        total += art.v_a * _phi(F, art.q_a, config.n)
+        total += art.v_a * _phi(c_hat, F, art.q_a, config.n, config.dist)
     return total
 
 
@@ -230,11 +239,11 @@ def solve_equilibrium(prizes: PrizeSchedule, config: GameConfig) -> EquilibriumO
 def _outcome_at(
     c_star: float, boundary: str, prizes: PrizeSchedule, config: GameConfig
 ) -> EquilibriumOutcome:
-    F = config.dist.cdf(c_star)
-    n = config.n
-    det_cond = tuple(_detect(F, bug.q, n) for bug in config.bugs)
+    n, dist = config.n, config.dist
+    F = dist.cdf(c_star)
+    det_cond = tuple(_detect(c_star, F, bug.q, n, dist) for bug in config.bugs)
     det_uncond = tuple(bug.mu * d for bug, d in zip(config.bugs, det_cond))
-    det_art = tuple(_detect(F, a.q_a, n) for a in prizes.artificial)
+    det_art = tuple(_detect(c_star, F, a.q_a, n, dist) for a in prizes.artificial)
     payout = sum(p * d for p, d in zip(prizes.v, det_uncond))
     payout += sum(a.v_a * d for a, d in zip(prizes.artificial, det_art))
     value = sum(bug.w * d for bug, d in zip(config.bugs, det_uncond))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-MAX_ITER = 200
 # Final bracket width: a couple of orders tighter than the 1e-10 the callers
 # promise, so that fixed-point residuals also land within tolerance.
 X_TOL = 1e-13
@@ -27,7 +26,8 @@ def bisect_decreasing(g: Callable[[float], float], lo: float, hi: float) -> tupl
 
     Returns ``(lo, PINNED_LOW)`` when g(lo) <= 0, ``(hi, PINNED_HIGH)`` when
     g(hi) >= 0 at a finite ``hi``, and otherwise ``(x, INTERIOR)`` with x the
-    midpoint of a bracket of width ``X_TOL`` (capped at 200 halvings). With
+    midpoint of a bracket of width ``X_TOL``, or of two adjacent floats where
+    ``X_TOL`` is below their spacing, so the loop always ends. With
     ``hi = +inf`` the finder tries lo + 1, lo + 2, lo + 4, ... until g turns
     negative and bisects that last step, so the root is never pinned high.
     """
@@ -42,12 +42,11 @@ def bisect_decreasing(g: Callable[[float], float], lo: float, hi: float) -> tupl
         hi = base + step
     elif g(hi) >= 0.0:
         return hi, PINNED_HIGH
-    for _ in range(MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= X_TOL or mid <= lo or mid >= hi:
-            break
+    mid = 0.5 * (lo + hi)
+    while hi - lo > X_TOL and lo < mid < hi:
         if g(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), INTERIOR
+        mid = 0.5 * (lo + hi)
+    return mid, INTERIOR

@@ -129,7 +129,7 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
     won (L+K, m) -- agent 0 searches, the organic bug exists, someone finds
     the bug, agent 0 wins its prize. A pinned agent 0 always searches."""
     dist = game.dist
-    if not dist.c_low <= sim.threshold <= dist.upper_bound():
+    if not dist.c_low <= sim.threshold <= dist.c_high:
         raise ValueError("threshold must lie within the cost support")
     if len(prizes.v) != len(game.bugs):
         raise ValueError("prize list length must match bug count")

@@ -269,6 +269,19 @@ def test_simulate_flags_override_config(tmp_path):
     assert code == 0
 
 
+def test_simulate_on_an_unbounded_support_runs_at_the_equilibrium(tmp_path):
+    # c* = 50 on exponential(0, 1): budget 100 = n F(c*) c* on a q_a = 1 bug
+    cfg = _base_config(
+        prizes={"v": [0.0], "artificial": [{"v_a": 100.0, "q_a": 1.0}]}, seed=1, trials=1000
+    )
+    cfg["game"].update(budget=100.0, dist={"kind": "exponential", "c_low": 0.0, "c_high": None})
+    code = main(["simulate", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 0
+    rows = {r["statistic"]: r for r in _read_csv(tmp_path / "sim_report.csv")}
+    assert float(rows["payout_total"]["closed_form"]) == pytest.approx(100.0, rel=1e-12)
+    assert all(abs(float(r["z_score"])) < 5.0 for r in rows.values())
+
+
 @pytest.mark.parametrize(
     "overrides, flags, message",
     [

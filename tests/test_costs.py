@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -137,6 +138,53 @@ def test_sample_matches_cdf_ks():
         i = np.arange(1, n + 1)
         ks = max(np.max(i / n - fx), np.max(fx - (i - 1) / n))
         assert ks < 0.01
+
+
+SF_LAWS = [
+    CostDistribution.uniform(-0.5, 1.5),
+    CostDistribution.power(0.5, 2.0, 3.0),
+    CostDistribution.power(0.0, 1.0, 0.5),
+    CostDistribution.exponential(1.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("dist", SF_LAWS, ids=lambda d: f"{d.kind}-{d.alpha}")
+def test_sf_complements_cdf(dist):
+    # The grid runs past both ends of the bounded supports. fsum gives the
+    # exact error of each (cdf, sf) pair; the power cdf's t**alpha carries
+    # alpha times the rounding of t, so the bound suits a moderate alpha.
+    grid = np.linspace(dist.c_low - 0.5, dist.c_low + 4.0, 4501)
+    pairs = zip(dist.cdf(grid), dist.sf(grid))
+    assert max(abs(math.fsum((F, S, -1.0))) for F, S in pairs) <= 2e-16
+    assert dist.sf(dist.c_low - 1.0) == 1.0
+    if math.isfinite(dist.c_high):
+        assert dist.sf(dist.c_high + 1.0) == 0.0
+
+
+def _sf_reference(dist, c):
+    """1 - F(c) at 50 digits, from the family formulas in the module docstring."""
+    with mpmath.workdps(50):
+        c, lo = mpmath.mpf(c), mpmath.mpf(dist.c_low)
+        if dist.kind == "exponential":
+            return mpmath.exp(-mpmath.mpf(dist.rate) * (c - lo))
+        t = (c - lo) / (mpmath.mpf(dist.c_high) - lo)
+        return 1 - t ** mpmath.mpf(dist.alpha)
+
+
+@pytest.mark.parametrize(
+    "dist, c",
+    [
+        (CostDistribution.exponential(0.0, 1.0), 40.0),
+        (CostDistribution.exponential(1.0, 2.0), 19.5),
+        (CostDistribution.power(0.0, 1.0, 3.0), 1.0 - 1e-12),
+        (CostDistribution.power(0.5, 2.0, 0.5), 2.0 - 1e-9),
+    ],
+)
+def test_sf_keeps_its_digits_in_the_tail(dist, c):
+    ref = _sf_reference(dist, c)
+    assert abs(dist.sf(c) / ref - 1) <= 1e-15
+    # where 1 - F is 0 or keeps only a few of its digits
+    assert abs((1.0 - dist.cdf(c)) / ref - 1) > 1e-13
 
 
 def test_exponential_effective_upper_bound():

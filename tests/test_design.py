@@ -62,6 +62,14 @@ def test_omega_at_zero_is_weighted_q_sum(uniform01):
     assert omega(0.0, config) == pytest.approx(want)
 
 
+def test_omega_of_a_lone_searcher_at_a_certain_find(uniform01):
+    # with n = 1 the miss factor (1 - q F)**0 is 1 even at q F = 1, so
+    # Omega(c) = 3 - c stays above c on [0, 1] and c_tilde pins at c_high
+    config = GameConfig(n=1, bugs=(OrganicBug(1.0, 1.0, 3.0),), dist=uniform01, budget=1.0)
+    assert omega(1.0, config) == 2.0
+    assert solve_c_tilde(config) == 1.0
+
+
 def test_c_tilde_golden(private_example):
     assert solve_c_tilde(private_example) == pytest.approx(2 / 9, abs=1e-9)
 
@@ -124,7 +132,7 @@ def test_c_tilde_on_unbounded_support_is_a_sign_change_of_omega():
         budget=1.0,
     )
     c = solve_c_tilde(config)
-    assert c == pytest.approx(15 * math.log(10), abs=1e-2)
+    assert c == pytest.approx(15 * math.log(10), rel=1e-12)
     below, above = c * (1 - 1e-9), c * (1 + 1e-9)
     assert omega(below, config) - below > 0.0 > omega(above, config) - above
 

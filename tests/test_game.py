@@ -211,6 +211,20 @@ def test_equilibrium_infinite_support():
     assert abs(out.c_star - expected_benefit_psi(out.c_star, PrizeSchedule.organic_only((1.0,)), config)) <= 1e-10
 
 
+def test_equilibrium_on_a_wide_support_is_the_root():
+    # Psi(c) = 1 - F(c)/2 with F(c) = c / 1e100, so c* is a hair under 1
+    config = GameConfig(
+        n=2,
+        bugs=(OrganicBug(mu=0.5, q=0.5, w=1.0),),
+        dist=CostDistribution.uniform(0.0, 1e100),
+        budget=1.0,
+    )
+    sched = PrizeSchedule(v=(0.0,), artificial=(ArtificialBugDesign(v_a=1.0, q_a=1.0),))
+    out = solve_equilibrium(sched, config)
+    assert out.boundary == "interior"
+    assert abs(expected_benefit_psi(out.c_star, sched, config) - out.c_star) <= 1e-10
+
+
 def test_equilibrium_monotone_comparative_statics(uniform01):
     # c* must not fall when any prize, existence, or find probability rises
     rng = np.random.default_rng(17)

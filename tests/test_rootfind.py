@@ -12,6 +12,8 @@ from bountylab.rootfind import INTERIOR, PINNED_HIGH, PINNED_LOW, X_TOL, bisect_
         (12.0, 10.0, 10.0, PINNED_HIGH),
         (3.7, 10.0, 3.7, INTERIOR),
         (37.5, math.inf, 37.5, INTERIOR),
+        # over 1000 halvings from 1e300 down to X_TOL: no iteration cap cuts it
+        (1.0, 1e300, 1.0, INTERIOR),
     ],
 )
 def test_bisect_decreasing_reports_where_the_root_lies(root, hi, expected, where):

@@ -169,16 +169,10 @@ def test_binomial_rows_where_every_trial_agrees(uniform01):
 
 
 def test_check_equilibrium_rejects_bad_inputs(private_example):
-    exponential = GameConfig(
-        n=2,
-        bugs=private_example.bugs,
-        dist=CostDistribution.exponential(0.0, 1.0),
-        budget=1.0,
-    )
-    with pytest.raises(ValueError):
-        check_equilibrium(CANONICAL, exponential, SimConfig(10, 1, 1e9))
-    with pytest.raises(ValueError):
-        check_equilibrium(CANONICAL, private_example, SimConfig(10, 1, -0.5))
+    # the private example's support is [0, 1]
+    for threshold in (-0.5, 1.5):
+        with pytest.raises(ValueError):
+            check_equilibrium(CANONICAL, private_example, SimConfig(10, 1, threshold))
     with pytest.raises(ValueError):
         check_equilibrium(PrizeSchedule.zero(2), private_example, SimConfig(10, 1, 0.5))
 
