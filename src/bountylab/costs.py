@@ -132,15 +132,22 @@ class CostDistribution:
         clamps to 1 below c_low and to 0 above c_high.
 
         uniform:      (c_high - c) / span
-        power:        -expm1(alpha log t), log t taken as log1p(-(c_high - c) / span)
+        power:        -expm1(alpha log t), log t taken from the side where it
+                      is exact: log((c - c_low) / span) below t = 1/2,
+                      log1p(-(c_high - c) / span) above
         exponential:  exp(-rate (c - c_low))
         """
         span = self.c_high - self.c_low
         if self.kind == UNIFORM:
             out = (self.c_high - x) / span
         elif self.kind == POWER:
+            t = np.clip((x - self.c_low) / span, 0.0, 1.0)
             with np.errstate(divide="ignore"):
-                log_t = np.log1p(-np.clip((self.c_high - x) / span, 0.0, 1.0))
+                log_t = np.where(
+                    t < 0.5,
+                    np.log(t),
+                    np.log1p(-np.clip((self.c_high - x) / span, 0.0, 1.0)),
+                )
             out = -np.expm1(self.alpha * log_t)
         else:
             out = np.exp(-self.rate * np.maximum(x - self.c_low, 0.0))

@@ -143,22 +143,45 @@ def test_sample_matches_cdf_ks():
 SF_LAWS = [
     CostDistribution.uniform(-0.5, 1.5),
     CostDistribution.power(0.5, 2.0, 3.0),
+    CostDistribution.power(0.25, 1.75, 7.3),
     CostDistribution.power(0.0, 1.0, 0.5),
+    CostDistribution.power(0.0, 1.0, 0.01),
     CostDistribution.exponential(1.0, 2.0),
 ]
 
 
+def _sf_grid(dist):
+    """Points with full mantissas: geometric offsets from both ends of the
+    support (the far end of an exponential is where sf = 1e-35), seeded
+    uniform draws in between, and one point past each end."""
+    top = dist.c_high if math.isfinite(dist.c_high) else dist.c_low + 40.0 / dist.rate
+    span = top - dist.c_low
+    offsets = span * np.geomspace(1e-20, 0.5, 300)
+    inner = np.random.default_rng(5).uniform(dist.c_low, top, 300)
+    ends = [dist.c_low - 0.5, top + 0.5]
+    return np.concatenate([dist.c_low + offsets, top - offsets, inner, ends])
+
+
 @pytest.mark.parametrize("dist", SF_LAWS, ids=lambda d: f"{d.kind}-{d.alpha}")
 def test_sf_complements_cdf(dist):
-    # The grid runs past both ends of the bounded supports. fsum gives the
-    # exact error of each (cdf, sf) pair; the power cdf's t**alpha carries
-    # alpha times the rounding of t, so the bound suits a moderate alpha.
-    grid = np.linspace(dist.c_low - 0.5, dist.c_low + 4.0, 4501)
+    # fsum gives the exact error of each (cdf, sf) pair. Each side rounds
+    # t = (c - c_low) / span once, and the power cdf's t**alpha carries alpha
+    # times that rounding, hence the (1 + alpha) ulps.
+    grid = _sf_grid(dist)
     pairs = zip(dist.cdf(grid), dist.sf(grid))
-    assert max(abs(math.fsum((F, S, -1.0))) for F, S in pairs) <= 2e-16
+    err = max(abs(math.fsum((F, S, -1.0))) for F, S in pairs)
+    assert err <= (1.0 + dist.alpha) * np.finfo(float).eps
     assert dist.sf(dist.c_low - 1.0) == 1.0
     if math.isfinite(dist.c_high):
         assert dist.sf(dist.c_high + 1.0) == 0.0
+
+
+@pytest.mark.parametrize("dist", SF_LAWS, ids=lambda d: f"{d.kind}-{d.alpha}")
+def test_sf_matches_the_reference_on_the_grid(dist):
+    grid = _sf_grid(dist)
+    for c, S in zip(grid, dist.sf(grid)):
+        ref = _sf_reference(dist, c)
+        assert abs(S - ref) <= 1e-15 * ref, c
 
 
 def _sf_reference(dist, c):
@@ -166,8 +189,8 @@ def _sf_reference(dist, c):
     with mpmath.workdps(50):
         c, lo = mpmath.mpf(c), mpmath.mpf(dist.c_low)
         if dist.kind == "exponential":
-            return mpmath.exp(-mpmath.mpf(dist.rate) * (c - lo))
-        t = (c - lo) / (mpmath.mpf(dist.c_high) - lo)
+            return mpmath.exp(-mpmath.mpf(dist.rate) * max(c - lo, 0))
+        t = min(max((c - lo) / (mpmath.mpf(dist.c_high) - lo), 0), 1)
         return 1 - t ** mpmath.mpf(dist.alpha)
 
 

@@ -109,6 +109,16 @@ def test_detect_identity_with_phi():
         assert abs(lhs - rhs) <= 1e-12
 
 
+def test_detect_near_c_low_with_a_small_alpha():
+    # F(1e-20) = 0.63 while t = 1e-20, so qF > 1/2 takes the sf branch, where
+    # log t must come from t itself: 1 - (c_high - c)/span rounds to 1 there
+    dist = CostDistribution.power(0.0, 1.0, 0.01)
+    F = dist.cdf(1e-20)
+    expected = -math.expm1(2 * math.log1p(-F))
+    assert detect_prob(1e-20, 1.0, 2, dist) == pytest.approx(expected, rel=1e-15)
+    assert win_prob_phi(1e-20, 1.0, 2, dist) == pytest.approx(expected / (2 * F), rel=1e-15)
+
+
 # -- expected benefit ---------------------------------------------------------
 
 
