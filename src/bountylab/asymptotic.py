@@ -35,7 +35,7 @@ from .design import (
     optimize,
     solution_set,
 )
-from .game import GameConfig, PrizeSchedule, detect_prob, solve_equilibrium
+from .game import GameConfig, PrizeSchedule, _check_prize_count, solve_equilibrium
 from .rootfind import PINNED_LOW, bisect_decreasing
 
 MAX_TABLE_N = 10**6
@@ -57,10 +57,7 @@ def _require_positive_floor(config: GameConfig) -> float:
 def psi_infinity(kappa: float, prizes: PrizeSchedule, config: GameConfig) -> float:
     """Limiting expected benefit of searching, per unit of the lowest cost."""
     c_low = _require_positive_floor(config)
-    if len(prizes.v) != len(config.bugs):
-        raise ValueError(
-            f"prize list length {len(prizes.v)} != bug count {len(config.bugs)}"
-        )
+    _check_prize_count(prizes, config)
     total = 0.0
     for prize, bug in zip(prizes.v, config.bugs):
         total += prize * bug.mu * -math.expm1(-bug.q * kappa)
@@ -278,15 +275,15 @@ def convergence_table(
         cfg_n = config.with_n(int(n))
         outcome = solve_equilibrium(prizes, cfg_n)
         c_n = outcome.c_star
-        nf = n * config.dist.cdf(c_n)
+        nf = n * outcome.participation
         row = {
             "n": int(n),
             "c_n": c_n,
             "n_F_c_n": nf,
             "kappa_star": kappa_star,
         }
-        for l, bug in enumerate(config.bugs, start=1):
-            row[f"P_n_bug_{l}"] = detect_prob(c_n, bug.q, int(n), config.dist)
+        for l, p_n in enumerate(outcome.detect_organic_conditional, start=1):
+            row[f"P_n_bug_{l}"] = p_n
         row["W_n"] = designer_utility(c_n, cfg_n)
         row["abs_nF_minus_kappa"] = abs(nf - kappa_star)
         rows.append(row)

@@ -42,6 +42,17 @@ FIGURE_DEFAULTS = {
     "n_list_distance": [5, 20, 100, 500],
 }
 
+_N_MAX = asymptotic.MAX_TABLE_N
+# figures list parameters: entry type, the range every entry must lie in, and its message
+_FIGURE_LISTS = {
+    "which": (int, lambda w: 1 <= w <= 5, "figure numbers must lie in 1..5"),
+    "w_list": (float, lambda w: w >= 0.0, "bug values must be >= 0"),
+    "q_a_fig1": (float, lambda q: 0.0 < q <= 1.0, "q_a values must lie in (0, 1]"),
+    "q_a_fig5": (float, lambda q: 0.0 < q <= 1.0, "q_a values must lie in (0, 1]"),
+    "n_list_curves": (int, lambda n: 1 <= n <= _N_MAX, f"n values must lie in [1, {_N_MAX}]"),
+    "n_list_distance": (int, lambda n: 2 <= n <= _N_MAX, f"n values must lie in [2, {_N_MAX}]"),
+}
+
 # One output file: (file name, header, rows).
 Table = tuple[str, list[str], list[list]]
 
@@ -95,15 +106,19 @@ def _get(obj: dict, key: str, path: str, kind, required: bool = True):
     return value
 
 
-def _check_list(value, path: str, kind) -> list:
-    """``value``, once it is a list whose entries all pass ``_get`` as ``kind``."""
+def _check_list(value, path: str, kind, in_range, message: str) -> None:
+    """Check that ``value`` is a list whose entries all pass ``_get`` as
+    ``kind`` and then ``in_range``; ``message`` says what the range is."""
     if isinstance(value, list):
         try:
             for x in value:
                 _get({"x": x}, "x", path, kind)
-            return value
         except ConfigError:
             pass
+        else:
+            if all(in_range(x) for x in value):
+                return
+            raise ConfigError(path, message)
     noun = "integers" if kind is int else "finite numbers"
     raise ConfigError(path, f"expected a list of {noun}")
 
@@ -175,13 +190,10 @@ def _parse_prizes(obj: dict, path: str, n_bugs: int) -> PrizeSchedule:
 def _parse_figures(obj: dict, path: str) -> dict:
     _check_keys(obj, set(FIGURE_DEFAULTS), path)
     params = {**FIGURE_DEFAULTS, **obj}
-    for key in ("which", "n_list_curves", "n_list_distance"):
-        _check_list(params[key], f"{path}.{key}", int)
-    if any(w not in (1, 2, 3, 4, 5) for w in params["which"]):
-        raise ConfigError(f"{path}.which", "figure numbers must lie in 1..5")
-    for key in ("w_list", "q_a_fig1", "q_a_fig5"):
-        _check_list(params[key], f"{path}.{key}", float)
-    _get(params, "grid_points", path, int)
+    for key, (kind, in_range, message) in _FIGURE_LISTS.items():
+        _check_list(params[key], f"{path}.{key}", kind, in_range, message)
+    if _get(params, "grid_points", path, int) < 0:
+        raise ConfigError(f"{path}.grid_points", "grid_points must be >= 0")
     return params
 
 
@@ -221,7 +233,8 @@ class RunConfig:
         self.threshold = _get(raw, "threshold", "$", float, required=False)
         self.n_list = _get(raw, "n_list", "$", list, required=False)
         if self.n_list is not None:
-            _check_list(self.n_list, "$.n_list", int)
+            # n_list stands in for figures.n_list_curves, so it obeys the same range
+            _check_list(self.n_list, "$.n_list", *_FIGURE_LISTS["n_list_curves"])
         figures = _get(raw, "figures", "$", dict, required=False)
         self.figures = _parse_figures(figures or {}, "$.figures")
 
@@ -325,6 +338,10 @@ def _figures(cfg: RunConfig) -> list[Table]:
     params = cfg.figures
     game = cfg.game
     which = set(params["which"])
+    if which & {3, 4} and cfg.prizes is None:
+        raise ConfigError("$.prizes", "figures 3 and 4 require a prize schedule")
+    if which & {3, 4, 5} and game.dist.c_low <= 0.0:
+        raise ConfigError("$.game.dist.c_low", "figures 3 to 5 require c_low > 0")
     grid_points = params["grid_points"]
     lo = max(game.dist.c_low, 0.0)
     hi = game.dist.upper_bound()
@@ -340,8 +357,6 @@ def _figures(cfg: RunConfig) -> list[Table]:
             sset = design.solution_set(game, c_target, q_a)
             a_org = sset.coeffs[0]
             a_art = sset.coeffs[-1]
-            if a_art <= 0.0:
-                raise ConfigError("$.figures.q_a_fig1", "q_a = 0 slice is degenerate")
             v_max = c_target / a_org if a_org > 0 else 0.0
             for v in np.linspace(0.0, v_max, grid_points):
                 rows.append([f"qa_{q_a:.6g}", q_a, v, (c_target - a_org * v) / a_art])
@@ -364,8 +379,6 @@ def _figures(cfg: RunConfig) -> list[Table]:
         tables.append(("fig2_markers.csv", ["name", "value"], markers))
 
     if which & {3, 4}:
-        if cfg.prizes is None:
-            raise ConfigError("$.prizes", "figures 3 and 4 require a prize schedule")
         n_list = cfg.n_list or params["n_list_curves"]
         curve_rows, scaled_rows = [], []
         for n in n_list:
@@ -379,10 +392,7 @@ def _figures(cfg: RunConfig) -> list[Table]:
         if 4 in which:
             header = ["n", "n_F_c_hat", "W_n"]
             tables.append(("fig4_utility_convergence_scaled.csv", header, scaled_rows))
-        try:
-            table = asymptotic.convergence_table(game, cfg.prizes, [int(n) for n in n_list])
-        except ValueError as exc:
-            raise ConfigError("$.game.dist.c_low", str(exc)) from exc
+        table = asymptotic.convergence_table(game, cfg.prizes, [int(n) for n in n_list])
         header = list(table[0].keys())
         tables.append(("convergence_table.csv", header, [[r[k] for k in header] for r in table]))
 
@@ -390,10 +400,7 @@ def _figures(cfg: RunConfig) -> list[Table]:
         rows = []
         for q_a in params["q_a_fig5"]:
             for n in params["n_list_distance"]:
-                try:
-                    result = asymptotic.solution_set_distance(game, int(n), float(q_a))
-                except ValueError as exc:
-                    raise ConfigError("$.figures.q_a_fig5", str(exc)) from exc
+                result = asymptotic.solution_set_distance(game, int(n), float(q_a))
                 if not result.feasible:
                     raise ConfigError(
                         "$.figures.q_a_fig5",
@@ -454,7 +461,11 @@ def _cmd_commit(args) -> int:
     commitment_path = out / "commitment.txt"
     reveal_path = out / "reveal.txt"
     credibility.write_commitment_file(record, commitment_path)
-    credibility.write_reveal_file(salt, args.payload, reveal_path)
+    # the reveal file names the payload relative to its own directory
+    payload_path = args.payload
+    if not os.path.isabs(payload_path):
+        payload_path = os.path.relpath(payload_path, out)
+    credibility.write_reveal_file(salt, payload_path, reveal_path)
     print(commitment_path)
     print(reveal_path)
     return 0

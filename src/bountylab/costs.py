@@ -3,7 +3,8 @@
 Every solver in the package consumes costs through this interface: the CDF F,
 the density f, the ratio F/f (which must be non-decreasing for the designer's
 first-order condition to have a unique fixed point), the quantile function,
-and seeded sampling for Monte Carlo runs.
+and seeded samples. The Monte Carlo kernel in ``simulation`` draws counts
+with probability F, not costs, so it uses no samples.
 
 Three families are supported:
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .costs import CostDistribution
 from .rootfind import INTERIOR, PINNED_HIGH, PINNED_LOW, bisect_decreasing  # noqa: F401
@@ -205,12 +206,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def expected_benefit_psi(c_hat: float, prizes: PrizeSchedule, config: GameConfig) -> float:
-    """Psi(c_hat): expected prize winnings of a searching agent."""
+def _check_prize_count(prizes: PrizeSchedule, config: GameConfig) -> None:
     if len(prizes.v) != len(config.bugs):
         raise ValueError(
             f"prize list length {len(prizes.v)} != bug count {len(config.bugs)}"
         )
+
+
+def expected_benefit_psi(c_hat: float, prizes: PrizeSchedule, config: GameConfig) -> float:
+    """Psi(c_hat): expected prize winnings of a searching agent."""
+    _check_prize_count(prizes, config)
     F = config.dist.cdf(c_hat)
     total = 0.0
     for prize, bug in zip(prizes.v, config.bugs):
@@ -233,27 +238,29 @@ def solve_equilibrium(prizes: PrizeSchedule, config: GameConfig) -> EquilibriumO
         return expected_benefit_psi(c, prizes, config) - c
 
     c_star, boundary = bisect_decreasing(gap, config.dist.c_low, config.dist.c_high)
-    return _outcome_at(c_star, boundary, prizes, config)
+    return EquilibriumOutcome(c_star, boundary, **_stage_at(c_star, prizes, config)._asdict())
 
 
-def _outcome_at(
-    c_star: float, boundary: str, prizes: PrizeSchedule, config: GameConfig
-) -> EquilibriumOutcome:
+class _Stage(NamedTuple):
+    """The stage closed forms at one threshold, named as in EquilibriumOutcome."""
+
+    participation: float
+    detect_organic_conditional: tuple[float, ...]
+    detect_organic_unconditional: tuple[float, ...]
+    detect_artificial: tuple[float, ...]
+    expected_payout: float
+    designer_utility: float
+
+
+def _stage_at(c_hat: float, prizes: PrizeSchedule, config: GameConfig) -> _Stage:
+    """Participation, detection, expected payout and designer utility when
+    every agent searches at threshold c_hat."""
     n, dist = config.n, config.dist
-    F = dist.cdf(c_star)
-    det_cond = tuple(_detect(c_star, F, bug.q, n, dist) for bug in config.bugs)
+    F = dist.cdf(c_hat)
+    det_cond = tuple(_detect(c_hat, F, bug.q, n, dist) for bug in config.bugs)
     det_uncond = tuple(bug.mu * d for bug, d in zip(config.bugs, det_cond))
-    det_art = tuple(_detect(c_star, F, a.q_a, n, dist) for a in prizes.artificial)
+    det_art = tuple(_detect(c_hat, F, a.q_a, n, dist) for a in prizes.artificial)
     payout = sum(p * d for p, d in zip(prizes.v, det_uncond))
     payout += sum(a.v_a * d for a, d in zip(prizes.artificial, det_art))
     value = sum(bug.w * d for bug, d in zip(config.bugs, det_uncond))
-    return EquilibriumOutcome(
-        c_star=c_star,
-        boundary=boundary,
-        participation=F,
-        detect_organic_conditional=det_cond,
-        detect_organic_unconditional=det_uncond,
-        detect_artificial=det_art,
-        expected_payout=payout,
-        designer_utility=value - payout,
-    )
+    return _Stage(F, det_cond, det_uncond, det_art, payout, value - payout)

@@ -6,7 +6,7 @@ threshold. Per trial it draws counts and agent 0's own outcomes only:
 
 * whether agent 0 searches, u < F(threshold) (always, when pinned);
 * the number of searching rivals, S ~ Bin(n - 1, F(threshold));
-* per organic bug, whether it exists, u < mu;
+* per organic bug, whether it exists, u < mu (artificial entries always do);
 * per organic or artificial bug, the number of rival finders,
   T | S ~ Bin(S, q), and whether agent 0 finds it, u < q;
 * whether agent 0 wins a bug it found: the prize goes to one uniformly
@@ -18,8 +18,8 @@ That is 1 + L + (L + K) uniforms (L + (L + K) when pinned) and at most
 are independent, so bugs are correlated only through shared participation,
 as in the game. No array has an n axis: a chunk holds O(CHUNK (L + K))
 numbers whatever n is. The draws use no closed form; estimates come with
-standard errors and the matching closed forms so a report row reads as a
-z-test.
+standard errors and the matching closed forms, read off ``game``, so a
+report row reads as a z-test.
 
 Randomness is counter-based: trial chunks of fixed size draw from Philox
 streams keyed by (seed, chunk index), so runs are reproducible bit-for-bit
@@ -36,8 +36,9 @@ import numpy as np
 from .game import (
     GameConfig,
     PrizeSchedule,
+    _check_prize_count,
     _is_int,
-    detect_prob,
+    _stage_at,
     expected_benefit_psi,
     solve_equilibrium,
     win_prob_phi,
@@ -125,14 +126,14 @@ def _bug_arrays(prizes: PrizeSchedule, game: GameConfig):
 
 def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: bool):
     """Per chunk, the outcomes of its trials as boolean arrays with trials
-    along the last axis: searching (m,), exists (L, m), found (L+K, m) and
-    won (L+K, m) -- agent 0 searches, the organic bug exists, someone finds
-    the bug, agent 0 wins its prize. A pinned agent 0 always searches."""
+    along the last axis: searching (m,), then per bug, organic bugs first,
+    exists, found and won (L+K, m) -- agent 0 searches, the bug exists
+    (artificial entries always do), someone finds it, agent 0 wins its
+    prize. A pinned agent 0 always searches."""
     dist = game.dist
     if not dist.c_low <= sim.threshold <= dist.c_high:
         raise ValueError("threshold must lie within the cost support")
-    if len(prizes.v) != len(game.bugs):
-        raise ValueError("prize list length must match bug count")
+    _check_prize_count(prizes, game)
     F = dist.cdf(sim.threshold)
     mus, _, q, _ = _bug_arrays(prizes, game)
     L, J = len(mus), len(q)
@@ -146,15 +147,16 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
         finders[:, idle:] = rng.binomial(rivals[idle:], q, (J, m - idle))
         u = rng.random((L + J + (not pinned), m))
         searching = np.ones(m, dtype=bool) if pinned else u[L + J] < F
-        exists = u[:L] < mus
+        exists = np.ones((J, m), dtype=bool)
+        exists[:L] = u[:L] < mus
         # One uniform per bug: u < q is agent 0's find, and given it u / q is
         # again uniform, so u (T + 1) < q is winning among the T + 1 finders.
         u_find = u[L : L + J]
         own = u_find < q
-        own[:L] &= exists
+        own &= exists
         own &= searching
         found = own | (finders > 0)
-        found[:L] &= exists
+        found &= exists
         won = own & (u_find * (finders + 1.0) < q)
         yield searching, exists, found, won
 
@@ -175,77 +177,51 @@ def _mean_stat(name, total, total_sq, count, closed):
 
 def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimReport:
     """Run the stage game sim.trials times at the given threshold strategy."""
-    n, L = game.n, len(game.bugs)
-    K = len(prizes.artificial)
-    mus, ws, q, prize = _bug_arrays(prizes, game)
-
-    found_cnt = np.zeros(L + K)
-    exists_cnt = np.zeros(L)
-    pay_sum = pay_sq = 0.0
-    util_sum = util_sq = 0.0
-    agent0_n = 0.0
-    wins0 = np.zeros(L + K)
-    wins0_org_n = np.zeros(L)  # trials with agent 0 searching and bug existing
-    gain0_sum = gain0_sq = 0.0
-
+    L = len(game.bugs)
+    _, ws, q, prize = _bug_arrays(prizes, game)
+    J = len(q)
+    # per bug: found, won by agent 0, agent 0 could win it (searching, and the
+    # bug exists), exists; then the trials in which agent 0 searches
+    counts = np.zeros(4 * J + 1, dtype=np.int64)
+    # sum and sum of squares of the payout, the designer's utility and agent 0's winnings
+    moments = np.zeros((3, 2))
     for searching, exists, found, won in _trials(prizes, game, sim, pinned=False):
         pay = prize @ found
-        util = ws @ found[:L] - pay
-        pay_sum += pay.sum()
-        pay_sq += (pay * pay).sum()
-        util_sum += util.sum()
-        util_sq += (util * util).sum()
+        values = (pay, ws @ found[:L] - pay, prize @ won)  # agent 0 wins 0 when idle
+        moments += [(x.sum(), (x * x).sum()) for x in values]
+        rows = (*found, *won, *(exists & searching), *exists, searching)
+        counts += [np.count_nonzero(row) for row in rows]  # without an axis: numpy's fast path
 
-        found_cnt += np.count_nonzero(found, axis=1)
-        exists_cnt += np.count_nonzero(exists, axis=1)
-        wins0 += np.count_nonzero(won, axis=1)
-        wins0_org_n += np.count_nonzero(exists & searching, axis=1)
-        agent0_n += np.count_nonzero(searching)
-        gain0 = prize @ won  # 0 wherever agent 0 does not search
-        gain0_sum += gain0.sum()
-        gain0_sq += (gain0 * gain0).sum()
-
-    T = sim.trials
+    found_n, won_n, eligible_n, exists_n = counts[:-1].reshape(4, J)
     c_hat = sim.threshold
-    dist = game.dist
-    det = [detect_prob(c_hat, q_j, n, dist) for q_j in q]
-    phi = [win_prob_phi(c_hat, q_j, n, dist) for q_j in q]
-    org, art = range(L), range(L, L + K)
-    det_uncond = tuple(
-        _binomial_stat(f"detect_uncond_bug_{j + 1}", found_cnt[j], T, mus[j] * det[j]) for j in org
-    )
-    det_cond = tuple(
-        _binomial_stat(f"detect_cond_bug_{j + 1}", found_cnt[j], exists_cnt[j], det[j]) for j in org
-    )
-    det_art = tuple(
-        _binomial_stat(f"detect_artificial_{j - L + 1}", found_cnt[j], T, det[j]) for j in art
-    )
-    win_org = tuple(
-        _binomial_stat(f"win_bug_{j + 1}", wins0[j], wins0_org_n[j], phi[j]) for j in org
-    )
-    win_art = tuple(
-        _binomial_stat(f"win_artificial_{j - L + 1}", wins0[j], agent0_n, phi[j]) for j in art
-    )
-    det_uncond_cf = np.array([s.closed_form for s in det_uncond])
-    det_art_cf = np.array([s.closed_form for s in det_art])
-    payout_cf = float(det_uncond_cf @ prize[:L] + det_art_cf @ prize[L:])
-    utility_cf = float(det_uncond_cf @ ws - payout_cf)
+    stage = _stage_at(c_hat, prizes, game)
+    detect = stage.detect_organic_conditional + stage.detect_artificial
+    phi = [win_prob_phi(c_hat, q_j, game.n, game.dist) for q_j in q]
+
+    def group(name, bugs, hits, n_obs, closed):
+        return tuple(
+            _binomial_stat(f"{name}_{i}", hits[j], n_obs[j], closed[j])
+            for i, j in enumerate(bugs, start=1)
+        )
+
+    org, art = range(L), range(L, J)
     return SimReport(
-        trials=T,
+        trials=sim.trials,
         seed=sim.seed,
         threshold=c_hat,
-        detect_unconditional=det_uncond,
-        detect_conditional=det_cond,
-        detect_artificial=det_art,
-        win_organic=win_org,
-        win_artificial=win_art,
-        payout=_mean_stat("payout_total", pay_sum, pay_sq, T, payout_cf),
-        utility=_mean_stat("designer_utility", util_sum, util_sq, T, utility_cf),
+        detect_unconditional=group(
+            "detect_uncond_bug", org, found_n, [sim.trials] * L, stage.detect_organic_unconditional
+        ),
+        detect_conditional=group("detect_cond_bug", org, found_n, exists_n, detect),
+        detect_artificial=group("detect_artificial", art, found_n, exists_n, detect),
+        win_organic=group("win_bug", org, won_n, eligible_n, phi),
+        win_artificial=group("win_artificial", art, won_n, eligible_n, phi),
+        payout=_mean_stat("payout_total", *moments[0], sim.trials, stage.expected_payout),
+        utility=_mean_stat("designer_utility", *moments[1], sim.trials, stage.designer_utility),
         marginal_benefit=_mean_stat(
             "marginal_benefit",
-            gain0_sum,
-            gain0_sq,
-            int(agent0_n) if agent0_n > 0 else 1,
+            *moments[2],
+            max(int(counts[-1]), 1),
             expected_benefit_psi(c_hat, prizes, game),
         ),
     )

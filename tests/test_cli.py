@@ -137,6 +137,57 @@ def test_wrongly_typed_field_rejected(tmp_path, capsys, mode, path, poison):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _set_dist(**dist):
+    return lambda c: c["game"].update(dist=dist)
+
+
+def _figure1_on_two_bugs(cfg):
+    cfg["game"]["bugs"].append({"mu": 0.5, "q": 0.5, "w": 1.0})
+    cfg["prizes"]["v"] = [0.0, 0.0]
+    cfg["figures"] = {"which": [1]}
+
+
+@pytest.mark.parametrize(
+    "mode, path, poison",
+    [
+        ("figures", "$.figures.n_list_distance", lambda c: c.update(figures={"which": [5], "n_list_distance": [1]})),
+        ("figures", "$.figures.n_list_curves", lambda c: c.update(figures={"n_list_curves": [2_000_000]})),
+        ("figures", "$.figures.n_list_curves", lambda c: c.update(figures={"n_list_curves": [0]})),
+        ("figures", "$.n_list", lambda c: c.update(n_list=[0])),
+        ("figures", "$.figures.w_list", lambda c: c.update(figures={"w_list": [-1.0]})),
+        ("figures", "$.figures.q_a_fig1", lambda c: c.update(figures={"q_a_fig1": [1.5]})),
+        ("figures", "$.figures.q_a_fig5", lambda c: c.update(figures={"q_a_fig5": [0.0]})),
+        ("figures", "$.figures.grid_points", lambda c: c.update(figures={"grid_points": -3})),
+        ("design", "$.figures.grid_points", lambda c: c.update(figures={"grid_points": -3})),
+        ("figures", "$.game.dist.c_low", lambda c: c.update(figures={"which": [5]})),
+        ("figures", "$.game.dist.c_low", lambda c: c.update(figures={"which": [3]})),
+        ("figures", "$.figures.which", lambda c: c.update(figures={"which": [6]})),
+        ("figures", "$.game.bugs", _figure1_on_two_bugs),
+        ("design", "$.mode", lambda c: c.update(mode="bogus")),
+        ("equilibrium", "$.prizes.v", lambda c: c["prizes"].update(v=[0.0, 1.0])),
+        ("design", "$.game.dist.alpha", _set_dist(kind="uniform", c_low=0.0, c_high=1.0, alpha=2.0)),
+        ("design", "$.game.dist.rate", _set_dist(kind="power", c_low=0.0, c_high=1.0, alpha=2.0, rate=1.0)),
+        ("design", "$.game.dist.kind", _set_dist(kind="lognormal", c_low=0.0, c_high=1.0)),
+        ("design", "$.game.bugs[0]", lambda c: c["game"].update(bugs=[5])),
+        ("design", "$.game.budget", lambda c: c["game"].pop("budget")),
+    ],
+    ids=[
+        "n_list_distance_below_2", "n_list_curves_above_max", "n_list_curves_zero", "n_list_zero",
+        "w_list_negative", "q_a_fig1_above_1", "q_a_fig5_zero", "grid_points_negative",
+        "unused_figures_value", "fig5_c_low_zero", "fig3_c_low_zero", "which", "fig1_two_bugs",
+        "mode", "v_length", "alpha_on_uniform", "rate_on_power", "kind", "bug_not_object",
+        "budget_missing",
+    ],
+)
+def test_rejected_field_names_its_path(tmp_path, capsys, mode, path, poison):
+    cfg = _base_config(prizes={"v": [0.0], "artificial": [{"v_a": 0.25, "q_a": 1.0}]})
+    poison(cfg)
+    code = main([mode, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"config error at {path}: " in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # -- golden run ------------------------------------------------------------------
 
 
@@ -509,6 +560,18 @@ def test_commit_reveal_coin_round_trip(tmp_path, capsys):
         ]
     )
     assert code == 1
+
+
+def test_commit_with_a_relative_payload_verifies(tmp_path, monkeypatch, capsys):
+    # the README flow: the payload sits in the working directory, the files go to out/
+    monkeypatch.chdir(tmp_path)
+    Path("block.bin").write_bytes(bytes(range(32)))
+    argv = ["commit", "--payload", "block.bin", "--salt-hex", "00" * 32, "--out", "out/"]
+    assert main(argv) == 0
+    assert Path("out/reveal.txt").read_text(encoding="utf-8").splitlines()[1] == str(Path("..", "block.bin"))
+    capsys.readouterr()
+    assert main(["reveal-verify", "--commitment", "out/commitment.txt", "--reveal", "out/reveal.txt"]) == 0
+    assert capsys.readouterr().out == "verified: true\n"
 
 
 def test_coin_bad_beacon_hex(tmp_path, capsys):

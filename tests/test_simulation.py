@@ -253,3 +253,28 @@ def test_payout_variance_matches_joint_enumeration(uniform01):
     prizes = list(sched.v) + [a.v_a for a in sched.artificial]
     var_independent = sum(v * v * p * (1.0 - p) for v, p in zip(prizes, detect))
     assert abs(var_independent - var) > 100.0 * var_se
+
+
+def test_closed_forms_are_the_equilibrium_outcome():
+    """Each row's closed form is the number solve_equilibrium reports, to
+    the last digit, not a second derivation of it."""
+
+    def closed(stats):
+        return tuple(s.closed_form for s in stats)
+
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        game = random_game(rng)
+        v = tuple(float(rng.uniform(0.0, 0.5)) for _ in game.bugs)
+        art = tuple(
+            ArtificialBugDesign(float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.1, 1.0)))
+            for _ in range(2)
+        )
+        sched = PrizeSchedule(v=v, artificial=art)
+        out = solve_equilibrium(sched, game)
+        report = simulate(sched, game, SimConfig(256, 1, out.c_star))
+        assert closed(report.detect_unconditional) == out.detect_organic_unconditional
+        assert closed(report.detect_conditional) == out.detect_organic_conditional
+        assert closed(report.detect_artificial) == out.detect_artificial
+        assert report.payout.closed_form == out.expected_payout
+        assert report.utility.closed_form == out.designer_utility
