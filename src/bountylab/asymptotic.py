@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .design import (
     _beneficial_from,
+    _best_single_bug,
+    _bug_value,
     _canonical_schedule,
-    _on_bug,
     _planted,
+    _slice_coeffs,
     _vertices,
     designer_utility,
     optimize,
@@ -54,15 +54,20 @@ def _require_positive_floor(config: GameConfig) -> float:
     return c_low
 
 
+def _p_inf(q: float, kappa: float) -> float:
+    """P_inf(q; kappa) = 1 - exp(-q kappa), the limiting detection probability."""
+    return -math.expm1(-q * kappa)
+
+
 def psi_infinity(kappa: float, prizes: PrizeSchedule, config: GameConfig) -> float:
     """Limiting expected benefit of searching, per unit of the lowest cost."""
     c_low = _require_positive_floor(config)
     _check_prize_count(prizes, config)
     total = 0.0
     for prize, bug in zip(prizes.v, config.bugs):
-        total += prize * bug.mu * -math.expm1(-bug.q * kappa)
+        total += prize * bug.mu * _p_inf(bug.q, kappa)
     for art in prizes.artificial:
-        total += art.v_a * -math.expm1(-art.q_a * kappa)
+        total += art.v_a * _p_inf(art.q_a, kappa)
     return total / c_low
 
 
@@ -110,7 +115,7 @@ def detect_prob_infinity(q: float, kappa: float) -> float:
         raise ValueError("kappa must be >= 0")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    return -math.expm1(-q * kappa)
+    return _p_inf(q, kappa)
 
 
 def utility_infinity(kappa: float, config: GameConfig) -> float:
@@ -118,12 +123,7 @@ def utility_infinity(kappa: float, config: GameConfig) -> float:
     c_low = _require_positive_floor(config)
     if kappa < 0.0:
         raise ValueError("kappa must be >= 0")
-    value = sum(b.w * b.mu * -math.expm1(-b.q * kappa) for b in config.bugs)
-    return value - kappa * c_low
-
-
-def _weighted_q_sum(config: GameConfig) -> float:
-    return sum(b.w * b.mu * b.q for b in config.bugs)
+    return _bug_value(config, lambda q: _p_inf(q, kappa)) - kappa * c_low
 
 
 def solve_kappa_tilde(config: GameConfig) -> float:
@@ -133,7 +133,7 @@ def solve_kappa_tilde(config: GameConfig) -> float:
     the cheapest searcher; optimize_public reports the violation).
     """
     c_low = _require_positive_floor(config)
-    s = _weighted_q_sum(config)
+    s = _bug_value(config, lambda q: q)  # sum w mu q, the slope of the bug value at 0
     if s <= c_low:
         return 0.0
 
@@ -166,14 +166,9 @@ class Kappa0Breakdown:
 def solve_kappa0(budget: float, config: GameConfig) -> Kappa0Breakdown:
     """Per-bug fixed points of budget mu_l (1 - exp(-q_l kappa)) / c_low."""
     _require_positive_floor(config)
-    if not budget > 0.0:
-        raise ValueError("budget must be > 0")
-    values = [
-        solve_kappa_star(_on_bug(config, l, budget), config).kappa_star
-        for l in range(len(config.bugs))
-    ]
-    best = max(range(len(values)), key=values.__getitem__)
-    return Kappa0Breakdown(kappa_0=values[best], per_bug=tuple(values), best_bug=best)
+    return _best_single_bug(
+        Kappa0Breakdown, budget, config, lambda prizes: solve_kappa_star(prizes, config).kappa_star
+    )
 
 
 @dataclass(frozen=True)
@@ -227,7 +222,7 @@ def optimize_public(config: GameConfig) -> PublicDesignReport:
     notes = []
     if config.budget < c_low:
         notes.append("budget below c_low: full budget cannot move the cheapest agent")
-    if _weighted_q_sum(config) < c_low:
+    if _bug_value(config, lambda q: q) < c_low:
         notes.append("sum of w*mu*q below c_low: searching can never be compensated")
 
     kt = solve_kappa_tilde(config)
@@ -240,7 +235,7 @@ def optimize_public(config: GameConfig) -> PublicDesignReport:
         schedule = PrizeSchedule.zero(len(config.bugs))
     else:
         schedule = _canonical_schedule(
-            config, k_star * c_low, lambda q: -math.expm1(-q * k_star), beneficial, k0.best_bug
+            config, k_star * c_low, lambda q: _p_inf(q, k_star), beneficial, k0.best_bug
         )
 
     return PublicDesignReport(
@@ -290,18 +285,6 @@ def convergence_table(
     return rows
 
 
-def hausdorff_distance(a, b) -> float:
-    """Hausdorff distance between two non-empty finite point sets in R^k."""
-    pa = np.atleast_2d(np.asarray(a, dtype=float))
-    pb = np.atleast_2d(np.asarray(b, dtype=float))
-    if pa.size == 0 or pb.size == 0:
-        raise ValueError("point sets must be non-empty")
-    if pa.shape[1] != pb.shape[1]:
-        raise ValueError("point sets must share a dimension")
-    d = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1))
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
 @dataclass(frozen=True)
 class SetDistanceResult:
     distance: float
@@ -336,10 +319,7 @@ def solution_set_distance(config: GameConfig, n: int, q_a: float) -> SetDistance
     cfg_n = config.with_n(int(n))
     finite_set = solution_set(cfg_n, optimize(cfg_n).c_hat_star, q_a)
     k_star = optimize_public(config).kappa_hat_star
-    coeffs_inf = tuple(
-        [b.mu * -math.expm1(-b.q * k_star) / c_low for b in config.bugs]
-        + [-math.expm1(-q_a * k_star) / c_low]
-    )
+    coeffs_inf = tuple(a / c_low for a in _slice_coeffs(config, lambda q: _p_inf(q, k_star), q_a))
     vertices_inf = _vertices(coeffs_inf, k_star, config.budget)
     if not finite_set.feasible or not vertices_inf:
         return SetDistanceResult(math.nan, False, n, q_a)

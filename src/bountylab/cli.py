@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -41,6 +42,7 @@ FIGURE_DEFAULTS = {
     "n_list_curves": [2, 5, 10, 50, 200, 1000],
     "n_list_distance": [5, 20, 100, 500],
 }
+MAX_GRID_POINTS = 10**4  # figures 1 to 4 hold grid_points rows per curve
 
 _N_MAX = asymptotic.MAX_TABLE_N
 # figures list parameters: entry type, the range every entry must lie in, and its message
@@ -192,8 +194,10 @@ def _parse_figures(obj: dict, path: str) -> dict:
     params = {**FIGURE_DEFAULTS, **obj}
     for key, (kind, in_range, message) in _FIGURE_LISTS.items():
         _check_list(params[key], f"{path}.{key}", kind, in_range, message)
-    if _get(params, "grid_points", path, int) < 0:
-        raise ConfigError(f"{path}.grid_points", "grid_points must be >= 0")
+    if not params["n_list_curves"]:
+        raise ConfigError(f"{path}.n_list_curves", "the n list must not be empty")
+    if not 0 <= _get(params, "grid_points", path, int) <= MAX_GRID_POINTS:
+        raise ConfigError(f"{path}.grid_points", f"grid_points must lie in [0, {MAX_GRID_POINTS}]")
     return params
 
 
@@ -235,6 +239,8 @@ class RunConfig:
         if self.n_list is not None:
             # n_list stands in for figures.n_list_curves, so it obeys the same range
             _check_list(self.n_list, "$.n_list", *_FIGURE_LISTS["n_list_curves"])
+            if not self.n_list:
+                raise ConfigError("$.n_list", "the n list must not be empty")
         figures = _get(raw, "figures", "$", dict, required=False)
         self.figures = _parse_figures(figures or {}, "$.figures")
 
@@ -354,9 +360,9 @@ def _figures(cfg: RunConfig) -> list[Table]:
         c_target = design.solve_c_tilde(game)
         rows = []
         for q_a in params["q_a_fig1"]:
-            sset = design.solution_set(game, c_target, q_a)
-            a_org = sset.coeffs[0]
-            a_art = sset.coeffs[-1]
+            a_org, a_art = design.solution_set(game, c_target, q_a).coeffs
+            if not (a_art > 0.0 and math.isfinite(c_target / a_art)):
+                raise ConfigError("$.figures.q_a_fig1", f"q_a = {q_a} leaves v_a unbounded")
             v_max = c_target / a_org if a_org > 0 else 0.0
             for v in np.linspace(0.0, v_max, grid_points):
                 rows.append([f"qa_{q_a:.6g}", q_a, v, (c_target - a_org * v) / a_art])
@@ -457,14 +463,15 @@ def _cmd_commit(args) -> int:
         salt = os.urandom(credibility.SALT_LEN)
     record = credibility.commit(payload, salt=salt, created_at=args.timestamp)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    commitment_path = out / "commitment.txt"
-    reveal_path = out / "reveal.txt"
-    credibility.write_commitment_file(record, commitment_path)
     # the reveal file names the payload relative to its own directory
     payload_path = args.payload
     if not os.path.isabs(payload_path):
         payload_path = os.path.relpath(payload_path, out)
+    credibility._check_line(payload_path, "payload path")  # before either file is written
+    out.mkdir(parents=True, exist_ok=True)
+    commitment_path = out / "commitment.txt"
+    reveal_path = out / "reveal.txt"
+    credibility.write_commitment_file(record, commitment_path)
     credibility.write_reveal_file(salt, payload_path, reveal_path)
     print(commitment_path)
     print(reveal_path)

@@ -41,6 +41,7 @@ class CommitmentRecord:
             raise ValueError(f"unrecognized commitment scheme {self.scheme!r}")
         if len(self.digest) != DIGEST_LEN:
             raise ValueError("digest must be exactly 32 bytes")
+        _check_line(self.created_at, "created_at")
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,12 @@ class RevealRecord:
     def __post_init__(self) -> None:
         if len(self.salt) != SALT_LEN:
             raise ValueError("salt must be exactly 32 bytes")
+
+
+def _check_line(text: str, name: str) -> None:
+    """Reject a field that str.splitlines, and so the file readers, would split."""
+    if "".join(text.splitlines()) != text:
+        raise ValueError(f"{name} must not contain a line break")
 
 
 def commit(payload: bytes, salt: bytes | None = None, created_at: str | None = None) -> CommitmentRecord:
@@ -121,6 +128,7 @@ def read_commitment_file(path) -> CommitmentRecord:
 def write_reveal_file(salt: bytes, payload_path: str, path) -> None:
     if len(salt) != SALT_LEN:
         raise ValueError("salt must be exactly 32 bytes")
+    _check_line(payload_path, "payload path")
     text = f"{salt.hex()}\n{payload_path}\n"
     Path(path).write_bytes(text.encode("utf-8"))
 

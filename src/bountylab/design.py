@@ -41,10 +41,12 @@ def designer_utility(c_hat: float, config: GameConfig) -> float:
     """W(c_hat): expected bug value to the designer net of expected payouts."""
     n, dist = config.n, config.dist
     F = dist.cdf(c_hat)
-    value = 0.0
-    for bug in config.bugs:
-        value += bug.w * bug.mu * _detect(c_hat, F, bug.q, n, dist)
-    return value - n * F * c_hat
+    return _bug_value(config, lambda q: _detect(c_hat, F, q, n, dist)) - n * F * c_hat
+
+
+def _bug_value(config: GameConfig, detect: Callable[[float], float]) -> float:
+    """sum_l w_l mu_l detect(q_l): the expected value of the organic bugs found."""
+    return sum(bug.w * bug.mu * detect(bug.q) for bug in config.bugs)
 
 
 def omega(c_hat: float, config: GameConfig) -> float:
@@ -100,14 +102,21 @@ class C0Breakdown:
 
 def solve_c0(budget: float, config: GameConfig) -> C0Breakdown:
     """Per-bug fixed points of budget * mu_l * Phi(c; q_l) and their max."""
+    return _best_single_bug(
+        C0Breakdown, budget, config, lambda prizes: solve_equilibrium(prizes, config).c_star
+    )
+
+
+def _best_single_bug(
+    breakdown: type, budget: float, config: GameConfig, level: Callable[[PrizeSchedule], float]
+):
+    """``breakdown(best level, per-bug levels, best bug)``, where ``level(prizes)``
+    is what the whole budget on one organic bug induces; the first bug wins a tie."""
     if not budget > 0.0:
         raise ValueError("budget must be > 0")
-    thresholds = [
-        solve_equilibrium(_on_bug(config, l, budget), config).c_star
-        for l in range(len(config.bugs))
-    ]
-    best = max(range(len(thresholds)), key=thresholds.__getitem__)
-    return C0Breakdown(c_0=thresholds[best], per_bug=tuple(thresholds), best_bug=best)
+    levels = tuple(level(_on_bug(config, l, budget)) for l in range(len(config.bugs)))
+    best = max(range(len(levels)), key=levels.__getitem__)
+    return breakdown(levels[best], levels, best)
 
 
 @dataclass(frozen=True)
@@ -286,11 +295,7 @@ def solution_set(config: GameConfig, c_target: float, q_a: float) -> SolutionSet
     """
     if not 0.0 <= q_a <= 1.0:
         raise ValueError("q_a must lie in [0, 1]")
-    n, dist = config.n, config.dist
-    coeffs = tuple(
-        [bug.mu * win_prob_phi(c_target, bug.q, n, dist) for bug in config.bugs]
-        + [win_prob_phi(c_target, q_a, n, dist)]
-    )
+    coeffs = _slice_coeffs(config, lambda q: win_prob_phi(c_target, q, config.n, config.dist), q_a)
     budget = config.budget
     if c_target < 0.0:
         return SolutionSet(coeffs, c_target, budget, q_a, False, ())
@@ -305,6 +310,11 @@ def solution_set(config: GameConfig, c_target: float, q_a: float) -> SolutionSet
 
     vertices = _vertices(coeffs, c_target, budget)
     return SolutionSet(coeffs, c_target, budget, q_a, bool(vertices), vertices)
+
+
+def _slice_coeffs(config: GameConfig, unit: Callable[[float], float], q_a: float) -> tuple:
+    """A slice's coefficients: mu_l unit(q_l) per organic bug, then unit(q_a) last."""
+    return tuple([bug.mu * unit(bug.q) for bug in config.bugs] + [unit(q_a)])
 
 
 def _vertices(coeffs, rhs: float, budget: float) -> tuple[tuple[float, ...], ...]:

@@ -24,7 +24,7 @@ from math import comb
 from typing import NamedTuple
 
 from .costs import CostDistribution
-from .rootfind import INTERIOR, PINNED_HIGH, PINNED_LOW, bisect_decreasing  # noqa: F401
+from .rootfind import bisect_decreasing
 
 # Below this participation level Phi switches to its analytic limit q,
 # avoiding the 0/0 in P / (n F).

@@ -10,7 +10,6 @@ from bountylab import (
     PrizeSchedule,
     convergence_table,
     detect_prob_infinity,
-    hausdorff_distance,
     is_artificial_beneficial,
     is_beneficial_public,
     optimize,
@@ -252,35 +251,6 @@ def test_distribution_free_limit():
         )
         kappas.append(solve_kappa_star(prizes, config).kappa_star)
     assert abs(kappas[0] - kappas[1]) <= 1e-10
-
-
-# -- Hausdorff distance ---------------------------------------------------------------
-
-
-def test_hausdorff_examples():
-    assert hausdorff_distance([(0.0, 0.0)], [(0.0, 0.0)]) == 0.0
-    assert hausdorff_distance([(0.0, 0.0)], [(3.0, 4.0)]) == pytest.approx(5.0)
-    assert hausdorff_distance([(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0)]) == pytest.approx(
-        math.sqrt(2.0)
-    )
-
-
-def test_hausdorff_rejects_empty():
-    with pytest.raises(ValueError):
-        hausdorff_distance(np.empty((0, 2)), [(0.0, 0.0)])
-
-
-def test_hausdorff_metric_properties():
-    rng = np.random.default_rng(41)
-    for _ in range(25):
-        a = rng.normal(size=(rng.integers(1, 8), 2))
-        b = rng.normal(size=(rng.integers(1, 8), 2))
-        c = rng.normal(size=(rng.integers(1, 8), 2))
-        dab, dba = hausdorff_distance(a, b), hausdorff_distance(b, a)
-        assert dab == dba
-        assert dab >= 0.0
-        assert hausdorff_distance(a, a) == 0.0
-        assert hausdorff_distance(a, c) <= dab + hausdorff_distance(b, c) + 1e-12
 
 
 # -- solution-set convergence ----------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bountylab.cli import main
+from bountylab.cli import MAX_GRID_POINTS, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -147,6 +147,11 @@ def _figure1_on_two_bugs(cfg):
     cfg["figures"] = {"which": [1]}
 
 
+def _figure1_at_q_a(q_a):
+    # so small a q_a makes the artificial coefficient Phi(c_tilde; q_a) overflow v_a or vanish
+    return lambda c: c.update(figures={"which": [1], "grid_points": 3, "q_a_fig1": [q_a]})
+
+
 @pytest.mark.parametrize(
     "mode, path, poison",
     [
@@ -158,6 +163,11 @@ def _figure1_on_two_bugs(cfg):
         ("figures", "$.figures.q_a_fig1", lambda c: c.update(figures={"q_a_fig1": [1.5]})),
         ("figures", "$.figures.q_a_fig5", lambda c: c.update(figures={"q_a_fig5": [0.0]})),
         ("figures", "$.figures.grid_points", lambda c: c.update(figures={"grid_points": -3})),
+        ("figures", "$.figures.grid_points", lambda c: c.update(figures={"grid_points": MAX_GRID_POINTS + 1})),
+        ("figures", "$.figures.n_list_curves", lambda c: c.update(figures={"which": [3], "n_list_curves": []})),
+        ("figures", "$.n_list", lambda c: c.update(n_list=[], figures={"which": [3]})),
+        ("figures", "$.figures.q_a_fig1", _figure1_at_q_a(1e-310)),
+        ("figures", "$.figures.q_a_fig1", _figure1_at_q_a(5e-324)),
         ("design", "$.figures.grid_points", lambda c: c.update(figures={"grid_points": -3})),
         ("figures", "$.game.dist.c_low", lambda c: c.update(figures={"which": [5]})),
         ("figures", "$.game.dist.c_low", lambda c: c.update(figures={"which": [3]})),
@@ -174,6 +184,8 @@ def _figure1_on_two_bugs(cfg):
     ids=[
         "n_list_distance_below_2", "n_list_curves_above_max", "n_list_curves_zero", "n_list_zero",
         "w_list_negative", "q_a_fig1_above_1", "q_a_fig5_zero", "grid_points_negative",
+        "grid_points_above_max", "n_list_curves_empty", "n_list_empty", "q_a_fig1_overflow",
+        "q_a_fig1_underflow",
         "unused_figures_value", "fig5_c_low_zero", "fig3_c_low_zero", "which", "fig1_two_bugs",
         "mode", "v_length", "alpha_on_uniform", "rate_on_power", "kind", "bug_not_object",
         "budget_missing",
@@ -572,6 +584,31 @@ def test_commit_with_a_relative_payload_verifies(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["reveal-verify", "--commitment", "out/commitment.txt", "--reveal", "out/reveal.txt"]) == 0
     assert capsys.readouterr().out == "verified: true\n"
+
+
+@pytest.mark.parametrize(
+    "timestamp, payload_name, field",
+    [
+        ("2026-01-01T00:00:00Z\nextra", "seed.bin", "created_at"),
+        ("2026-01-01T00:00:00Z\n", "seed.bin", "created_at"),
+        ("2026-01-01T00:00:00Z\rextra", "seed.bin", "created_at"),
+        ("2026-01-01T00:00:00Z\x0cextra", "seed.bin", "created_at"),
+        ("2026-01-01T00:00:00Z\u2028extra", "seed.bin", "created_at"),
+        ("2026-01-01T00:00:00Z", "a\nb.bin", "payload path"),
+        ("2026-01-01T00:00:00Z", "a\rb.bin", "payload path"),
+    ],
+    ids=["timestamp_lf", "timestamp_trailing_lf", "timestamp_cr", "timestamp_ff",
+         "timestamp_line_separator", "payload_lf", "payload_cr"],
+)
+def test_commit_rejects_a_line_break_and_writes_nothing(tmp_path, capsys, timestamp, payload_name, field):
+    (tmp_path / payload_name).write_bytes(bytes(32))
+    argv = ["commit", "--payload", str(tmp_path / payload_name), "--salt-hex", "00" * 32,
+            "--timestamp", timestamp, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {field} must not contain a line break\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_coin_bad_beacon_hex(tmp_path, capsys):

@@ -173,3 +173,21 @@ def test_file_format_rejects_malformed(tmp_path):
         read_commitment_file(bad)
     with pytest.raises(ValueError):
         read_reveal_file(bad)
+
+
+@pytest.mark.parametrize("bad", ["t\n", "t\nu", "t\r", "t\r\nu", "t\x0bu", "t\x1cu", "t\x85u", "t\u2029u"])
+def test_line_break_in_a_file_field_rejected(tmp_path, bad):
+    with pytest.raises(ValueError, match="created_at must not contain a line break"):
+        commit(b"block", salt=ZERO_SALT, created_at=bad)
+    with pytest.raises(ValueError, match="payload path must not contain a line break"):
+        write_reveal_file(ZERO_SALT, bad, tmp_path / "reveal.txt")
+    assert not (tmp_path / "reveal.txt").exists()
+
+
+def test_a_good_record_round_trips(tmp_path):
+    (tmp_path / "block with spaces.bin").write_bytes(b"block")
+    record = commit(b"block", salt=ZERO_SALT, created_at="2026-01-01T00:00:00+01:00")
+    write_commitment_file(record, tmp_path / "commitment.txt")
+    write_reveal_file(ZERO_SALT, "block with spaces.bin", tmp_path / "reveal.txt")
+    assert read_commitment_file(tmp_path / "commitment.txt") == record
+    assert verify_reveal(record, read_reveal_file(tmp_path / "reveal.txt"))
