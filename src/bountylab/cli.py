@@ -69,10 +69,8 @@ class ConfigError(Exception):
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
+    if isinstance(x, float):
+        return f"{x:.17g}"
     return str(x)
 
 
@@ -194,8 +192,9 @@ def _parse_figures(obj: dict, path: str) -> dict:
     params = {**FIGURE_DEFAULTS, **obj}
     for key, (kind, in_range, message) in _FIGURE_LISTS.items():
         _check_list(params[key], f"{path}.{key}", kind, in_range, message)
-    if not params["n_list_curves"]:
-        raise ConfigError(f"{path}.n_list_curves", "the n list must not be empty")
+    for key, noun in (("which", "figure"), ("n_list_curves", "n"), ("n_list_distance", "n")):
+        if not params[key]:
+            raise ConfigError(f"{path}.{key}", f"the {noun} list must not be empty")
     if not 0 <= _get(params, "grid_points", path, int) <= MAX_GRID_POINTS:
         raise ConfigError(f"{path}.grid_points", f"grid_points must lie in [0, {MAX_GRID_POINTS}]")
     return params
@@ -467,7 +466,7 @@ def _cmd_commit(args) -> int:
     payload_path = args.payload
     if not os.path.isabs(payload_path):
         payload_path = os.path.relpath(payload_path, out)
-    credibility._check_line(payload_path, "payload path")  # before either file is written
+    credibility._check_line(payload_path, "payload path", "utf-8")  # before either file is written
     out.mkdir(parents=True, exist_ok=True)
     commitment_path = out / "commitment.txt"
     reveal_path = out / "reveal.txt"

@@ -1,10 +1,13 @@
 """Search-cost distributions.
 
 Every solver in the package consumes costs through this interface: the CDF F,
-the density f, the ratio F/f (which must be non-decreasing for the designer's
-first-order condition to have a unique fixed point), the quantile function,
-and seeded samples. The Monte Carlo kernel in ``simulation`` draws counts
-with probability F, not costs, so it uses no samples.
+the survival function 1 - F, the density f, the ratio F/f (which must be
+non-decreasing for the designer's first-order condition to have a unique
+fixed point) and the quantile function. Each takes one float and returns one
+float, in plain ``math``: every fixed point evaluates them at one threshold
+at a time. ``sample`` returns a numpy array of seeded draws, and imports
+numpy only when called. The Monte Carlo kernel in ``simulation`` draws
+counts with probability F, not costs, so it uses no samples.
 
 Three families are supported:
 
@@ -19,11 +22,8 @@ parameters.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 UNIFORM = "uniform"
 POWER = "power"
@@ -36,18 +36,8 @@ _FAMILIES = (UNIFORM, POWER, EXPONENTIAL)
 _EFFECTIVE_TAIL = 1e-12
 
 
-def _elementwise(method):
-    """Evaluate a cost-law method on a float array of at least one dimension
-    and give a scalar argument a float back. A scalar goes through a 1-element
-    array, not a 0-d one: numpy's 0-d ``**`` can differ in the last bit."""
-
-    @functools.wraps(method)
-    def wrapper(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = method(self, np.atleast_1d(arr))
-        return float(out[0]) if arr.ndim == 0 else out
-
-    return wrapper
+def _clip01(v: float) -> float:
+    return min(max(v, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -111,24 +101,22 @@ class CostDistribution:
         """
         if math.isfinite(self.c_high):
             return self.c_high
-        return float(self.quantile(1.0 - _EFFECTIVE_TAIL))
+        return self.quantile(1.0 - _EFFECTIVE_TAIL)
 
     # -- distribution functions --------------------------------------------
 
-    @_elementwise
-    def cdf(self, x):
+    def cdf(self, x: float) -> float:
         """F(c); clamps to 0 below c_low and to 1 above c_high."""
         span = self.c_high - self.c_low
         if self.kind == UNIFORM:
             out = (x - self.c_low) / span
         elif self.kind == POWER:
-            out = np.clip((x - self.c_low) / span, 0.0, 1.0) ** self.alpha
+            out = _clip01((x - self.c_low) / span) ** self.alpha
         else:
-            out = -np.expm1(-self.rate * np.maximum(x - self.c_low, 0.0))
-        return np.clip(out, 0.0, 1.0)
+            out = -math.expm1(-self.rate * max(x - self.c_low, 0.0))
+        return _clip01(out)
 
-    @_elementwise
-    def sf(self, x):
+    def sf(self, x: float) -> float:
         """1 - F(c) in closed form, so it keeps its digits where F rounds to 1;
         clamps to 1 below c_low and to 0 above c_high.
 
@@ -142,65 +130,71 @@ class CostDistribution:
         if self.kind == UNIFORM:
             out = (self.c_high - x) / span
         elif self.kind == POWER:
-            t = np.clip((x - self.c_low) / span, 0.0, 1.0)
-            with np.errstate(divide="ignore"):
-                log_t = np.where(
-                    t < 0.5,
-                    np.log(t),
-                    np.log1p(-np.clip((self.c_high - x) / span, 0.0, 1.0)),
-                )
-            out = -np.expm1(self.alpha * log_t)
+            t = _clip01((x - self.c_low) / span)
+            if t == 0.0:
+                return 1.0
+            if t < 0.5:
+                log_t = math.log(t)
+            else:
+                log_t = math.log1p(-_clip01((self.c_high - x) / span))
+            out = -math.expm1(self.alpha * log_t)
         else:
-            out = np.exp(-self.rate * np.maximum(x - self.c_low, 0.0))
-        return np.clip(out, 0.0, 1.0)
+            out = math.exp(-self.rate * max(x - self.c_low, 0.0))
+        return _clip01(out)
 
-    @_elementwise
-    def pdf(self, x):
+    def pdf(self, x: float) -> float:
         """f(c); zero outside the support."""
-        inside = (x >= self.c_low) & (x <= self.c_high)
+        if not self.c_low <= x <= self.c_high:
+            return 0.0
         span = self.c_high - self.c_low
         if self.kind == UNIFORM:
-            return np.where(inside, 1.0 / span, 0.0)
+            return 1.0 / span
         if self.kind == POWER:
-            t = np.clip((x - self.c_low) / span, 0.0, 1.0)
-            with np.errstate(divide="ignore"):
-                return np.where(inside, self.alpha / span * t ** (self.alpha - 1.0), 0.0)
-        return np.where(inside, self.rate * np.exp(-self.rate * np.maximum(x - self.c_low, 0.0)), 0.0)
+            t = _clip01((x - self.c_low) / span)
+            try:
+                return self.alpha / span * t ** (self.alpha - 1.0)
+            except (ZeroDivisionError, OverflowError):  # alpha < 1 and t at or near 0
+                return math.inf
+        return self.rate * math.exp(-self.rate * max(x - self.c_low, 0.0))
 
-    @_elementwise
-    def hazard_ratio(self, x):
+    def hazard_ratio(self, x: float) -> float:
         """F(c)/f(c) in closed form; returns the limit 0 at and below c_low.
 
         uniform:      c - c_low
         power:        (c - c_low) / alpha
         exponential:  (exp(rate (c - c_low)) - 1) / rate
         """
-        d = np.maximum(np.minimum(x, self.c_high) - self.c_low, 0.0)
+        d = max(min(x, self.c_high) - self.c_low, 0.0)
         if self.kind == UNIFORM:
             return d
         if self.kind == POWER:
             return d / self.alpha
-        return np.expm1(self.rate * d) / self.rate
+        try:
+            return math.expm1(self.rate * d) / self.rate
+        except OverflowError:  # an open bracket search can step past rate d = 709.78
+            return math.inf
 
-    @_elementwise
-    def quantile(self, x):
+    def quantile(self, u: float) -> float:
         """Inverse CDF; rejects levels outside [0, 1]."""
-        if np.any((x < 0.0) | (x > 1.0)) or np.any(np.isnan(x)):
+        if not 0.0 <= u <= 1.0:
             raise ValueError("quantile level must lie in [0, 1]")
         span = self.c_high - self.c_low
         if self.kind == UNIFORM:
-            return self.c_low + x * span
+            return self.c_low + u * span
         if self.kind == POWER:
-            return self.c_low + span * x ** (1.0 / self.alpha)
-        with np.errstate(divide="ignore"):
-            return self.c_low - np.log1p(-x) / self.rate
+            return self.c_low + span * u ** (1.0 / self.alpha)
+        if u == 1.0:
+            return math.inf
+        return self.c_low - math.log1p(-u) / self.rate
 
-    def sample(self, seed: int, count: int) -> np.ndarray:
-        """``count`` iid draws; a pure function of (seed, count)."""
+    def sample(self, seed: int, count: int) -> "numpy.ndarray":
+        """``count`` iid draws as a float array; a pure function of (seed, count)."""
+        import numpy as np
+
         if count < 0:
             raise ValueError("count must be >= 0")
-        rng = np.random.default_rng(seed)
-        return np.asarray(self.quantile(rng.random(count)))
+        levels = np.random.default_rng(seed).random(count).tolist()
+        return np.fromiter(map(self.quantile, levels), dtype=float, count=count)
 
     # -- config-file form ---------------------------------------------------
 

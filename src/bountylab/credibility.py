@@ -41,7 +41,7 @@ class CommitmentRecord:
             raise ValueError(f"unrecognized commitment scheme {self.scheme!r}")
         if len(self.digest) != DIGEST_LEN:
             raise ValueError("digest must be exactly 32 bytes")
-        _check_line(self.created_at, "created_at")
+        _check_line(self.created_at, "created_at", "ascii")
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,15 @@ class RevealRecord:
             raise ValueError("salt must be exactly 32 bytes")
 
 
-def _check_line(text: str, name: str) -> None:
-    """Reject a field that str.splitlines, and so the file readers, would split."""
+def _check_line(text: str, name: str, encoding: str) -> None:
+    """Reject a field that str.splitlines, and so the file readers, would
+    split, or that its file's ``encoding`` cannot write."""
     if "".join(text.splitlines()) != text:
         raise ValueError(f"{name} must not contain a line break")
+    try:
+        text.encode(encoding)
+    except UnicodeEncodeError:
+        raise ValueError(f"{name} must encode as {encoding.upper()}") from None
 
 
 def commit(payload: bytes, salt: bytes | None = None, created_at: str | None = None) -> CommitmentRecord:
@@ -128,7 +133,7 @@ def read_commitment_file(path) -> CommitmentRecord:
 def write_reveal_file(salt: bytes, payload_path: str, path) -> None:
     if len(salt) != SALT_LEN:
         raise ValueError("salt must be exactly 32 bytes")
-    _check_line(payload_path, "payload path")
+    _check_line(payload_path, "payload path", "utf-8")
     text = f"{salt.hex()}\n{payload_path}\n"
     Path(path).write_bytes(text.encode("utf-8"))
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,8 @@ def _figure1_at_q_a(q_a):
         ("figures", "$.figures.grid_points", lambda c: c.update(figures={"grid_points": MAX_GRID_POINTS + 1})),
         ("figures", "$.figures.n_list_curves", lambda c: c.update(figures={"which": [3], "n_list_curves": []})),
         ("figures", "$.n_list", lambda c: c.update(n_list=[], figures={"which": [3]})),
+        ("figures", "$.figures.which", lambda c: c.update(figures={"which": []})),
+        ("figures", "$.figures.n_list_distance", lambda c: c.update(figures={"which": [5], "n_list_distance": []})),
         ("figures", "$.figures.q_a_fig1", _figure1_at_q_a(1e-310)),
         ("figures", "$.figures.q_a_fig1", _figure1_at_q_a(5e-324)),
         ("design", "$.figures.grid_points", lambda c: c.update(figures={"grid_points": -3})),
@@ -184,7 +187,8 @@ def _figure1_at_q_a(q_a):
     ids=[
         "n_list_distance_below_2", "n_list_curves_above_max", "n_list_curves_zero", "n_list_zero",
         "w_list_negative", "q_a_fig1_above_1", "q_a_fig5_zero", "grid_points_negative",
-        "grid_points_above_max", "n_list_curves_empty", "n_list_empty", "q_a_fig1_overflow",
+        "grid_points_above_max", "n_list_curves_empty", "n_list_empty", "which_empty",
+        "n_list_distance_empty", "q_a_fig1_overflow",
         "q_a_fig1_underflow",
         "unused_figures_value", "fig5_c_low_zero", "fig3_c_low_zero", "which", "fig1_two_bugs",
         "mode", "v_length", "alpha_on_uniform", "rate_on_power", "kind", "bug_not_object",
@@ -586,27 +590,33 @@ def test_commit_with_a_relative_payload_verifies(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "verified: true\n"
 
 
+_LINE_BREAK = "{} must not contain a line break"
+
+
 @pytest.mark.parametrize(
-    "timestamp, payload_name, field",
+    "timestamp, payload_name, message",
     [
-        ("2026-01-01T00:00:00Z\nextra", "seed.bin", "created_at"),
-        ("2026-01-01T00:00:00Z\n", "seed.bin", "created_at"),
-        ("2026-01-01T00:00:00Z\rextra", "seed.bin", "created_at"),
-        ("2026-01-01T00:00:00Z\x0cextra", "seed.bin", "created_at"),
-        ("2026-01-01T00:00:00Z\u2028extra", "seed.bin", "created_at"),
-        ("2026-01-01T00:00:00Z", "a\nb.bin", "payload path"),
-        ("2026-01-01T00:00:00Z", "a\rb.bin", "payload path"),
+        ("2026-01-01T00:00:00Z\nextra", "seed.bin", _LINE_BREAK.format("created_at")),
+        ("2026-01-01T00:00:00Z\n", "seed.bin", _LINE_BREAK.format("created_at")),
+        ("2026-01-01T00:00:00Z\rextra", "seed.bin", _LINE_BREAK.format("created_at")),
+        ("2026-01-01T00:00:00Z\x0cextra", "seed.bin", _LINE_BREAK.format("created_at")),
+        ("2026-01-01T00:00:00Z\u2028extra", "seed.bin", _LINE_BREAK.format("created_at")),
+        ("2026-01-01T00:00:00Z", "a\nb.bin", _LINE_BREAK.format("payload path")),
+        ("2026-01-01T00:00:00Z", "a\rb.bin", _LINE_BREAK.format("payload path")),
+        ("2026-01-01T00:00:00Z\u00e9", "seed.bin", "created_at must encode as ASCII"),
+        ("2026-01-01T00:00:00Z", os.fsdecode(b"\xff.bin"), "payload path must encode as UTF-8"),
     ],
     ids=["timestamp_lf", "timestamp_trailing_lf", "timestamp_cr", "timestamp_ff",
-         "timestamp_line_separator", "payload_lf", "payload_cr"],
+         "timestamp_line_separator", "payload_lf", "payload_cr", "timestamp_non_ascii",
+         "payload_not_utf8"],
 )
-def test_commit_rejects_a_line_break_and_writes_nothing(tmp_path, capsys, timestamp, payload_name, field):
+def test_commit_rejects_a_line_break_and_writes_nothing(tmp_path, capsys, timestamp, payload_name, message):
     (tmp_path / payload_name).write_bytes(bytes(32))
     argv = ["commit", "--payload", str(tmp_path / payload_name), "--salt-hex", "00" * 32,
             "--timestamp", timestamp, "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {field} must not contain a line break\n"
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 

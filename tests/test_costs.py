@@ -7,6 +7,11 @@ import pytest
 from bountylab import CostDistribution
 
 
+def _each(f, xs):
+    """f at each point of xs, as a float array."""
+    return np.array([f(float(x)) for x in xs])
+
+
 def test_cdf_closed_forms(uniform01):
     assert uniform01.cdf(0.5) == 0.5
     assert CostDistribution.power(0.0, 1.0, 2.0).cdf(0.5) == 0.25
@@ -34,7 +39,7 @@ def test_pdf_integrates_to_one():
         CostDistribution.exponential(0.5, 2.0),
     ):
         grid = np.linspace(dist.c_low + 1e-9, dist.upper_bound(), 200001)
-        mass = np.trapezoid(dist.pdf(grid), grid)
+        mass = np.trapezoid(_each(dist.pdf, grid), grid)
         assert mass == pytest.approx(1.0, abs=2e-3)
 
 
@@ -54,7 +59,9 @@ def test_hazard_matches_cdf_over_pdf():
     ):
         grid = np.linspace(dist.c_low + 1e-6, dist.upper_bound() * 0.9, 101)
         np.testing.assert_allclose(
-            dist.hazard_ratio(grid), dist.cdf(grid) / dist.pdf(grid), rtol=1e-9
+            _each(dist.hazard_ratio, grid),
+            _each(dist.cdf, grid) / _each(dist.pdf, grid),
+            rtol=1e-9,
         )
 
 
@@ -66,11 +73,11 @@ def test_grid_properties_all_families():
         CostDistribution.exponential(0.0, 3.0),
     ):
         grid = np.linspace(dist.c_low, dist.upper_bound(), 1024)
-        cdf = dist.cdf(grid)
+        cdf = _each(dist.cdf, grid)
         assert np.all((cdf >= 0.0) & (cdf <= 1.0))
         assert np.all(np.diff(cdf) >= 0.0)
-        assert np.all(dist.pdf(grid[1:]) >= 0.0)
-        h = dist.hazard_ratio(grid)
+        assert np.all(_each(dist.pdf, grid[1:]) >= 0.0)
+        h = _each(dist.hazard_ratio, grid)
         assert np.all(np.diff(h) >= -1e-12)
 
 
@@ -87,6 +94,16 @@ def test_quantile_rejects_bad_levels(uniform01):
         uniform01.quantile(1.5)
 
 
+def test_values_where_math_raises():
+    # the limits, not ZeroDivisionError, OverflowError or a domain error
+    assert CostDistribution.power(0.0, 1.0, 0.5).pdf(0.0) == math.inf
+    assert CostDistribution.power(0.0, 1.0, 0.01).pdf(1e-320) == math.inf
+    assert CostDistribution.exponential(0.0, 1.0).quantile(1.0) == math.inf
+    assert CostDistribution.exponential(0.0, 1.0).hazard_ratio(1000.0) == math.inf
+    with pytest.raises(ValueError):
+        CostDistribution.uniform(0.0, 1.0).quantile(math.nan)
+
+
 def test_quantile_cdf_roundtrip():
     rng = np.random.default_rng(7)
     for dist in (
@@ -95,10 +112,10 @@ def test_quantile_cdf_roundtrip():
         CostDistribution.power(-0.5, 3.0, 2.0),
         CostDistribution.exponential(0.25, 1.5),
     ):
-        c = dist.quantile(rng.uniform(1e-6, 1.0 - 1e-6, size=500))
-        np.testing.assert_allclose(dist.quantile(dist.cdf(c)), c, atol=1e-10)
+        c = _each(dist.quantile, rng.uniform(1e-6, 1.0 - 1e-6, size=500))
+        np.testing.assert_allclose(_each(dist.quantile, _each(dist.cdf, c)), c, atol=1e-10)
         u = rng.uniform(1e-6, 1.0 - 1e-6, size=500)
-        np.testing.assert_allclose(dist.cdf(dist.quantile(u)), u, atol=1e-10)
+        np.testing.assert_allclose(_each(dist.cdf, _each(dist.quantile, u)), u, atol=1e-10)
 
 
 def test_validate_rejects_bad_parameters():
@@ -134,7 +151,7 @@ def test_sample_matches_cdf_ks():
     ):
         x = np.sort(dist.sample(123, 10**5))
         n = len(x)
-        fx = dist.cdf(x)
+        fx = _each(dist.cdf, x)
         i = np.arange(1, n + 1)
         ks = max(np.max(i / n - fx), np.max(fx - (i - 1) / n))
         assert ks < 0.01
@@ -168,7 +185,7 @@ def test_sf_complements_cdf(dist):
     # t = (c - c_low) / span once, and the power cdf's t**alpha carries alpha
     # times that rounding, hence the (1 + alpha) ulps.
     grid = _sf_grid(dist)
-    pairs = zip(dist.cdf(grid), dist.sf(grid))
+    pairs = zip(_each(dist.cdf, grid), _each(dist.sf, grid))
     err = max(abs(math.fsum((F, S, -1.0))) for F, S in pairs)
     assert err <= (1.0 + dist.alpha) * np.finfo(float).eps
     assert dist.sf(dist.c_low - 1.0) == 1.0
@@ -179,7 +196,7 @@ def test_sf_complements_cdf(dist):
 @pytest.mark.parametrize("dist", SF_LAWS, ids=lambda d: f"{d.kind}-{d.alpha}")
 def test_sf_matches_the_reference_on_the_grid(dist):
     grid = _sf_grid(dist)
-    for c, S in zip(grid, dist.sf(grid)):
+    for c, S in zip(grid, _each(dist.sf, grid)):
         ref = _sf_reference(dist, c)
         assert abs(S - ref) <= 1e-15 * ref, c
 
@@ -192,6 +209,30 @@ def _sf_reference(dist, c):
             return mpmath.exp(-mpmath.mpf(dist.rate) * max(c - lo, 0))
         t = min(max((c - lo) / (mpmath.mpf(dist.c_high) - lo), 0), 1)
         return 1 - t ** mpmath.mpf(dist.alpha)
+
+
+@pytest.mark.parametrize("dist", SF_LAWS, ids=lambda d: f"{d.kind}-{d.alpha}")
+def test_cdf_and_hazard_match_the_reference_on_the_grid(dist):
+    # cdf carries the (1 + alpha) ulps of t**alpha, as in test_sf_complements_cdf
+    eps = np.finfo(float).eps
+    for c in _sf_grid(dist):
+        F_ref, H_ref = _cdf_and_hazard_reference(dist, c)
+        assert abs(dist.cdf(float(c)) - F_ref) <= (1.0 + dist.alpha) * eps * F_ref, c
+        assert abs(dist.hazard_ratio(float(c)) - H_ref) <= 1e-15 * H_ref, c
+
+
+def _cdf_and_hazard_reference(dist, c):
+    """F(c) and F(c)/f(c) at 50 digits. F is taken directly, not as 1 - sf:
+    at 50 digits 1 - sf would lose every digit of a t**3 of 1e-60."""
+    with mpmath.workdps(50):
+        c, lo = mpmath.mpf(c), mpmath.mpf(dist.c_low)
+        if dist.kind == "exponential":
+            rd = mpmath.mpf(dist.rate) * max(c - lo, 0)
+            return -mpmath.expm1(-rd), mpmath.expm1(rd) / mpmath.mpf(dist.rate)
+        span = mpmath.mpf(dist.c_high) - lo
+        d = min(max(c - lo, 0), span)
+        alpha = mpmath.mpf(dist.alpha)
+        return (d / span) ** alpha, d / alpha
 
 
 @pytest.mark.parametrize(
