@@ -17,8 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import asymptotic, credibility, design
 from .costs import CostDistribution
 from .game import (
@@ -72,6 +70,17 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
+
+
+def _linspace(lo: float, hi: float, k: int) -> list[float]:
+    """``k`` evenly spaced floats from ``lo`` to ``hi``, equal bit for bit to
+    ``numpy.linspace(lo, hi, k).tolist()``."""
+    if k <= 1:
+        return [lo + 0.0 * (hi - lo)] * k
+    step = (hi - lo) / (k - 1)
+    if step == 0.0:  # the span is subnormal: numpy scales i / (k - 1) instead
+        return [lo + i / (k - 1) * (hi - lo) for i in range(k - 1)] + [hi]
+    return [lo + i * step for i in range(k - 1)] + [hi]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -350,7 +359,7 @@ def _figures(cfg: RunConfig) -> list[Table]:
     grid_points = params["grid_points"]
     lo = max(game.dist.c_low, 0.0)
     hi = game.dist.upper_bound()
-    c_grid = np.linspace(lo, hi, grid_points)
+    c_grid = _linspace(lo, hi, grid_points)
     tables: list[Table] = []
 
     if 1 in which:
@@ -363,9 +372,11 @@ def _figures(cfg: RunConfig) -> list[Table]:
             if not (a_art > 0.0 and math.isfinite(c_target / a_art)):
                 raise ConfigError("$.figures.q_a_fig1", f"q_a = {q_a} leaves v_a unbounded")
             v_max = c_target / a_org if a_org > 0 else 0.0
-            for v in np.linspace(0.0, v_max, grid_points):
+            if not math.isfinite(v_max):
+                raise ConfigError("$.game.bugs[0].q", f"q = {game.bugs[0].q} leaves v unbounded")
+            for v in _linspace(0.0, v_max, grid_points):
                 rows.append([f"qa_{q_a:.6g}", q_a, v, (c_target - a_org * v) / a_art])
-        for v in np.linspace(0.0, game.budget, grid_points):
+        for v in _linspace(0.0, game.budget, grid_points):
             rows.append(["budget", "", v, game.budget - v])
         tables.append(("fig1_solution_sets.csv", ["curve", "q_a", "v", "v_a"], rows))
 

@@ -24,14 +24,16 @@ report row reads as a z-test.
 Randomness is counter-based: trial chunks of fixed size draw from Philox
 streams keyed by (seed, chunk index), so runs are reproducible bit-for-bit
 and chunks could be evaluated in parallel without changing the result.
+
+numpy is imported by the functions that draw and tally, not when the module
+loads, so ``import bountylab`` and every CLI mode but ``simulate`` run
+without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .game import (
     GameConfig,
@@ -100,7 +102,9 @@ class SimReport:
         return out
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
+def _chunk_rng(seed: int, index: int) -> "numpy.random.Generator":
+    import numpy as np
+
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -114,6 +118,8 @@ def _chunks(sim: SimConfig):
 def _bug_arrays(prizes: PrizeSchedule, game: GameConfig):
     """mu and w per organic bug, then q and the prize per bug, organic
     bugs first and artificial entries after them, as arrays."""
+    import numpy as np
+
     bugs, art = game.bugs, prizes.artificial
     columns = [
         [b.mu for b in bugs],
@@ -130,6 +136,8 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
     exists, found and won (L+K, m) -- agent 0 searches, the bug exists
     (artificial entries always do), someone finds it, agent 0 wins its
     prize. A pinned agent 0 always searches."""
+    import numpy as np
+
     dist = game.dist
     if not dist.c_low <= sim.threshold <= dist.c_high:
         raise ValueError("threshold must lie within the cost support")
@@ -177,6 +185,8 @@ def _mean_stat(name, total, total_sq, count, closed):
 
 def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimReport:
     """Run the stage game sim.trials times at the given threshold strategy."""
+    import numpy as np
+
     L = len(game.bugs)
     _, ws, q, prize = _bug_arrays(prizes, game)
     J = len(q)

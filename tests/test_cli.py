@@ -2,11 +2,15 @@ import csv
 import json
 import math
 import os
+import random
+import struct
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bountylab.cli import MAX_GRID_POINTS, main
+from bountylab.cli import MAX_GRID_POINTS, _linspace, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -153,6 +157,16 @@ def _figure1_at_q_a(q_a):
     return lambda c: c.update(figures={"which": [1], "grid_points": 3, "q_a_fig1": [q_a]})
 
 
+def _figure1_at_q(q):
+    # on uniform(1, 2) so small an organic q makes v_max = c_tilde / Phi(c_tilde; q) overflow
+    def poison(cfg):
+        cfg["game"]["dist"] = {"kind": "uniform", "c_low": 1.0, "c_high": 2.0}
+        cfg["game"]["bugs"][0]["q"] = q
+        cfg["figures"] = {"which": [1], "grid_points": 3}
+
+    return poison
+
+
 @pytest.mark.parametrize(
     "mode, path, poison",
     [
@@ -171,6 +185,8 @@ def _figure1_at_q_a(q_a):
         ("figures", "$.figures.n_list_distance", lambda c: c.update(figures={"which": [5], "n_list_distance": []})),
         ("figures", "$.figures.q_a_fig1", _figure1_at_q_a(1e-310)),
         ("figures", "$.figures.q_a_fig1", _figure1_at_q_a(5e-324)),
+        ("figures", "$.game.bugs[0].q", _figure1_at_q(1e-308)),
+        ("figures", "$.game.bugs[0].q", _figure1_at_q(1e-310)),
         ("design", "$.figures.grid_points", lambda c: c.update(figures={"grid_points": -3})),
         ("figures", "$.game.dist.c_low", lambda c: c.update(figures={"which": [5]})),
         ("figures", "$.game.dist.c_low", lambda c: c.update(figures={"which": [3]})),
@@ -189,7 +205,7 @@ def _figure1_at_q_a(q_a):
         "w_list_negative", "q_a_fig1_above_1", "q_a_fig5_zero", "grid_points_negative",
         "grid_points_above_max", "n_list_curves_empty", "n_list_empty", "which_empty",
         "n_list_distance_empty", "q_a_fig1_overflow",
-        "q_a_fig1_underflow",
+        "q_a_fig1_underflow", "q_fig1_overflow", "q_fig1_subnormal",
         "unused_figures_value", "fig5_c_low_zero", "fig3_c_low_zero", "which", "fig1_two_bugs",
         "mode", "v_length", "alpha_on_uniform", "rate_on_power", "kind", "bug_not_object",
         "budget_missing",
@@ -484,6 +500,39 @@ def test_failing_figures_run_writes_no_csv(tmp_path, capsys):
     assert "$.game.dist.c_low" in captured.err
     assert captured.out == ""
     assert not list(tmp_path.glob("*.csv"))
+
+
+def _random_end(rng):
+    """A float from ordinary magnitudes, any exponent, or the specials."""
+    pick = rng.randrange(3)
+    if pick == 0:
+        return rng.uniform(-10.0, 10.0)
+    if pick == 1:
+        return math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1080, 1023))
+    return rng.choice([0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1.0])
+
+
+def test_linspace_matches_numpy_bit_for_bit():
+    rng = random.Random(20241)
+    underflows = 0
+    for _ in range(20_000):
+        lo = _random_end(rng)
+        span = rng.randrange(4)
+        if span == 0:  # a zero span
+            hi = lo
+        elif span == 1:  # a span of a few subnormal steps, so the step can underflow
+            lo = rng.randint(-100, 100) * 5e-324
+            hi = lo + rng.randint(1, 100) * 5e-324
+        else:
+            hi = _random_end(rng)
+        if rng.random() < 0.5:
+            lo, hi = hi, lo
+        k = rng.choice([0, 1, 2, 3, 201, rng.randint(0, 60)])
+        got, want = _linspace(lo, hi, k), np.linspace(lo, hi, k)
+        if struct.pack(f"{k}d", *got) != want.tobytes():  # every bit, signed zeros included
+            assert [x.hex() for x in got] == [x.hex() for x in want.tolist()], (lo.hex(), hi.hex(), k)
+        underflows += k > 1 and hi != lo and (hi - lo) / (k - 1) == 0.0
+    assert underflows > 500, underflows  # the draws reach numpy's subnormal branch
 
 
 # -- credibility subcommands -------------------------------------------------------
