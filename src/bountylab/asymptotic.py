@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass
 
 from .design import (
-    _beneficial_from,
     _best_single_bug,
     _bug_value,
-    _canonical_schedule,
+    _design,
     _planted,
     _slice_coeffs,
     _vertices,
@@ -111,7 +110,7 @@ def solve_kappa_star(prizes: PrizeSchedule, config: GameConfig) -> PublicOutcome
 
 def detect_prob_infinity(q: float, kappa: float) -> float:
     """P_inf(q) = 1 - exp(-q kappa)."""
-    if kappa < 0.0:
+    if not kappa >= 0.0:
         raise ValueError("kappa must be >= 0")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
@@ -121,7 +120,7 @@ def detect_prob_infinity(q: float, kappa: float) -> float:
 def utility_infinity(kappa: float, config: GameConfig) -> float:
     """W_inf(kappa): limiting designer objective at participation kappa."""
     c_low = _require_positive_floor(config)
-    if kappa < 0.0:
+    if not kappa >= 0.0:
         raise ValueError("kappa must be >= 0")
     return _bug_value(config, lambda q: _p_inf(q, kappa)) - kappa * c_low
 
@@ -213,10 +212,11 @@ class PublicDesignReport:
 def optimize_public(config: GameConfig) -> PublicDesignReport:
     """Optimal limiting participation min(kappa_tilde, kappa_a) and prizes.
 
-    Canonical prize selection mirrors the finite-n designer: all budget on a
-    q_a = 1 artificial bug when beneficial, otherwise the single best organic
-    bug scaled to the target. Violations of the standing assumptions
-    (budget >= c_low, sum w mu q >= c_low) are reported, not clamped away.
+    This is the finite-n designer's algorithm (``design._design``) on the
+    limit stage model: all budget on a q_a = 1 artificial bug when
+    beneficial, otherwise the single best organic bug scaled to the target.
+    Violations of the standing assumptions (budget >= c_low,
+    sum w mu q >= c_low) are reported, not clamped away.
     """
     c_low = _require_positive_floor(config)
     notes = []
@@ -228,16 +228,9 @@ def optimize_public(config: GameConfig) -> PublicDesignReport:
     kt = solve_kappa_tilde(config)
     ka = solve_kappa_a(config.budget, config)
     k0 = solve_kappa0(config.budget, config)
-    beneficial, marginal = _beneficial_from(kt, ka, k0.kappa_0)
-    k_star = min(kt, ka)
-
-    if k_star <= 0.0:
-        schedule = PrizeSchedule.zero(len(config.bugs))
-    else:
-        schedule = _canonical_schedule(
-            config, k_star * c_low, lambda q: _p_inf(q, k_star), beneficial, k0.best_bug
-        )
-
+    k_star, beneficial, marginal, schedule = _design(
+        config, kt, ka, k0, lambda k: (k * c_low, k, lambda q: _p_inf(q, k)), True
+    )
     return PublicDesignReport(
         kappa_tilde=kt,
         kappa_a=ka,

@@ -28,6 +28,7 @@ from .game import (
     PrizeSchedule,
     _detect,
     _log_miss,
+    _phi,
     solve_equilibrium,
     win_prob_phi,
 )
@@ -126,14 +127,6 @@ class BenefitVerdict:
     marginal: bool  # |margin| within the tolerance band
 
 
-def _beneficial_from(c_tilde: float, c_a: float, c_0: float) -> tuple[bool, bool]:
-    # An artificial bug pays off iff it moves the constrained optimum, i.e.
-    # min(c_tilde, c_a) > c_0. On any config whose best organic bug has
-    # mu q < 1 this is the plain c_tilde > c_0 test (since then c_a > c_0);
-    # the min() guard only matters when c_0 = c_a and nothing can be gained.
-    return min(c_tilde, c_a) - c_0 > MARGINAL_BAND, abs(c_tilde - c_0) <= MARGINAL_BAND
-
-
 def is_artificial_beneficial(config: GameConfig) -> BenefitVerdict:
     """Does an artificial bug strictly raise achievable designer utility?
 
@@ -175,25 +168,18 @@ def optimize(config: GameConfig, allow_artificial: bool = True) -> DesignReport:
     organic bug, scaled to hit the target threshold exactly. With
     ``allow_artificial=False`` the threshold is capped at c_0 instead of c_a.
     """
+    n, dist = config.n, config.dist
     c_tilde = solve_c_tilde(config)
     c_a = solve_c_a(config.budget, config)
     c0b = solve_c0(config.budget, config)
-    beneficial, marginal = _beneficial_from(c_tilde, c_a, c0b.c_0)
-    cap = c_a if allow_artificial else c0b.c_0
-    c_hat_star = min(c_tilde, cap)
 
-    floor = max(config.dist.c_low, 0.0)
-    if c_hat_star <= floor or config.dist.cdf(c_hat_star) <= 0.0:
-        schedule = PrizeSchedule.zero(len(config.bugs))
-    else:
-        schedule = _canonical_schedule(
-            config,
-            c_hat_star,
-            lambda q: win_prob_phi(c_hat_star, q, config.n, config.dist),
-            allow_artificial and beneficial,
-            c0b.best_bug,
-        )
+    def incentive(c: float):
+        F = dist.cdf(c)
+        return c, F, lambda q: _phi(c, F, q, n, dist)
 
+    c_hat_star, beneficial, marginal, schedule = _design(
+        config, c_tilde, c_a, c0b, incentive, allow_artificial
+    )
     return DesignReport(
         c_tilde=c_tilde,
         c_a=c_a,
@@ -209,21 +195,35 @@ def optimize(config: GameConfig, allow_artificial: bool = True) -> DesignReport:
     )
 
 
-def _canonical_schedule(
-    config: GameConfig,
-    target: float,
-    unit: Callable[[float], float],
-    artificial: bool,
-    best_bug: int,
-) -> PrizeSchedule:
-    """Cheapest schedule whose incentive reaches ``target``, capped at the
-    budget. ``unit(q)`` is the incentive one prize unit buys on a bug of find
-    probability q; the money goes on a q_a = 1 artificial bug when
-    ``artificial``, otherwise on organic bug ``best_bug``."""
-    if artificial:
-        return _planted(config, min(target / unit(1.0), config.budget))
-    bug = config.bugs[best_bug]
-    return _on_bug(config, best_bug, min(target / (bug.mu * unit(bug.q)), config.budget))
+def _design(
+    config: GameConfig, free: float, cap: float, single, incentive, allow_artificial: bool
+) -> tuple[float, bool, bool, PrizeSchedule]:
+    """The designer algorithm of the invited and the public program, run on
+    their three solves: the free optimum, the cap (the whole budget on one
+    q_a = 1 planted bug) and the best single-organic-bug breakdown. Returns
+    the level min(free, cap), or min(free, level_0) without an artificial
+    bug, the verdict, its marginal flag and the minimal-spend schedule.
+    ``incentive(level)`` returns the incentive the level needs, its
+    participation, and ``unit(q)``, the incentive one prize unit buys on a
+    bug of find probability q."""
+    level_0 = single.per_bug[single.best_bug]
+    # An artificial bug pays off iff it moves the constrained optimum, i.e.
+    # min(free, cap) > level_0. On any config whose best organic bug has
+    # mu q < 1 this is the plain free > level_0 test (since then cap > level_0);
+    # the min() guard only matters when level_0 = cap and nothing can be gained.
+    beneficial = min(free, cap) - level_0 > MARGINAL_BAND
+    marginal = abs(free - level_0) <= MARGINAL_BAND
+    level = min(free, cap if allow_artificial else level_0)
+    target, participation, unit = incentive(level)
+    if target <= 0.0 or participation <= 0.0:
+        schedule = PrizeSchedule.zero(len(config.bugs))
+    elif allow_artificial and beneficial:
+        schedule = _planted(config, min(target / unit(1.0), config.budget))
+    else:
+        bug = config.bugs[single.best_bug]
+        v_l = min(target / (bug.mu * unit(bug.q)), config.budget)
+        schedule = _on_bug(config, single.best_bug, v_l)
+    return level, beneficial, marginal, schedule
 
 
 def collapse_artificial(prizes: PrizeSchedule, config: GameConfig) -> PrizeSchedule:

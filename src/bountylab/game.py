@@ -19,6 +19,7 @@ end of the cost support when Psi never crosses the identity (solve_equilibrium).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -26,9 +27,10 @@ from typing import NamedTuple
 from .costs import CostDistribution
 from .rootfind import bisect_decreasing
 
-# Below this participation level Phi switches to its analytic limit q,
-# avoiding the 0/0 in P / (n F).
-_F_FLOOR = 1e-14
+# Phi switches to its analytic limit q only where q F is below the smallest
+# normal float, avoiding the 0/0 in P / (n F); above it P / (n F) is exact to
+# rounding. A constant, since an attribute lookup per Phi call is measurable.
+_TINY = sys.float_info.min
 
 # Largest n for which the combinatorial oracle is allowed to run.
 ORACLE_MAX_N = 25
@@ -154,7 +156,7 @@ def _detect(c: float, F: float, q: float, n: int, dist: CostDistribution) -> flo
 def _phi(c: float, F: float, q: float, n: int, dist: CostDistribution) -> float:
     if q <= 0.0:
         return 0.0
-    if F < _F_FLOOR:
+    if q * F < _TINY:
         return q
     return _detect(c, F, q, n, dist) / (n * F)
 

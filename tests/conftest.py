@@ -32,14 +32,18 @@ def public_example():
 
 
 def random_game(rng: np.random.Generator, positive_floor: bool = False) -> GameConfig:
-    """Generic random instance for sweep tests."""
+    """Generic random instance for sweep tests, a third each uniform, power
+    and exponential."""
     n_bugs = int(rng.integers(1, 4))
     c_low = float(rng.uniform(0.5, 1.5)) if positive_floor else float(rng.uniform(-0.2, 0.5))
     c_high = c_low + float(rng.uniform(0.5, 2.0))
-    if rng.random() < 0.5:
+    family = rng.random()
+    if family < 1 / 3:
         dist = CostDistribution.uniform(c_low, c_high)
-    else:
+    elif family < 2 / 3:
         dist = CostDistribution.power(c_low, c_high, float(rng.uniform(0.5, 3.0)))
+    else:
+        dist = CostDistribution.exponential(c_low, float(rng.uniform(0.5, 3.0)))
     bugs = tuple(
         OrganicBug(
             mu=float(rng.uniform(0.2, 1.0)),

@@ -77,6 +77,14 @@ def test_detect_infinity_values():
     assert detect_prob_infinity(0.5, KAPPA_TILDE) == pytest.approx(0.6, abs=1e-14)
 
 
+@pytest.mark.parametrize("kappa", [-1.0, math.nan])
+def test_limit_functions_reject_bad_kappa(public_example, kappa):
+    with pytest.raises(ValueError, match="kappa must be >= 0"):
+        detect_prob_infinity(0.5, kappa)
+    with pytest.raises(ValueError, match="kappa must be >= 0"):
+        utility_infinity(kappa, public_example)
+
+
 def test_utility_infinity_values(public_example):
     assert utility_infinity(0.0, public_example) == 0.0
     assert utility_infinity(KAPPA_TILDE, public_example) == pytest.approx(

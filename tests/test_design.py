@@ -15,13 +15,15 @@ from bountylab import (
     is_artificial_beneficial,
     omega,
     optimize,
+    optimize_public,
     solution_set,
     solve_c0,
     solve_c_a,
     solve_c_tilde,
     solve_equilibrium,
+    solve_kappa_star,
 )
-from conftest import random_game
+from conftest import random_game, random_public_game
 
 
 def _with_budget(config, budget):
@@ -216,16 +218,36 @@ def test_optimize_worthless_bugs(uniform01):
     assert report.utility_at_optimum == 0.0
 
 
-def test_optimize_round_trip_sweep():
+def _invited(rng, allow_artificial):
+    config = random_game(rng)
+    r = optimize(config, allow_artificial=allow_artificial)
+    reached = solve_equilibrium(r.canonical_prizes, config).c_star
+    return config, (r.c_tilde, r.c_a, r.c_0, r.c_hat_star), r.canonical_prizes, reached
+
+
+def _public(rng, allow_artificial):
+    config = random_public_game(rng)
+    r = optimize_public(config)
+    reached = solve_kappa_star(r.prizes, config).kappa_star
+    return config, (r.kappa_tilde, r.kappa_a, r.kappa_0, r.kappa_hat_star), r.prizes, reached
+
+
+@pytest.mark.parametrize(
+    "designer, allow_artificial",
+    [(_invited, True), (_invited, False), (_public, True)],
+    ids=["optimize", "optimize_organic_only", "optimize_public"],
+)
+def test_optimize_round_trip_sweep(designer, allow_artificial):
+    """Both designers: the level is min(free, cap or level_0), the schedule
+    stays in budget, and solving its equilibrium gives the level back."""
     rng = np.random.default_rng(23)
-    for _ in range(100):
-        config = random_game(rng)
-        report = optimize(config)
-        assert report.spend <= config.budget + 1e-12
-        assert 0.0 <= report.c_0 <= report.c_a + 1e-12
-        assert report.c_hat_star == min(report.c_tilde, report.c_a)
-        out = solve_equilibrium(report.canonical_prizes, config)
-        assert abs(out.c_star - report.c_hat_star) <= 1e-8
+    for _ in range(200):
+        config, (free, cap, level_0, level), prizes, reached = designer(rng, allow_artificial)
+        assert 0.0 <= level_0 <= cap + 1e-12
+        assert level == min(free, cap if allow_artificial else level_0)
+        assert prizes.total_posted() <= config.budget + 1e-12
+        assert allow_artificial or not prizes.artificial
+        assert abs(reached - level) <= 1e-8
 
 
 def test_optimize_budget_constrained_spends_everything(private_example):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -51,6 +52,18 @@ def test_phi_bounds_and_monotonicity(uniform01):
 def test_phi_limit_at_zero_participation():
     dist = CostDistribution.uniform(1.0, 2.0)
     assert win_prob_phi(1.0, 0.7, 5, dist) == 0.7
+
+
+@pytest.mark.parametrize("n", [10**6, 10**10])
+@pytest.mark.parametrize("F", [1e-16, 0.99e-14, 1.01e-14, 1e-12])
+@pytest.mark.parametrize("q", [1.0, 0.3])
+def test_phi_near_zero_participation_matches_mpmath(uniform01, q, F, n):
+    # On uniform(0, 1) F(c) = c, so the threshold sets the participation F.
+    assert uniform01.cdf(F) == F
+    with mpmath.workdps(60):
+        F_mp = mpmath.mpf(F)
+        exact = -mpmath.expm1(n * mpmath.log1p(-mpmath.mpf(q) * F_mp)) / (n * F_mp)
+    assert win_prob_phi(F, q, n, uniform01) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 def test_oracle_trivial_cases(uniform01):
