@@ -38,7 +38,6 @@ from .game import GameConfig, PrizeSchedule, _check_prize_count, solve_equilibri
 from .rootfind import PINNED_LOW, bisect_decreasing
 
 MAX_TABLE_N = 10**6
-_EPS_BRACKET = 1e-12
 # Slack allowed on x >= 0 and sum(x) <= budget when accepting a projection.
 _FEAS_TOL = 1e-12
 
@@ -89,7 +88,11 @@ def solve_kappa_star(prizes: PrizeSchedule, config: GameConfig) -> PublicOutcome
     """
     c_low = _require_positive_floor(config)
     # Psi_inf is concave with Psi_inf(0) = 0, so a positive fixed point needs
-    # a slope above 1 at zero and Psi_inf above the diagonal just right of it.
+    # a slope s above 1 at zero. Since 1 - exp(-x) >= x - x^2/2, the gap
+    # Psi_inf(k) - k is at least (s - 1) k - S2 k^2 / 2 with
+    # S2 = (sum v mu q^2 + sum v_a q_a^2) / c_low <= s, as q <= 1. So the gap
+    # is positive at (s - 1) / s, which brackets the positive root from below
+    # however close s is to 1.
     slope = sum(p * b.mu * b.q for p, b in zip(prizes.v, config.bugs))
     slope += sum(a.v_a * a.q_a for a in prizes.artificial)
 
@@ -98,7 +101,8 @@ def solve_kappa_star(prizes: PrizeSchedule, config: GameConfig) -> PublicOutcome
 
     kappa = 0.0
     if slope / c_low > 1.0:
-        root, where = bisect_decreasing(gap, _EPS_BRACKET, prizes.total_posted() / c_low)
+        lower = (slope - c_low) / slope
+        root, where = bisect_decreasing(gap, lower, prizes.total_posted() / c_low)
         kappa = 0.0 if where == PINNED_LOW else root
     return PublicOutcome(
         kappa_star=kappa,
@@ -182,7 +186,9 @@ class PublicBenefitVerdict:
 
 def is_beneficial_public(config: GameConfig) -> PublicBenefitVerdict:
     """Artificial bug helps in the limit iff min(kappa_tilde, kappa_a)
-    strictly exceeds kappa_0(budget); read off the solved optimize_public."""
+    exceeds kappa_0(budget) by more than 1e-10 of the larger of kappa_tilde
+    and kappa_0, the band within which the verdict is marginal; read off the
+    solved optimize_public."""
     report = optimize_public(config)
     return PublicBenefitVerdict(
         beneficial=report.beneficial,

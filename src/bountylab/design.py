@@ -34,7 +34,8 @@ from .game import (
 )
 from .rootfind import bisect_decreasing
 
-# |c_tilde - c_0| at or below this is reported as a marginal verdict.
+# |c_tilde - c_0| at or below this times max(|c_tilde|, |c_0|) is reported as
+# a marginal verdict; relative, so scaling the game leaves every verdict alone.
 MARGINAL_BAND = 1e-10
 
 
@@ -124,14 +125,15 @@ def _best_single_bug(
 class BenefitVerdict:
     beneficial: bool
     margin: float  # c_tilde - c_0
-    marginal: bool  # |margin| within the tolerance band
+    marginal: bool  # |margin| within MARGINAL_BAND of max(|c_tilde|, |c_0|)
 
 
 def is_artificial_beneficial(config: GameConfig) -> BenefitVerdict:
     """Does an artificial bug strictly raise achievable designer utility?
 
     True iff the optimal achievable threshold min(c_tilde, c_a) strictly
-    exceeds c_0(budget); a margin within 1e-10 of zero reports marginal.
+    exceeds c_0(budget) by more than 1e-10 of the larger of |c_tilde| and
+    |c_0|; a margin |c_tilde - c_0| within that band reports marginal.
     The verdict is read off the solved optimize report.
     """
     report = optimize(config)
@@ -202,7 +204,8 @@ def _design(
     their three solves: the free optimum, the cap (the whole budget on one
     q_a = 1 planted bug) and the best single-organic-bug breakdown. Returns
     the level min(free, cap), or min(free, level_0) without an artificial
-    bug, the verdict, its marginal flag and the minimal-spend schedule.
+    bug, the verdict, its marginal flag and the minimal-spend schedule. The
+    verdict's band is ``MARGINAL_BAND`` relative to max(|free|, |level_0|).
     ``incentive(level)`` returns the incentive the level needs, its
     participation, and ``unit(q)``, the incentive one prize unit buys on a
     bug of find probability q."""
@@ -211,8 +214,9 @@ def _design(
     # min(free, cap) > level_0. On any config whose best organic bug has
     # mu q < 1 this is the plain free > level_0 test (since then cap > level_0);
     # the min() guard only matters when level_0 = cap and nothing can be gained.
-    beneficial = min(free, cap) - level_0 > MARGINAL_BAND
-    marginal = abs(free - level_0) <= MARGINAL_BAND
+    band = MARGINAL_BAND * max(abs(free), abs(level_0))
+    beneficial = min(free, cap) - level_0 > band
+    marginal = abs(free - level_0) <= band
     level = min(free, cap if allow_artificial else level_0)
     target, participation, unit = incentive(level)
     if target <= 0.0 or participation <= 0.0:

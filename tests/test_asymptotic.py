@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bountylab import (
+    ArtificialBugDesign,
     CostDistribution,
     GameConfig,
     OrganicBug,
@@ -69,6 +70,15 @@ def test_kappa_star_positive_fixed_point(public_example):
     assert out.kappa_star == pytest.approx(KAPPA_STAR_V5, abs=1e-9)
     resid = psi_infinity(out.kappa_star, ALL_ON_ORGANIC, public_example) - out.kappa_star
     assert abs(resid) <= 1e-10
+
+
+def test_kappa_star_just_above_unit_slope(public_example):
+    # slope v_a / c_low = 1 + 1e-13: the positive root is ~2 (v_a - 1)
+    v_a = 1.0 + 1e-13
+    prizes = PrizeSchedule(v=(0.0,), artificial=(ArtificialBugDesign(v_a=v_a, q_a=1.0),))
+    out = solve_kappa_star(prizes, public_example)
+    assert not out.trivial
+    assert out.kappa_star == pytest.approx(2.0 * (v_a - 1.0), rel=0.01)
 
 
 def test_detect_infinity_values():

@@ -22,7 +22,10 @@ from bountylab import (
     solve_c_tilde,
     solve_equilibrium,
     solve_kappa_star,
+    solve_kappa_tilde,
+    win_prob_phi,
 )
+from bountylab import design, game, rootfind
 from conftest import random_game, random_public_game
 
 
@@ -185,6 +188,67 @@ def test_beneficial_false_when_organic_dominates(uniform01):
     verdict = is_artificial_beneficial(config)
     assert not verdict.beneficial
     assert verdict.margin > 0  # c_tilde exceeds c_0, yet the cap c_a = c_0 binds
+
+
+def _scaled_private_example(s):
+    """The private example with costs, bug value and budget all scaled by s."""
+    return GameConfig(
+        n=2,
+        bugs=(OrganicBug(mu=0.5, q=0.5, w=2.0 * s),),
+        dist=CostDistribution.uniform(0.0, s),
+        budget=0.5 * s,
+    )
+
+
+@pytest.mark.parametrize("s", [1e-11, 1e-9, 1e-6, 1.0, 1e8])
+def test_private_example_is_scale_equivariant(s):
+    report = optimize(_scaled_private_example(s))
+    for level, exact in ((report.c_tilde, 2 / 9), (report.c_a, 0.4), (report.c_0, 4 / 33)):
+        assert abs(level / s - exact) <= 4 * math.ulp(exact)
+    assert report.beneficial and not report.marginal
+
+
+@pytest.mark.parametrize("s", [1e-11, 1.0, 1e8])
+@pytest.mark.parametrize("nudge", [0.0, 1e-12, -1e-12])
+def test_tie_is_marginal_at_every_scale(s, nudge):
+    """With the budget that induces exactly c_tilde on the organic bug, c_0
+    ties c_tilde: the verdict is marginal and not beneficial, in the invited
+    and in the public program alike. So it is with the budget nudged by 1e-12
+    relative, whatever the scale."""
+    config = _scaled_private_example(s)
+    c_tilde = solve_c_tilde(config)
+    budget = c_tilde / (0.5 * win_prob_phi(c_tilde, 0.5, 2, config.dist)) * (1.0 + nudge)
+    report = optimize(_with_budget(config, budget))
+    assert report.marginal and not report.beneficial
+
+    public = GameConfig(
+        n=2,
+        bugs=(OrganicBug(mu=0.5, q=0.5, w=10.0 * s),),
+        dist=CostDistribution.uniform(s, 2.0 * s),
+        budget=5.0 * s,
+    )
+    kappa_tilde = solve_kappa_tilde(public)
+    budget = kappa_tilde * s / (0.5 * -math.expm1(-0.5 * kappa_tilde)) * (1.0 + nudge)
+    limit = optimize_public(_with_budget(public, budget))
+    assert limit.marginal and not limit.beneficial
+
+
+def test_optimize_private_example_evaluation_count(private_example, monkeypatch):
+    """The three solves of optimize take at most 40 Psi/Omega evaluations
+    together (bisection took 46 each)."""
+    evaluations = []
+
+    def counted(g, lo, hi):
+        def g_counted(c):
+            evaluations.append(c)
+            return g(c)
+
+        return rootfind.bisect_decreasing(g_counted, lo, hi)
+
+    monkeypatch.setattr(design, "bisect_decreasing", counted)
+    monkeypatch.setattr(game, "bisect_decreasing", counted)
+    optimize(private_example)
+    assert 0 < len(evaluations) <= 40
 
 
 # -- the designer optimum --------------------------------------------------------

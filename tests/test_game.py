@@ -248,6 +248,15 @@ def test_equilibrium_on_a_wide_support_is_the_root():
     assert abs(expected_benefit_psi(out.c_star, sched, config) - out.c_star) <= 1e-10
 
 
+@pytest.mark.parametrize("v", [1e-13, 1e-6, 1.0])
+def test_equilibrium_is_exact_at_every_prize_scale(uniform01, v):
+    # n = 2, uniform(0, 1): Psi(c) = v q (1 - q c / 2), so c* = v q / (1 + v q^2 / 2)
+    config = GameConfig(n=2, bugs=(OrganicBug(mu=1.0, q=0.5, w=1.0),), dist=uniform01, budget=1.0)
+    out = solve_equilibrium(PrizeSchedule.organic_only((v,)), config)
+    assert out.boundary == "interior"
+    assert abs(out.c_star / (v * 0.5 / (1.0 + v * 0.25 / 2.0)) - 1.0) <= 1e-15
+
+
 def test_equilibrium_monotone_comparative_statics(uniform01):
     # c* must not fall when any prize, existence, or find probability rises
     rng = np.random.default_rng(17)
