@@ -44,14 +44,11 @@ def bisect_decreasing(g: Callable[[float], float], lo: float, hi: float) -> tupl
         return lo, PINNED_LOW
     if hi == math.inf:
         base, step = lo, 1.0
-        while True:
+        while (g_hi := g(base + step)) > 0.0:
+            lo, g_lo, step = base + step, g_hi, 2.0 * step
             if step == math.inf:
                 return math.inf, INTERIOR
-            hi = base + step
-            g_hi = g(hi)
-            if g_hi <= 0.0:
-                break
-            lo, g_lo, step = hi, g_hi, 2.0 * step
+        hi = base + step
     else:
         g_hi = g(hi)
         if g_hi >= 0.0:
