@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .design import (
+    _FEAS_TOL,
     _best_single_bug,
     _bug_value,
     _design,
@@ -31,15 +32,14 @@ from .design import (
     _slice_coeffs,
     _vertices,
     designer_utility,
-    optimize,
     solution_set,
+    solve_c_a,
+    solve_c_tilde,
 )
 from .game import GameConfig, PrizeSchedule, _check_prize_count, solve_equilibrium
 from .rootfind import PINNED_LOW, bisect_decreasing
 
 MAX_TABLE_N = 10**6
-# Slack allowed on x >= 0 and sum(x) <= budget when accepting a projection.
-_FEAS_TOL = 1e-12
 
 
 def _require_positive_floor(config: GameConfig) -> float:
@@ -298,16 +298,19 @@ def solution_set_distance(config: GameConfig, n: int, q_a: float) -> SetDistance
 
     The finite-n slice is the budget-feasible part of the hyperplane whose
     coefficients are mu_l Phi(c*; q_l) and Phi(c*; q_a), with right-hand side
-    the optimal finite-n threshold c*; the limit slice uses
-    mu_l (1-exp(-q_l k))/c_low and (1-exp(-q_a k))/c_low, with right-hand
-    side the optimal limiting participation k. Both slices are convex
-    polytopes and the distance to a convex set is a convex function, so each
-    directed supremum sits at a vertex: the result is exact, the largest
-    distance from a vertex of one slice to its projection onto the other.
-    A slice has at most (L+1)(L+2)/2 vertices, and each projection solves
-    every pattern of zero coordinates (2^(L+1) of them) with the budget row
-    slack and binding, O(L) work each: the cost grows as L^3 2^L, the
-    memory stays constant.
+    the optimal finite-n threshold c* = min(c_tilde, c_a); the limit slice
+    uses mu_l (1-exp(-q_l k))/c_low and (1-exp(-q_a k))/c_low, with
+    right-hand side the optimal limiting participation k = min(kappa_tilde,
+    kappa_a). Those two levels take four root solves, and nothing else of
+    either designer is solved. Both slices are convex polytopes and the
+    distance to a convex set is a convex function, so each directed supremum
+    sits at a vertex: the result is exact, the largest distance from a
+    vertex of one slice to its projection onto the other. A slice has at
+    most (L+1)(L+2)/2 vertices. A projection tries every pattern of zero
+    coordinates (2^(L+1) of them) with the budget row slack and binding; the
+    terms of a pattern that depend only on the slice are set up once per
+    slice, leaving O(L) work per pattern and vertex. The cost grows as
+    L^3 2^L, the memory as L 2^L.
     """
     c_low = _require_positive_floor(config)
     if n < 2:
@@ -315,51 +318,76 @@ def solution_set_distance(config: GameConfig, n: int, q_a: float) -> SetDistance
     if not 0.0 < q_a <= 1.0:
         raise ValueError("q_a must lie in (0, 1] for a meaningful slice")
 
+    budget = config.budget
     cfg_n = config.with_n(int(n))
-    finite_set = solution_set(cfg_n, optimize(cfg_n).c_hat_star, q_a)
-    k_star = optimize_public(config).kappa_hat_star
+    c_star, k_star = _optimal_levels(cfg_n)
+    finite_set = solution_set(cfg_n, c_star, q_a)
     coeffs_inf = tuple(a / c_low for a in _slice_coeffs(config, lambda q: _p_inf(q, k_star), q_a))
-    vertices_inf = _vertices(coeffs_inf, k_star, config.budget)
+    vertices_inf = _vertices(coeffs_inf, k_star, budget)
     if not finite_set.feasible or not vertices_inf:
         return SetDistanceResult(math.nan, False, n, q_a)
-    budget = config.budget
+    onto_inf = _zero_patterns(coeffs_inf)
+    onto_finite = _zero_patterns(finite_set.coeffs)
     distance = max(
-        max(_projection_distance(v, coeffs_inf, k_star, budget) for v in finite_set.vertices),
-        max(
-            _projection_distance(v, finite_set.coeffs, finite_set.target, budget)
-            for v in vertices_inf
-        ),
+        max(_projection_distance(v, onto_inf, k_star, budget) for v in finite_set.vertices),
+        max(_projection_distance(v, onto_finite, c_star, budget) for v in vertices_inf),
     )
     return SetDistanceResult(distance, True, n, q_a)
 
 
-def _projection_distance(p, coeffs, rhs: float, budget: float) -> float:
-    """Distance from p to {coeffs . x = rhs, x >= 0, sum(x) <= budget}, for
-    positive coeffs and rhs.
+def _optimal_levels(config: GameConfig) -> tuple[float, float]:
+    """min(c_tilde, c_a) and min(kappa_tilde, kappa_a): the levels
+    ``design._design`` returns with allow_artificial=True for the finite-n
+    and for the limit stage model, that is optimize(config).c_hat_star and
+    optimize_public(config).kappa_hat_star, from four of their root solves."""
+    budget = config.budget
+    c_star = min(solve_c_tilde(config), solve_c_a(budget, config))
+    k_star = min(solve_kappa_tilde(config), solve_kappa_a(budget, config))
+    return c_star, k_star
 
-    Each choice of coordinates pinned at 0, with the budget row slack or
-    binding, is an equality-constrained QP whose one or two multipliers
-    solve by Cramer's rule; the projection is the nearest candidate that
-    satisfies every constraint.
-    """
-    dim = len(p)
-    best = math.inf
+
+def _zero_patterns(coeffs) -> list[tuple]:
+    """The slice-only terms of each choice of coordinates pinned at 0, for
+    ``_projection_distance``: the free and the pinned indices, the free
+    coefficients, their count k, sum of squares aa and sum a1, the
+    determinant aa k - a1^2 of the two-row system, and whether the budget
+    row can bind (the rows are not nearly parallel)."""
+    dim = len(coeffs)
+    patterns = []
     for mask in range(1, 1 << dim):
         free = [i for i in range(dim) if mask >> i & 1]
         k = len(free)
         aa = sum(coeffs[i] * coeffs[i] for i in free)
         a1 = sum(coeffs[i] for i in free)
-        ap = sum(coeffs[i] * p[i] for i in free) - rhs
-        p1 = sum(p[i] for i in free) - budget
         det = aa * k - a1 * a1
-        cases = [(ap / aa, 0.0)]
+        pinned = [i for i in range(dim) if not mask >> i & 1]
+        fc = [coeffs[i] for i in free]
         # rows nearly parallel: the binding case is empty or already the slack one
-        if det > 1e-12 * aa * k:
+        patterns.append((free, pinned, fc, k, aa, a1, det, det > 1e-12 * aa * k))
+    return patterns
+
+
+def _projection_distance(p, patterns, rhs: float, budget: float) -> float:
+    """Distance from p to {coeffs . x = rhs, x >= 0, sum(x) <= budget}, for
+    positive coeffs and rhs, given ``_zero_patterns(coeffs)``.
+
+    Each choice of coordinates pinned at 0, with the budget row slack or
+    binding, is an equality-constrained QP whose one or two multipliers
+    solve by Cramer's rule; the projection is the nearest candidate that
+    satisfies every constraint, to a slack of ``_FEAS_TOL`` times the budget.
+    """
+    tol = _FEAS_TOL * budget
+    best = math.inf
+    for free, pinned, fc, k, aa, a1, det, binds in patterns:
+        ap = sum(c * p[i] for c, i in zip(fc, free)) - rhs
+        p1 = sum(p[i] for i in free) - budget
+        cases = [(ap / aa, 0.0)]
+        if binds:
             cases.append(((ap * k - a1 * p1) / det, (aa * p1 - a1 * ap) / det))
-        pinned = sum(p[i] * p[i] for i in range(dim) if not mask >> i & 1)
+        sq_pinned = sum(p[i] * p[i] for i in pinned)
         for lam, nu in cases:
-            step = [lam * coeffs[i] + nu for i in free]
+            step = [lam * c + nu for c in fc]
             x = [p[i] - s for i, s in zip(free, step)]
-            if min(x) >= -_FEAS_TOL and sum(x) <= budget + _FEAS_TOL:
-                best = min(best, pinned + sum(s * s for s in step))
+            if min(x) >= -tol and sum(x) <= budget + tol:
+                best = min(best, sq_pinned + sum(s * s for s in step))
     return math.sqrt(best)

@@ -37,6 +37,9 @@ from .rootfind import bisect_decreasing
 # |c_tilde - c_0| at or below this times max(|c_tilde|, |c_0|) is reported as
 # a marginal verdict; relative, so scaling the game leaves every verdict alone.
 MARGINAL_BAND = 1e-10
+# Slack on x >= 0 and sum(x) <= budget in a prize slice, times the budget, so
+# scaling the game scales every slice's vertices and projections with it.
+_FEAS_TOL = 1e-12
 
 
 def designer_utility(c_hat: float, config: GameConfig) -> float:
@@ -326,9 +329,10 @@ def _vertices(coeffs, rhs: float, budget: float) -> tuple[tuple[float, ...], ...
     points where the hyperplane crosses an edge of the budget simplex."""
     vertices: list[tuple[float, ...]] = []
     dim = len(coeffs)
+    tol = _FEAS_TOL * budget
     for i, a_i in enumerate(coeffs):
         # single-instrument points
-        if a_i > 0.0 and rhs / a_i <= budget + 1e-12:
+        if a_i > 0.0 and rhs / a_i <= budget + tol:
             point = [0.0] * dim
             point[i] = rhs / a_i
             vertices.append(tuple(point))
@@ -340,7 +344,7 @@ def _vertices(coeffs, rhs: float, budget: float) -> tuple[tuple[float, ...], ...
                 continue
             x_i = (rhs - a_j * budget) / (a_i - a_j)
             x_j = budget - x_i
-            if x_i >= -1e-12 and x_j >= -1e-12:
+            if x_i >= -tol and x_j >= -tol:
                 point = [0.0] * dim
                 point[i], point[j] = max(x_i, 0.0), max(x_j, 0.0)
                 vertices.append(tuple(point))

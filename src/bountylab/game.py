@@ -266,3 +266,31 @@ def _stage_at(c_hat: float, prizes: PrizeSchedule, config: GameConfig) -> _Stage
     payout += sum(a.v_a * d for a, d in zip(prizes.artificial, det_art))
     value = sum(bug.w * d for bug, d in zip(config.bugs, det_uncond))
     return _Stage(F, det_cond, det_uncond, det_art, payout, value - payout)
+
+
+def _found_variance(c_hat: float, prizes: PrizeSchedule, config: GameConfig, weights) -> float:
+    """Var(sum_j weights_j X_j) when every agent searches at threshold c_hat,
+    where X_j is 1 when bug j (the organic bugs, then the artificial entries)
+    exists and is found.
+
+    Agents search and find independently, so with M_j = (1 - q_j F)^n and
+    M_jk = (1 - (q_j + q_k - q_j q_k) F)^n, P(j and k found) is
+    mu_j mu_k (1 - M_j - M_k + M_jk) for j != k, with mu = 1 for artificial
+    entries, and Cov(X_j, X_k) = mu_j mu_k (M_jk - M_j M_k). That difference
+    is taken as M_j M_k expm1(log M_jk - log M_j - log M_k), which keeps its
+    digits where every M is close to 1.
+    """
+    n, dist = config.n, config.dist
+    F = dist.cdf(c_hat)
+    bugs = [(b.mu, b.q) for b in config.bugs] + [(1.0, a.q_a) for a in prizes.artificial]
+    logs = [_log_miss(c_hat, F, q, n, dist) for _, q in bugs]
+    total = 0.0
+    for j, ((mu_j, q_j), l_j, w_j) in enumerate(zip(bugs, logs, weights)):
+        found = mu_j * -math.expm1(l_j)
+        total += w_j * w_j * found * ((1.0 - mu_j) + mu_j * math.exp(l_j))
+        for (mu_k, q_k), l_k, w_k in zip(bugs[j + 1 :], logs[j + 1 :], weights[j + 1 :]):
+            l_jk = _log_miss(c_hat, F, q_j + q_k - q_j * q_k, n, dist)
+            joint = math.exp(l_j + l_k)
+            excess = joint * math.expm1(l_jk - l_j - l_k) if joint > 0.0 else math.exp(l_jk)
+            total += 2.0 * w_j * w_k * mu_j * mu_k * excess
+    return max(total, 0.0)

@@ -39,6 +39,7 @@ from .game import (
     GameConfig,
     PrizeSchedule,
     _check_prize_count,
+    _found_variance,
     _is_int,
     _stage_at,
     expected_benefit_psi,
@@ -177,9 +178,12 @@ def _binomial_stat(name, hits, n_obs, closed):
     return SimStat(name, p, se, closed)
 
 
-def _mean_stat(name, total, total_sq, count, closed):
+def _mean_stat(name, total, total_sq, count, closed, exact_var=None):
     mean = total / count
     var = max(total_sq - total * total / count, 0.0) / max(count - 1, 1)
+    if var == 0.0 and exact_var is not None:
+        # every trial agreed: the closed-form variance keeps z finite
+        var = exact_var()
     return SimStat(name, mean, math.sqrt(var / count), closed)
 
 
@@ -208,6 +212,9 @@ def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimRepo
     detect = stage.detect_organic_conditional + stage.detect_artificial
     phi = [win_prob_phi(c_hat, q_j, game.n, game.dist) for q_j in q]
 
+    def variance(weights):
+        return lambda: _found_variance(c_hat, prizes, game, weights.tolist())
+
     def group(name, bugs, hits, n_obs, closed):
         return tuple(
             _binomial_stat(f"{name}_{i}", hits[j], n_obs[j], closed[j])
@@ -226,8 +233,16 @@ def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimRepo
         detect_artificial=group("detect_artificial", art, found_n, exists_n, detect),
         win_organic=group("win_bug", org, won_n, eligible_n, phi),
         win_artificial=group("win_artificial", art, won_n, eligible_n, phi),
-        payout=_mean_stat("payout_total", *moments[0], sim.trials, stage.expected_payout),
-        utility=_mean_stat("designer_utility", *moments[1], sim.trials, stage.designer_utility),
+        payout=_mean_stat(
+            "payout_total", *moments[0], sim.trials, stage.expected_payout, variance(prize)
+        ),
+        utility=_mean_stat(
+            "designer_utility",
+            *moments[1],
+            sim.trials,
+            stage.designer_utility,
+            variance(np.pad(ws, (0, J - L)) - prize),  # w_l - v_l, then -v_a
+        ),
         marginal_benefit=_mean_stat(
             "marginal_benefit",
             *moments[2],

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bountylab import (
     ArtificialBugDesign,
@@ -24,6 +26,8 @@ from bountylab import (
     solve_kappa_tilde,
     utility_infinity,
 )
+from bountylab.asymptotic import _optimal_levels, _projection_distance, _zero_patterns
+from bountylab.design import _vertices
 from conftest import random_public_game
 
 KAPPA_TILDE = 2.0 * math.log(2.5)
@@ -415,6 +419,112 @@ def test_solution_set_distance_rejects_bad_args(public_example):
         solution_set_distance(public_example, 1, 0.5)
     with pytest.raises(ValueError):
         solution_set_distance(public_example, 5, 0.0)
+
+
+def _scaled_two_bugs(s):
+    return GameConfig(
+        n=2,
+        bugs=tuple(OrganicBug(b.mu, b.q, b.w * s) for b in TWO_BUGS.bugs),
+        dist=CostDistribution.uniform(1.0 * s, 2.0 * s),
+        budget=TWO_BUGS.budget * s,
+    )
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-3, 1e3, 1e6, 1e9])
+def test_solution_set_distance_is_scale_equivariant(s):
+    # costs, values and budget times s scale every prize vector, so every
+    # distance, by s; the feasibility slack must scale with them
+    scaled = _scaled_two_bugs(s)
+    for q_a in FIG5_Q_A:
+        for n in FIG5_N:
+            base = solution_set_distance(TWO_BUGS, n, q_a).distance
+            got = solution_set_distance(scaled, n, q_a).distance
+            assert got / s == pytest.approx(base, rel=1e-10), (q_a, n, got / s, base)
+
+
+def _dykstra_distances(points, coeffs, rhs, budget, sweeps=50_000):
+    """Distance from each point to {coeffs . x = rhs, x >= 0, sum(x) <= budget}
+    by Dykstra's alternating projections onto the hyperplane, the nonnegative
+    orthant and the budget half-space, all points at once."""
+    a = np.asarray(coeffs, dtype=float)
+    p = np.asarray(points, dtype=float)
+    sets = (
+        lambda z: z - ((z @ a - rhs) / (a @ a))[:, None] * a,
+        lambda z: np.maximum(z, 0.0),
+        lambda z: z - (np.maximum(z.sum(axis=1) - budget, 0.0) / z.shape[1])[:, None],
+    )
+    x = p.copy()
+    increments = [np.zeros_like(p) for _ in sets]
+    for _ in range(sweeps):
+        before = x
+        for k, project in enumerate(sets):
+            z = x + increments[k]
+            x = project(z)
+            increments[k] = z - x
+        if np.abs(x - before).max() <= 1e-16 * budget:
+            break
+    return np.linalg.norm(p - x, axis=1)
+
+
+def _assert_projections_match_dykstra(points, coeffs, rhs, budget):
+    oracle = _dykstra_distances(points, coeffs, rhs, budget)
+    patterns = _zero_patterns(coeffs)
+    got = [_projection_distance(tuple(v), patterns, rhs, budget) for v in points]
+    assert np.abs(np.asarray(got) - oracle).max() <= 1e-12 * budget, (coeffs, rhs, got, oracle)
+
+
+def test_projection_matches_dykstra_on_figure5_slices():
+    # L = 2: each vertex of one slice projected onto the other, both ways
+    budget = TWO_BUGS.budget
+    for q_a in FIG5_Q_A:
+        for n in FIG5_N:
+            (a_n, r_n), (a_inf, r_inf) = _slices(TWO_BUGS, n, q_a)
+            _assert_projections_match_dykstra(_vertices(a_n, r_n, budget), a_inf, r_inf, budget)
+            _assert_projections_match_dykstra(_vertices(a_inf, r_inf, budget), a_n, r_n, budget)
+
+
+def test_projection_matches_dykstra_on_random_slices():
+    # L = 3, points inside and outside the budget simplex
+    rng = np.random.default_rng(7)
+    for _ in range(12):
+        coeffs = tuple(float(a) for a in rng.uniform(0.1, 2.0, 4))
+        budget = float(rng.uniform(1.0, 5.0))
+        rhs = float(rng.uniform(0.05, 0.95)) * budget * max(coeffs)
+        points = rng.uniform(-1.0, budget, (6, 4))
+        _assert_projections_match_dykstra(points, coeffs, rhs, budget)
+
+
+@st.composite
+def _public_games(draw):
+    """Games with c_low > 0 over uniform, power (alpha below and above 1)
+    and exponential costs."""
+    c_low = draw(st.floats(0.1, 2.0))
+    width = draw(st.floats(0.2, 3.0))
+    family = draw(st.sampled_from(["uniform", "power_low", "power_high", "exponential"]))
+    if family == "uniform":
+        dist = CostDistribution.uniform(c_low, c_low + width)
+    elif family == "exponential":
+        dist = CostDistribution.exponential(c_low, draw(st.floats(0.3, 3.0)))
+    else:
+        alpha = draw(st.floats(0.2, 0.9) if family == "power_low" else st.floats(1.1, 4.0))
+        dist = CostDistribution.power(c_low, c_low + width, alpha)
+    bug = st.builds(OrganicBug, st.floats(0.1, 1.0), st.floats(0.1, 1.0), st.floats(0.0, 30.0))
+    return GameConfig(
+        n=draw(st.integers(2, 60)),
+        bugs=tuple(draw(st.lists(bug, min_size=1, max_size=3))),
+        dist=dist,
+        budget=draw(st.floats(0.05, 20.0)),
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_public_games())
+def test_optimal_levels_are_the_designers(config):
+    # solution_set_distance reads only these two levels: they must be the
+    # designers' own optimum, to the last bit
+    c_star, k_star = _optimal_levels(config)
+    assert c_star == optimize(config).c_hat_star
+    assert k_star == optimize_public(config).kappa_hat_star
 
 
 # -- finite/asymptotic verdict agreement -----------------------------------------------

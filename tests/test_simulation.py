@@ -17,6 +17,7 @@ from bountylab import (
     solve_equilibrium,
     SimConfig,
 )
+from bountylab.game import _found_variance
 from conftest import random_game
 
 CANONICAL = PrizeSchedule(v=(0.0,), artificial=(ArtificialBugDesign(0.25, 1.0),))
@@ -168,6 +169,25 @@ def test_binomial_rows_where_every_trial_agrees(uniform01):
     assert math.isnan(idle.win_organic[0].estimate) and math.isnan(idle.win_organic[0].std_error)
 
 
+def test_zero_sample_variance_reads_the_exact_variance(uniform01):
+    # At n = 30 and threshold 0.9 every trial pays 0.5: the sample variance
+    # is 0, and the standard error comes from the closed-form variance.
+    config = GameConfig(n=30, bugs=(OrganicBug(1.0, 0.5, 1.0),), dist=uniform01, budget=1.0)
+    prizes = PrizeSchedule.organic_only((0.5,))
+    report = simulate(prizes, config, SimConfig(4096, 3, 0.9))
+    miss = (1.0 - 0.5 * 0.9) ** 30
+    for stat in (report.payout, report.utility):
+        assert stat.estimate == 0.5 and stat.closed_form < 0.5
+        assert stat.std_error == pytest.approx(0.5 * math.sqrt(miss * (1.0 - miss) / 4096))
+        assert math.isfinite(stat.z_score) and abs(stat.z_score) < 1.0
+    # at F = 1 and q = 1 every bug is found for sure: the exact variance is 0 too
+    certain = GameConfig(n=2, bugs=(OrganicBug(1.0, 1.0, 3.0),), dist=uniform01, budget=1.0)
+    sched = PrizeSchedule(v=(0.5,), artificial=(ArtificialBugDesign(0.25, 1.0),))
+    report = simulate(sched, certain, SimConfig(64, 1, 1.0))
+    for stat in (report.payout, report.utility):
+        assert stat.std_error == 0.0 and stat.z_score == 0.0, stat
+
+
 def test_check_equilibrium_rejects_bad_inputs(private_example):
     # the private example's support is [0, 1]
     for threshold in (-0.5, 1.5):
@@ -253,6 +273,26 @@ def test_payout_variance_matches_joint_enumeration(uniform01):
     prizes = list(sched.v) + [a.v_a for a in sched.artificial]
     var_independent = sum(v * v * p * (1.0 - p) for v, p in zip(prizes, detect))
     assert abs(var_independent - var) > 100.0 * var_se
+
+
+@pytest.mark.parametrize(
+    "v, v_a, F",
+    [((1.0, 1.5), 1.0, 0.5), ((2.0, 0.0), 3.0, 0.1), ((0.5, 1.0), 0.7, 0.97)],
+)
+def test_found_variance_matches_joint_enumeration(v, v_a, F):
+    """The closed-form Var(sum_j v_j X_j), from P(j and k found) =
+    mu_j mu_k (1 - M_j - M_k + M_jk), against the enumerated law at n = 3."""
+    config = GameConfig(
+        n=3,
+        bugs=(OrganicBug(0.9, 0.8, 1.0), OrganicBug(0.7, 0.9, 2.0)),
+        dist=CostDistribution.uniform(0.0, 1.0),
+        budget=10.0,
+    )
+    sched = PrizeSchedule(v=v, artificial=(ArtificialBugDesign(v_a, 0.6),))
+    law = _payout_law(config, sched, F)
+    mean = sum(x * p for x, p in law.items())
+    var = sum((x - mean) ** 2 * p for x, p in law.items())
+    assert _found_variance(F, sched, config, [*v, v_a]) == pytest.approx(var, rel=1e-12)
 
 
 def test_closed_forms_are_the_equilibrium_outcome():
