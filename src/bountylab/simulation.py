@@ -4,26 +4,31 @@ Each trial plays the game from the seat of one reference agent (agent 0)
 against n - 1 rivals who search iff their cost is at most the strategy
 threshold. Per trial it draws counts and agent 0's own outcomes only:
 
-* whether agent 0 searches, u < F(threshold) (always, when pinned);
 * the number of searching rivals, S ~ Bin(n - 1, F(threshold));
-* per organic bug, whether it exists, u < mu (artificial entries always do);
-* per organic or artificial bug, the number of rival finders,
-  T | S ~ Bin(S, q), and whether agent 0 finds it, u < q;
-* whether agent 0 wins a bug it found: the prize goes to one uniformly
-  random finder, a chance of 1 / (T + 1), decided by the same uniform as
-  u (T + 1) < q (given u < q, u / q is again uniform).
+* whether agent 0 searches, u < F(threshold) (always, when pinned);
+* per organic or artificial bug, one uniform u: the bug exists iff u < mu
+  (mu = 1 for artificial entries, which always exist); given that, u / mu
+  is uniform, so agent 0 finds it iff u < mu q; given that, u / (mu q) is
+  uniform again, so agent 0 wins its prize, which goes to one uniformly
+  random finder among T + 1, iff u (T + 1) < mu q;
+* per bug, the number of rival finders T | S ~ Bin(S, q). Trials are
+  sorted by S. Where S <= BERNOULLI_MAX, T counts the rivals whose own
+  uniform falls below q, S uniforms a bug; larger S take numpy's binomial
+  sampler, whose per-draw cost is a few times that of a uniform.
 
-That is 1 + L + (L + K) uniforms (L + (L + K) when pinned) and at most
-1 + (L + K) binomials a trial. Given S the finder counts of different bugs
-are independent, so bugs are correlated only through shared participation,
-as in the game. No array has an n axis: a chunk holds O(CHUNK (L + K))
-numbers whatever n is. The draws use no closed form; estimates come with
-standard errors and the matching closed forms, read off ``game``, so a
-report row reads as a z-test.
+That is one binomial and 1 + (L + K) uniforms a trial (L + K when pinned);
+T takes S (L + K) more uniforms where S <= BERNOULLI_MAX and L + K
+binomials where S is larger. Given S the finder counts of different bugs are independent, so
+bugs are correlated only through shared participation, as in the game. No
+array has an n axis: a chunk holds O(CHUNK (L + K)) numbers whatever n and
+F are. The draws use no closed form; estimates come with standard errors
+and the matching closed forms, read off ``game``, so a report row reads as
+a z-test.
 
-Randomness is counter-based: trial chunks of fixed size draw from Philox
-streams keyed by (seed, chunk index), so runs are reproducible bit-for-bit
-and chunks could be evaluated in parallel without changing the result.
+Trial chunks of fixed size draw from PCG64 streams seeded by SeedSequence
+with the run's seed as entropy and the chunk index as spawn key, so runs
+are reproducible bit-for-bit, chunks are independent streams, and they
+could be evaluated in parallel without changing the result.
 
 numpy is imported by the functions that draw and tally, not when the module
 loads, so ``import bountylab`` and every CLI mode but ``simulate`` run
@@ -48,6 +53,10 @@ from .game import (
 )
 
 CHUNK = 1 << 16
+# Finder counts of at most this many rivals are sums of Bernoulli draws:
+# below the measured cost crossover with numpy's binomial (about 16 at q = 0.5).
+BERNOULLI_MAX = 8
+BLOCK = CHUNK // 8  # trials per binomial draw of larger finder counts
 
 
 @dataclass(frozen=True)
@@ -106,8 +115,10 @@ class SimReport:
 def _chunk_rng(seed: int, index: int) -> "numpy.random.Generator":
     import numpy as np
 
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    # The chunk index is a spawn key, not a second entropy word: SeedSequence
+    # pads short entropy with zeros, so [seed, index] would give seed s at
+    # chunk 1 the stream of seed s + 2**32 at chunk 0.
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 def _chunks(sim: SimConfig):
@@ -131,6 +142,31 @@ def _bug_arrays(prizes: PrizeSchedule, game: GameConfig):
     return [np.array(c, dtype=float) for c in columns]
 
 
+def _finder_counts(rng, rivals, q):
+    """Rival finders T ~ Bin(S, q) per bug (rows, q a column) and trial
+    (columns), for rival counts S sorted ascending, as (columns, T) blocks.
+
+    Up to BERNOULLI_MAX rivals, T counts the rivals whose uniform falls
+    below q: the t-th rival's draws serve the trials with S >= t, a suffix
+    of those trials, so the S = 0 prefix draws nothing. Larger S take
+    numpy's binomial sampler, BLOCK trials at a time, so that its int64
+    counts take no more room than the bytes of the first block."""
+    import numpy as np
+
+    J, m = len(q), len(rivals)
+    starts = np.searchsorted(rivals, np.arange(1, BERNOULLI_MAX + 2))
+    big = starts[-1]
+    low = np.zeros((J, big), dtype=np.uint8)
+    for start in starts[:-1]:
+        if start == big:
+            break
+        low[:, start:] += rng.random((J, big - start)) < q
+    yield slice(0, big), low
+    for start in range(big, m, BLOCK):
+        stop = min(start + BLOCK, m)
+        yield slice(start, stop), rng.binomial(rivals[start:stop], q, (J, stop - start))
+
+
 def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: bool):
     """Per chunk, the outcomes of its trials as boolean arrays with trials
     along the last axis: searching (m,), then per bug, organic bugs first,
@@ -146,28 +182,44 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
     F = dist.cdf(sim.threshold)
     mus, _, q, _ = _bug_arrays(prizes, game)
     L, J = len(mus), len(q)
-    mus, q = mus[:, None], q[:, None]
+    mu = np.ones((J, 1))  # an artificial entry exists: u < 1 always holds
+    mu[:L, 0] = mus
+    q = q[:, None]
+    mu_q = mu * q
     for m, rng in _chunks(sim):
-        # Trials are exchangeable, so they are ordered by S: the S = 0 prefix
-        # needs no finder draws, and runs of equal S reuse the sampler's set-up.
+        # Trials are exchangeable, so they are ordered by S.
         rivals = np.sort(rng.binomial(game.n - 1, F, m))
-        idle = int(np.searchsorted(rivals, 0, side="right"))
-        finders = np.zeros((J, m), dtype=np.int64)
-        finders[:, idle:] = rng.binomial(rivals[idle:], q, (J, m - idle))
-        u = rng.random((L + J + (not pinned), m))
-        searching = np.ones(m, dtype=bool) if pinned else u[L + J] < F
-        exists = np.ones((J, m), dtype=bool)
-        exists[:L] = u[:L] < mus
-        # One uniform per bug: u < q is agent 0's find, and given it u / q is
-        # again uniform, so u (T + 1) < q is winning among the T + 1 finders.
-        u_find = u[L : L + J]
-        own = u_find < q
-        own &= exists
+        u = rng.random((J + (not pinned), m))
+        searching = np.ones(m, dtype=bool) if pinned else u[J] < F
+        # One uniform per bug: u < mu is existence; given it u / mu is
+        # uniform, so u < mu q is agent 0's find; given that, u / (mu q) is
+        # uniform again, so u (T + 1) < mu q is winning among T + 1 finders.
+        u = u[:J]
+        exists = u < mu
+        own = u < mu_q
         own &= searching
-        found = own | (finders > 0)
+        found = np.empty((J, m), dtype=bool)
+        for cols, finders in _finder_counts(rng, rivals, q):
+            np.greater(finders, 0, out=found[:, cols])
+            u[:, cols] *= finders + 1
+        found |= own
         found &= exists
-        won = own & (u_find * (finders + 1.0) < q)
+        won = u < mu_q
+        won &= own
         yield searching, exists, found, won
+
+
+def _gram(rows):
+    """Co-occurrence counts of boolean rows: G[j, k] counts the trials in
+    which rows j and k both hold, so G's diagonal counts each row, and
+    sum_t (a . x_t)^2 = a G a for any weights a."""
+    import numpy as np
+
+    gram = np.empty((len(rows), len(rows)), dtype=np.int64)
+    for j in range(len(rows)):
+        for k in range(j, len(rows)):
+            gram[j, k] = gram[k, j] = np.count_nonzero(rows[j] & rows[k])
+    return gram
 
 
 def _binomial_stat(name, hits, n_obs, closed):
@@ -178,13 +230,30 @@ def _binomial_stat(name, hits, n_obs, closed):
     return SimStat(name, p, se, closed)
 
 
-def _mean_stat(name, total, total_sq, count, closed, exact_var=None):
-    mean = total / count
-    var = max(total_sq - total * total / count, 0.0) / max(count - 1, 1)
-    if var == 0.0 and exact_var is not None:
-        # every trial agreed: the closed-form variance keeps z finite
-        var = exact_var()
-    return SimStat(name, mean, math.sqrt(var / count), closed)
+def _mean_stat(name, weights, gram, count, closed, fallback_var):
+    """The mean of weights . x over count trials, from the co-occurrence
+    counts of the rows x (trials beyond count have x = 0). When every
+    trial gave the same value the sample variance is 0, and fallback_var()
+    stands in for it."""
+    import numpy as np
+
+    if count == 0:
+        return SimStat(name, math.nan, math.nan, closed)
+    hits = np.diag(gram)
+    # count^2 times the rows' sample covariance, in exact (Python) integers:
+    # all-equal trials give exactly 0, with no cancellation in floats
+    big = hits.astype(object)
+    scaled_cov = (gram.astype(object) * count - np.outer(big, big)).astype(float)
+    var = max(float(weights @ scaled_cov @ weights), 0.0) / (count * max(count - 1, 1))
+    if var == 0.0:
+        var = fallback_var()
+    return SimStat(name, float(weights @ hits) / count, math.sqrt(var / count), closed)
+
+
+def _winnings_variance(prize, mean):
+    """Bhatia-Davis: a winning in [0, sum of prizes] with this mean has
+    variance at most (sum - mean) mean."""
+    return lambda: max(float(prize.sum()) - mean, 0.0) * mean
 
 
 def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimReport:
@@ -194,25 +263,27 @@ def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimRepo
     L = len(game.bugs)
     _, ws, q, prize = _bug_arrays(prizes, game)
     J = len(q)
-    # per bug: found, won by agent 0, agent 0 could win it (searching, and the
-    # bug exists), exists; then the trials in which agent 0 searches
-    counts = np.zeros(4 * J + 1, dtype=np.int64)
-    # sum and sum of squares of the payout, the designer's utility and agent 0's winnings
-    moments = np.zeros((3, 2))
+    found_gram = np.zeros((J, J), dtype=np.int64)
+    won_gram = np.zeros((J, J), dtype=np.int64)
+    # per bug: agent 0 could win it (searching, and the bug exists), exists;
+    # then the trials in which agent 0 searches
+    counts = np.zeros(2 * J + 1, dtype=np.int64)
     for searching, exists, found, won in _trials(prizes, game, sim, pinned=False):
-        pay = prize @ found
-        values = (pay, ws @ found[:L] - pay, prize @ won)  # agent 0 wins 0 when idle
-        moments += [(x.sum(), (x * x).sum()) for x in values]
-        rows = (*found, *won, *(exists & searching), *exists, searching)
+        found_gram += _gram(found)
+        won_gram += _gram(won)  # agent 0 wins nothing when idle
+        rows = (*(exists & searching), *exists, searching)
         counts += [np.count_nonzero(row) for row in rows]  # without an axis: numpy's fast path
 
-    found_n, won_n, eligible_n, exists_n = counts[:-1].reshape(4, J)
+    found_n, won_n = np.diag(found_gram), np.diag(won_gram)
+    eligible_n, exists_n = counts[:-1].reshape(2, J)
     c_hat = sim.threshold
     stage = _stage_at(c_hat, prizes, game)
     detect = stage.detect_organic_conditional + stage.detect_artificial
     phi = [win_prob_phi(c_hat, q_j, game.n, game.dist) for q_j in q]
+    psi = expected_benefit_psi(c_hat, prizes, game)
+    surplus = np.pad(ws, (0, J - L)) - prize  # w_l - v_l, then -v_a
 
-    def variance(weights):
+    def found_variance(weights):
         return lambda: _found_variance(c_hat, prizes, game, weights.tolist())
 
     def group(name, bugs, hits, n_obs, closed):
@@ -234,20 +305,18 @@ def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimRepo
         win_organic=group("win_bug", org, won_n, eligible_n, phi),
         win_artificial=group("win_artificial", art, won_n, eligible_n, phi),
         payout=_mean_stat(
-            "payout_total", *moments[0], sim.trials, stage.expected_payout, variance(prize)
+            "payout_total", prize, found_gram, sim.trials, stage.expected_payout, found_variance(prize)
         ),
         utility=_mean_stat(
             "designer_utility",
-            *moments[1],
+            surplus,
+            found_gram,
             sim.trials,
             stage.designer_utility,
-            variance(np.pad(ws, (0, J - L)) - prize),  # w_l - v_l, then -v_a
+            found_variance(surplus),
         ),
         marginal_benefit=_mean_stat(
-            "marginal_benefit",
-            *moments[2],
-            max(int(counts[-1]), 1),
-            expected_benefit_psi(c_hat, prizes, game),
+            "marginal_benefit", prize, won_gram, int(counts[-1]), psi, _winnings_variance(prize, psi)
         ),
     )
 
@@ -268,15 +337,19 @@ class DeviationGap:
 def check_equilibrium(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> DeviationGap:
     """Pin one agent to always search against n - 1 threshold rivals and
     compare the pinned agent's mean winnings to the equilibrium threshold."""
+    import numpy as np
+
     prize = _bug_arrays(prizes, game)[3]
-    total = total_sq = 0.0
+    won_gram = np.zeros((len(prize), len(prize)), dtype=np.int64)
     for _, _, _, won in _trials(prizes, game, sim, pinned=True):
-        gain = prize @ won
-        total += gain.sum()
-        total_sq += (gain * gain).sum()
+        won_gram += _gram(won)
 
     outcome = solve_equilibrium(prizes, game)
-    stat = _mean_stat("pinned_benefit", total, total_sq, sim.trials, outcome.c_star)
+    # the pinned agent's winnings average Psi at the rivals' threshold
+    psi = expected_benefit_psi(sim.threshold, prizes, game)
+    stat = _mean_stat(
+        "pinned_benefit", prize, won_gram, sim.trials, outcome.c_star, _winnings_variance(prize, psi)
+    )
     return DeviationGap(
         gap=abs(stat.estimate - outcome.c_star),
         estimate=stat.estimate,

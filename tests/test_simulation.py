@@ -17,6 +17,7 @@ from bountylab import (
     solve_equilibrium,
     SimConfig,
 )
+from bountylab import simulation
 from bountylab.game import _found_variance
 from conftest import random_game
 
@@ -221,6 +222,123 @@ def test_memory_does_not_grow_with_n():
             assert abs(stat.z_score) <= 4.0, (n, stat)
         assert gap.gap <= 4.0 * gap.std_error, (n, gap)
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_memory_does_not_grow_with_bernoulli_finder_counts():
+    """With S pinned at BERNOULLI_MAX (F = 1 and n - 1 = BERNOULLI_MAX) every
+    trial counts its finders from BERNOULLI_MAX uniforms a bug; each draw is
+    freed before the next, so the peak matches the n = 2 run (S = 1)."""
+    bugs = (OrganicBug(0.5, 0.5, 2.0),)
+    sched = PrizeSchedule(v=(1.0,), artificial=(ArtificialBugDesign(0.5, 0.3),))
+    peaks = []
+    for n in (2, simulation.BERNOULLI_MAX + 1):
+        config = GameConfig(n=n, bugs=bugs, dist=CostDistribution.uniform(0.0, 1.0), budget=2.0)
+        tracemalloc.start()
+        try:
+            report = simulate(sched, config, SimConfig(1 << 16, 11, 1.0))
+            check_equilibrium(sched, config, SimConfig(1 << 16, 12, 1.0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        for stat in report.rows():
+            assert abs(stat.z_score) <= 4.0, (n, stat)
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_both_finder_samplers_in_one_chunk(uniform01, monkeypatch):
+    """S ~ Bin(16, 1/2) straddles BERNOULLI_MAX, so each chunk counts the
+    finders of some trials from Bernoulli draws and of the rest from numpy's
+    binomial; every row must still match its closed form."""
+    blocks = []
+
+    def spy(rng, rivals, q):
+        for cols, finders in finder_counts(rng, rivals, q):
+            blocks.append((finders.dtype, int(rivals[cols].max(initial=0))))
+            yield cols, finders
+
+    finder_counts = simulation._finder_counts
+    monkeypatch.setattr(simulation, "_finder_counts", spy)
+    config = GameConfig(
+        n=2 * simulation.BERNOULLI_MAX + 1,
+        bugs=(OrganicBug(0.8, 0.1, 1.0), OrganicBug(0.6, 0.05, 2.0)),
+        dist=uniform01,
+        budget=2.0,
+    )
+    sched = PrizeSchedule(v=(0.4, 0.3), artificial=(ArtificialBugDesign(0.2, 0.08),))
+    report = simulate(sched, config, SimConfig(1 << 17, 3, 0.5))
+    for stat in report.rows():
+        assert abs(stat.z_score) <= 4.0, stat
+    gap = check_equilibrium(sched, config, SimConfig(1 << 17, 4, 0.5))
+    psi = expected_benefit_psi(0.5, sched, config)
+    assert abs(gap.estimate - psi) <= 4.0 * gap.std_error, (gap, psi)
+    bernoulli = [top for dtype, top in blocks if dtype == np.uint8]
+    binomial = [top for dtype, top in blocks if dtype != np.uint8]
+    assert len(bernoulli) == 4 and max(bernoulli) == simulation.BERNOULLI_MAX  # 2 chunks x 2 calls
+    assert binomial and max(binomial) > simulation.BERNOULLI_MAX
+
+
+def test_sample_variance_matches_found_variance():
+    """The payout's and the designer utility's sample variances estimate
+    Var(sum_j a_j X_j), the closed form game._found_variance, on random
+    games. A value in a range of width R has (x - mean)^2 <= R^2, so the
+    sample variance has standard error at most R sigma / sqrt(trials)."""
+    rng = np.random.default_rng(71)
+    trials = 1 << 16
+    for _ in range(12):
+        game = random_game(rng)
+        v = tuple(float(rng.uniform(0.0, 0.5)) for _ in game.bugs)
+        sched = PrizeSchedule(v=v, artificial=(ArtificialBugDesign(float(rng.uniform(0.1, 0.5)), float(rng.uniform(0.1, 1))),))
+        lo = max(game.dist.c_low, 0.0)
+        threshold = float(rng.uniform(lo, game.dist.upper_bound()))
+        report = simulate(sched, game, SimConfig(trials, int(rng.integers(2**32)), threshold))
+        prize = [*v, sched.artificial[0].v_a]
+        surplus = [b.w - x for b, x in zip(game.bugs, v)] + [-prize[-1]]
+        for stat, weights in ((report.payout, prize), (report.utility, surplus)):
+            var = _found_variance(threshold, sched, game, weights)
+            width = sum(abs(a) for a in weights)
+            sample_var = stat.std_error**2 * trials
+            assert abs(sample_var - var) <= 4.0 * width * math.sqrt(var / trials), (stat, var)
+
+
+FOUND_GAME = dict(n=2, bugs=(OrganicBug(1.0, 1.0, 1.0),), budget=1.0)
+FOUND_PRIZES = PrizeSchedule.organic_only((0.5,))
+
+
+def test_mean_row_without_observations_reads_nan(uniform01):
+    # at threshold c_low agent 0 never searches, so marginal_benefit has no data
+    config = GameConfig(dist=uniform01, **FOUND_GAME)
+    stat = simulate(FOUND_PRIZES, config, SimConfig(256, 1, 0.0)).marginal_benefit
+    assert math.isnan(stat.estimate) and math.isnan(stat.std_error) and math.isnan(stat.z_score)
+    assert stat.closed_form == expected_benefit_psi(0.0, FOUND_PRIZES, config)
+
+
+def test_equal_winnings_take_the_bhatia_davis_variance(uniform01):
+    """When every observed winning is 0.5 the sample variance is 0; the
+    winnings lie in [0, 0.5] with mean Psi, so their variance is at most
+    (0.5 - Psi) Psi, and that bound stands in for it."""
+    config = GameConfig(dist=uniform01, **FOUND_GAME)
+    psi = expected_benefit_psi(0.01, FOUND_PRIZES, config)
+    # a rival rarely searches, so most runs see agent 0 win every bug it finds
+    equal = 0
+    for seed in range(1, 6):
+        stat = simulate(FOUND_PRIZES, config, SimConfig(1000, seed, 0.01)).marginal_benefit
+        assert stat.closed_form == psi and 0.0 < stat.std_error < math.inf
+        if stat.estimate == 0.5:
+            equal += 1
+            # over the searching trials, at most all 1000 of them
+            assert stat.std_error >= math.sqrt((0.5 - psi) * psi / 1000)
+            assert 0.0 < stat.z_score < 1.0
+    psi = expected_benefit_psi(0.001, FOUND_PRIZES, config)
+    for seed in range(1, 6):
+        gap = check_equilibrium(FOUND_PRIZES, config, SimConfig(256, seed, 0.001))
+        assert 0.0 < gap.std_error < math.inf
+        if gap.estimate == 0.5:
+            equal += 1
+            assert gap.std_error == pytest.approx(math.sqrt((0.5 - psi) * psi / 256), rel=1e-12)
+    assert equal >= 5
+    # the mean statistic's rule on its own: one weight, ten trials that all paid 0.5
+    stat = simulation._mean_stat("x", np.array([0.5]), np.array([[10]]), 10, 0.4975, lambda: 0.01)
+    assert (stat.estimate, stat.std_error) == (0.5, math.sqrt(0.01 / 10))
 
 
 def _payout_law(config, sched, F):
