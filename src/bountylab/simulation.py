@@ -13,17 +13,18 @@ threshold. Per trial it draws counts and agent 0's own outcomes only:
   random finder among T + 1, iff u (T + 1) < mu q;
 * per bug, the number of rival finders T | S ~ Bin(S, q). Trials are
   sorted by S. Where S <= BERNOULLI_MAX, T counts the rivals whose own
-  uniform falls below q, S uniforms a bug; larger S take numpy's binomial
-  sampler, whose per-draw cost is a few times that of a uniform.
+  uniform falls below q; larger S take numpy's binomial sampler.
 
 That is one binomial and 1 + (L + K) uniforms a trial (L + K when pinned);
 T takes S (L + K) more uniforms where S <= BERNOULLI_MAX and L + K
-binomials where S is larger. Given S the finder counts of different bugs are independent, so
-bugs are correlated only through shared participation, as in the game. No
-array has an n axis: a chunk holds O(CHUNK (L + K)) numbers whatever n and
-F are. The draws use no closed form; estimates come with standard errors
-and the matching closed forms, read off ``game``, so a report row reads as
-a z-test.
+binomials where S is larger. Given S the finder counts of different bugs
+are independent, so bugs are correlated only through shared
+participation, as in the game. No array has an n axis: a chunk holds
+O(CHUNK (L + K)) numbers whatever n and F are. The draws use no closed
+form; estimates come with standard errors and the matching closed forms,
+read off ``game``, so a report row reads as a z-test. A chunk is tallied
+as counts, per bug and per pair of bugs, of the trials in which they were
+found (won); every mean and sample variance follows from those counts.
 
 Trial chunks of fixed size draw from PCG64 streams seeded by SeedSequence
 with the run's seed as entropy and the chunk index as spawn key, so runs
@@ -242,8 +243,8 @@ def _mean_stat(name, weights, gram, count, closed, fallback_var):
     hits = np.diag(gram)
     # count^2 times the rows' sample covariance, in exact (Python) integers:
     # all-equal trials give exactly 0, with no cancellation in floats
-    big = hits.astype(object)
-    scaled_cov = (gram.astype(object) * count - np.outer(big, big)).astype(float)
+    exact_hits = hits.astype(object)
+    scaled_cov = (gram.astype(object) * count - np.outer(exact_hits, exact_hits)).astype(float)
     var = max(float(weights @ scaled_cov @ weights), 0.0) / (count * max(count - 1, 1))
     if var == 0.0:
         var = fallback_var()
