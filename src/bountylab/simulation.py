@@ -151,7 +151,7 @@ def _finder_counts(rng, rivals, q):
     below q: the t-th rival's draws serve the trials with S >= t, a suffix
     of those trials, so the S = 0 prefix draws nothing. Larger S take
     numpy's binomial sampler, BLOCK trials at a time, so that its int64
-    counts take no more room than the bytes of the first block."""
+    counts take no more room than one byte per trial of a chunk."""
     import numpy as np
 
     J, m = len(q), len(rivals)
