@@ -40,6 +40,11 @@ from .game import GameConfig, PrizeSchedule, _check_prize_count, solve_equilibri
 from .rootfind import PINNED_LOW, bisect_decreasing
 
 MAX_TABLE_N = 10**6
+# A set distance tries 2^(L+1) zero patterns per slice. On a 2-vCPU Xeon, one
+# distance with 25 / 36 / 49 vertices took 0.25 / 1.4 / 10.4 s and a tracemalloc
+# peak of 0.4 / 1.9 / 8.9 MB at L = 8 / 10 / 12 organic bugs; at that growth a
+# 20-bug slice would need gigabytes and hours.
+MAX_SLICE_BUGS = 10
 
 
 def _require_positive_floor(config: GameConfig) -> float:
@@ -310,13 +315,16 @@ def solution_set_distance(config: GameConfig, n: int, q_a: float) -> SetDistance
     coordinates (2^(L+1) of them) with the budget row slack and binding; the
     terms of a pattern that depend only on the slice are set up once per
     slice, leaving O(L) work per pattern and vertex. The cost grows as
-    L^3 2^L, the memory as L 2^L.
+    L^3 2^L, the memory as L 2^L, so more than ``MAX_SLICE_BUGS`` organic
+    bugs raise ValueError.
     """
     c_low = _require_positive_floor(config)
     if n < 2:
         raise ValueError("n must be >= 2")
     if not 0.0 < q_a <= 1.0:
         raise ValueError("q_a must lie in (0, 1] for a meaningful slice")
+    if len(config.bugs) > MAX_SLICE_BUGS:
+        raise ValueError(f"a slice takes at most {MAX_SLICE_BUGS} organic bugs")
 
     budget = config.budget
     cfg_n = config.with_n(int(n))

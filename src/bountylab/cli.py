@@ -24,33 +24,45 @@ from .game import (
     GameConfig,
     OrganicBug,
     PrizeSchedule,
-    _is_int,
     solve_equilibrium,
 )
 from .simulation import SimConfig, simulate
 
 SPEC_VERSION = 1
 
-FIGURE_DEFAULTS = {
-    "which": [1, 2, 3, 4, 5],
-    "w_list": [2.0, 4.0, 6.0],
-    "q_a_fig1": [0.2, 0.5, 1.0],
-    "q_a_fig5": [1.0 / 3.0, 0.5, 1.0],
-    "grid_points": 201,
-    "n_list_curves": [2, 5, 10, 50, 200, 1000],
-    "n_list_distance": [5, 20, 100, 500],
-}
 MAX_GRID_POINTS = 10**4  # figures 1 to 4 hold grid_points rows per curve
 
 _N_MAX = asymptotic.MAX_TABLE_N
-# figures list parameters: entry type, the range every entry must lie in, and its message
-_FIGURE_LISTS = {
-    "which": (int, lambda w: 1 <= w <= 5, "figure numbers must lie in 1..5"),
-    "w_list": (float, lambda w: w >= 0.0, "bug values must be >= 0"),
-    "q_a_fig1": (float, lambda q: 0.0 < q <= 1.0, "q_a values must lie in (0, 1]"),
-    "q_a_fig5": (float, lambda q: 0.0 < q <= 1.0, "q_a values must lie in (0, 1]"),
-    "n_list_curves": (int, lambda n: 1 <= n <= _N_MAX, f"n values must lie in [1, {_N_MAX}]"),
-    "n_list_distance": (int, lambda n: 2 <= n <= _N_MAX, f"n values must lie in [2, {_N_MAX}]"),
+# figures parameters: default, entry type, the range each entry must lie in and
+# its message, and the noun of a list that must not be empty (None: it may be);
+# grid_points is the one scalar
+_FIGURE_PARAMS = {
+    "which": ([1, 2, 3, 4, 5], int, lambda w: 1 <= w <= 5, "figure numbers must lie in 1..5", "figure"),
+    "w_list": ([2.0, 4.0, 6.0], float, lambda w: w >= 0.0, "bug values must be >= 0", None),
+    "q_a_fig1": ([0.2, 0.5, 1.0], float, lambda q: 0.0 < q <= 1.0, "q_a values must lie in (0, 1]", None),
+    "q_a_fig5": ([1 / 3, 0.5, 1.0], float, lambda q: 0.0 < q <= 1.0, "q_a values must lie in (0, 1]", None),
+    "grid_points": (
+        201, int, lambda g: 0 <= g <= MAX_GRID_POINTS, f"grid_points must lie in [0, {MAX_GRID_POINTS}]", None
+    ),
+    "n_list_curves": (
+        [2, 5, 10, 50, 200, 1000], int, lambda n: 1 <= n <= _N_MAX, f"n values must lie in [1, {_N_MAX}]", "n"
+    ),
+    "n_list_distance": (
+        [5, 20, 100, 500], int, lambda n: 2 <= n <= _N_MAX, f"n values must lie in [2, {_N_MAX}]", "n"
+    ),
+}
+
+# each cost family's constructor and the fields it reads, in order
+_DIST_FAMILIES = {
+    "uniform": (CostDistribution.uniform, ("c_low", "c_high")),
+    "power": (CostDistribution.power, ("c_low", "c_high", "alpha")),
+    "exponential": (CostDistribution.exponential, ("c_low", "rate")),
+}
+
+# the optional top-level fields and their types
+_OPTIONAL_FIELDS = {
+    "mode": str, "prizes": dict, "output_dir": str, "seed": int,
+    "trials": int, "threshold": float, "n_list": list, "figures": dict,
 }
 
 # One output file: (file name, header, rows).
@@ -97,39 +109,44 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"{path}.{key}", "unknown field")
 
 
+def _check(value, path: str, kind):
+    """``value`` as a ``kind``: a float must be finite (an int is widened to
+    one), and a bool passes only as a bool."""
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        # exact int/float comparison: rejects inf, nan and ints beyond float range
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(path, "expected a finite number")
+        return float(value)
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(path, f"expected {kind.__name__}")
+    return value
+
+
 def _get(obj: dict, key: str, path: str, kind, required: bool = True):
     if key not in obj:
         if required:
             raise ConfigError(f"{path}.{key}", "missing required field")
         return None
-    value = obj[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        # exact int/float comparison: rejects inf, nan and ints beyond float range
-        if not -sys.float_info.max <= value <= sys.float_info.max:
-            raise ConfigError(f"{path}.{key}", "expected a finite number")
-        return float(value)
-    if kind is int and _is_int(value):
-        return value
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}")
-    return value
+    return _check(obj[key], f"{path}.{key}", kind)
 
 
-def _check_list(value, path: str, kind, in_range, message: str) -> None:
-    """Check that ``value`` is a list whose entries all pass ``_get`` as
-    ``kind`` and then ``in_range``; ``message`` says what the range is."""
-    if isinstance(value, list):
+def _check_figure_param(value, path: str, key: str) -> None:
+    """Check ``value`` against the figures parameter ``key``: a list of
+    entries (or, for grid_points, one value) of its type, each in its range."""
+    default, kind, in_range, message, noun = _FIGURE_PARAMS[key]
+    if not isinstance(default, list):
+        value = [_check(value, path, kind)]
+    else:
         try:
-            for x in value:
-                _get({"x": x}, "x", path, kind)
+            for x in _check(value, path, list):
+                _check(x, path, kind)
         except ConfigError:
-            pass
-        else:
-            if all(in_range(x) for x in value):
-                return
-            raise ConfigError(path, message)
-    noun = "integers" if kind is int else "finite numbers"
-    raise ConfigError(path, f"expected a list of {noun}")
+            plural = "integers" if kind is int else "finite numbers"
+            raise ConfigError(path, f"expected a list of {plural}") from None
+        if noun and not value:
+            raise ConfigError(path, f"the {noun} list must not be empty")
+    if not all(in_range(x) for x in value):
+        raise ConfigError(path, message)
 
 
 def _parse_objects(items: list, path: str, cls) -> tuple:
@@ -151,19 +168,18 @@ def _parse_objects(items: list, path: str, cls) -> tuple:
 def _parse_dist(obj: dict, path: str) -> CostDistribution:
     _check_keys(obj, {"kind", "c_low", "c_high", "alpha", "rate"}, path)
     kind = _get(obj, "kind", path, str)
-    if kind not in ("uniform", "power", "exponential"):
+    if kind not in _DIST_FAMILIES:
         raise ConfigError(f"{path}.kind", f"unknown distribution kind {kind!r}")
-    if kind != "power" and "alpha" in obj:
-        raise ConfigError(f"{path}.alpha", "only valid for the power family")
-    if kind != "exponential" and "rate" in obj:
-        raise ConfigError(f"{path}.rate", "only valid for the exponential family")
-    # checked here so that a bad number is reported under its own field path
-    for key in ("c_low", "c_high", "alpha", "rate"):
-        if obj.get(key) is not None:
-            _get(obj, key, path, float)
+    make, fields = _DIST_FAMILIES[kind]
+    for key, family in (("alpha", "power"), ("rate", "exponential")):
+        if key in obj and key not in fields:
+            raise ConfigError(f"{path}.{key}", f"only valid for the {family} family")
+    if "c_high" not in fields and obj.get("c_high") is not None:
+        raise ConfigError(f"{path}.c_high", "the exponential family takes c_high = null")
+    params = {"alpha": 1.0, "rate": 1.0, **obj}  # a missing alpha or rate reads 1.0
     try:
-        return CostDistribution.from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
+        return make(*[_get(params, key, path, float) for key in fields])
+    except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
@@ -189,7 +205,7 @@ def _parse_prizes(obj: dict, path: str, n_bugs: int) -> PrizeSchedule:
         f"{path}.artificial",
         ArtificialBugDesign,
     )
-    v = [_get({f"v[{i}]": x}, f"v[{i}]", path, float) for i, x in enumerate(v)]
+    v = [_check(x, f"{path}.v[{i}]", float) for i, x in enumerate(v)]
     try:
         return PrizeSchedule(v=tuple(v), artificial=artificial)
     except (ValueError, TypeError) as exc:
@@ -197,60 +213,34 @@ def _parse_prizes(obj: dict, path: str, n_bugs: int) -> PrizeSchedule:
 
 
 def _parse_figures(obj: dict, path: str) -> dict:
-    _check_keys(obj, set(FIGURE_DEFAULTS), path)
-    params = {**FIGURE_DEFAULTS, **obj}
-    for key, (kind, in_range, message) in _FIGURE_LISTS.items():
-        _check_list(params[key], f"{path}.{key}", kind, in_range, message)
-    for key, noun in (("which", "figure"), ("n_list_curves", "n"), ("n_list_distance", "n")):
-        if not params[key]:
-            raise ConfigError(f"{path}.{key}", f"the {noun} list must not be empty")
-    if not 0 <= _get(params, "grid_points", path, int) <= MAX_GRID_POINTS:
-        raise ConfigError(f"{path}.grid_points", f"grid_points must lie in [0, {MAX_GRID_POINTS}]")
+    _check_keys(obj, set(_FIGURE_PARAMS), path)
+    params = {key: obj.get(key, spec[0]) for key, spec in _FIGURE_PARAMS.items()}
+    for key, value in params.items():
+        _check_figure_param(value, f"{path}.{key}", key)
     return params
 
 
 class RunConfig:
-    """Parsed, validated run configuration."""
+    """Parsed, validated run configuration: ``game``, ``figures`` and each
+    optional top-level field (None when absent)."""
 
     def __init__(self, raw: dict):
-        allowed = {
-            "spec_version",
-            "mode",
-            "game",
-            "prizes",
-            "output_dir",
-            "seed",
-            "trials",
-            "threshold",
-            "n_list",
-            "figures",
-        }
         if not isinstance(raw, dict):
             raise ConfigError("$", "top-level value must be an object")
-        _check_keys(raw, allowed, "$")
+        _check_keys(raw, {"spec_version", "game", *_OPTIONAL_FIELDS}, "$")
         if _get(raw, "spec_version", "$", int) != SPEC_VERSION:
             raise ConfigError("$.spec_version", f"expected {SPEC_VERSION}")
-        self.mode = _get(raw, "mode", "$", str, required=False)
+        for key, kind in _OPTIONAL_FIELDS.items():
+            setattr(self, key, _get(raw, key, "$", kind, required=False))
         if self.mode is not None and self.mode not in MODES:
             raise ConfigError("$.mode", f"unknown mode {self.mode!r}")
         self.game = _parse_game(_get(raw, "game", "$", dict), "$.game")
-        self.prizes = None
-        if "prizes" in raw:
-            self.prizes = _parse_prizes(
-                _get(raw, "prizes", "$", dict), "$.prizes", len(self.game.bugs)
-            )
-        self.output_dir = _get(raw, "output_dir", "$", str, required=False)
-        self.seed = _get(raw, "seed", "$", int, required=False)
-        self.trials = _get(raw, "trials", "$", int, required=False)
-        self.threshold = _get(raw, "threshold", "$", float, required=False)
-        self.n_list = _get(raw, "n_list", "$", list, required=False)
+        if self.prizes is not None:
+            self.prizes = _parse_prizes(self.prizes, "$.prizes", len(self.game.bugs))
         if self.n_list is not None:
-            # n_list stands in for figures.n_list_curves, so it obeys the same range
-            _check_list(self.n_list, "$.n_list", *_FIGURE_LISTS["n_list_curves"])
-            if not self.n_list:
-                raise ConfigError("$.n_list", "the n list must not be empty")
-        figures = _get(raw, "figures", "$", dict, required=False)
-        self.figures = _parse_figures(figures or {}, "$.figures")
+            # n_list stands in for figures.n_list_curves, so it obeys the same rules
+            _check_figure_param(self.n_list, "$.n_list", "n_list_curves")
+        self.figures = _parse_figures(self.figures or {}, "$.figures")
 
 
 def _load_config(path: str) -> RunConfig:
@@ -356,6 +346,8 @@ def _figures(cfg: RunConfig) -> list[Table]:
         raise ConfigError("$.prizes", "figures 3 and 4 require a prize schedule")
     if which & {3, 4, 5} and game.dist.c_low <= 0.0:
         raise ConfigError("$.game.dist.c_low", "figures 3 to 5 require c_low > 0")
+    if 5 in which and len(game.bugs) > asymptotic.MAX_SLICE_BUGS:
+        raise ConfigError("$.game.bugs", f"figure 5 takes at most {asymptotic.MAX_SLICE_BUGS} bugs")
     grid_points = params["grid_points"]
     lo = max(game.dist.c_low, 0.0)
     hi = game.dist.upper_bound()

@@ -195,27 +195,3 @@ class CostDistribution:
             raise ValueError("count must be >= 0")
         levels = np.random.default_rng(seed).random(count).tolist()
         return np.fromiter(map(self.quantile, levels), dtype=float, count=count)
-
-    # -- config-file form ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        obj: dict = {"kind": self.kind, "c_low": self.c_low}
-        obj["c_high"] = self.c_high if math.isfinite(self.c_high) else None
-        if self.kind == POWER:
-            obj["alpha"] = self.alpha
-        if self.kind == EXPONENTIAL:
-            obj["rate"] = self.rate
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CostDistribution":
-        kind = obj.get("kind")
-        if kind == UNIFORM:
-            return cls.uniform(obj["c_low"], obj["c_high"])
-        if kind == POWER:
-            return cls.power(obj["c_low"], obj["c_high"], obj.get("alpha", 1.0))
-        if kind == EXPONENTIAL:
-            if obj.get("c_high") is not None:
-                raise ValueError("exponential distribution takes c_high = null")
-            return cls.exponential(obj["c_low"], obj.get("rate", 1.0))
-        raise ValueError(f"unknown distribution kind {kind!r}")

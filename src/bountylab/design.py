@@ -275,19 +275,6 @@ class SolutionSet:
     feasible: bool
     vertices: tuple[tuple[float, ...], ...]
 
-    def sample(self, points_per_edge: int = 9) -> list[tuple[float, ...]]:
-        """Deterministic points of the set: vertices plus edge subdivisions."""
-        if not self.feasible:
-            return []
-        pts = [tuple(v) for v in self.vertices]
-        for i in range(len(self.vertices)):
-            for j in range(i + 1, len(self.vertices)):
-                a, b = self.vertices[i], self.vertices[j]
-                for s in range(1, points_per_edge + 1):
-                    t = s / (points_per_edge + 1)
-                    pts.append(tuple((1 - t) * x + t * y for x, y in zip(a, b)))
-        return pts
-
 
 def solution_set(config: GameConfig, c_target: float, q_a: float) -> SolutionSet:
     """Describe every budget-feasible prize split attaining ``c_target``.

@@ -26,6 +26,7 @@ from bountylab import (
     solve_kappa_tilde,
     utility_infinity,
 )
+from bountylab import asymptotic
 from bountylab.asymptotic import _optimal_levels, _projection_distance, _zero_patterns
 from bountylab.design import _vertices
 from conftest import random_public_game
@@ -419,6 +420,18 @@ def test_solution_set_distance_rejects_bad_args(public_example):
         solution_set_distance(public_example, 1, 0.5)
     with pytest.raises(ValueError):
         solution_set_distance(public_example, 5, 0.0)
+
+
+def test_solution_set_distance_caps_the_bug_count(public_example, monkeypatch):
+    def enumerate_patterns(coeffs):
+        raise AssertionError("the zero patterns were enumerated")
+
+    monkeypatch.setattr(asymptotic, "_zero_patterns", enumerate_patterns)
+    # a budget at which the slices are feasible, so only the cap stops the enumeration
+    bugs = public_example.bugs * (asymptotic.MAX_SLICE_BUGS + 1)
+    config = GameConfig(n=2, bugs=bugs, dist=public_example.dist, budget=20.0)
+    with pytest.raises(ValueError, match="at most"):
+        solution_set_distance(config, 5, 0.5)
 
 
 def _scaled_two_bugs(s):

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bountylab.cli import MAX_GRID_POINTS, _linspace, main
+from bountylab import CostDistribution
+from bountylab.asymptotic import MAX_SLICE_BUGS
+from bountylab.cli import MAX_GRID_POINTS, RunConfig, _linspace, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -152,6 +154,13 @@ def _figure1_on_two_bugs(cfg):
     cfg["figures"] = {"which": [1]}
 
 
+def _figure5_on_too_many_bugs(cfg):
+    cfg["game"]["dist"] = {"kind": "uniform", "c_low": 1.0, "c_high": 2.0}
+    cfg["game"]["bugs"] = [{"mu": 0.5, "q": 0.5, "w": 1.0}] * (MAX_SLICE_BUGS + 1)
+    cfg["prizes"]["v"] = [0.0] * (MAX_SLICE_BUGS + 1)
+    cfg["figures"] = {"which": [5]}
+
+
 def _figure1_at_q_a(q_a):
     # so small a q_a makes the artificial coefficient Phi(c_tilde; q_a) overflow v_a or vanish
     return lambda c: c.update(figures={"which": [1], "grid_points": 3, "q_a_fig1": [q_a]})
@@ -192,11 +201,17 @@ def _figure1_at_q(q):
         ("figures", "$.game.dist.c_low", lambda c: c.update(figures={"which": [3]})),
         ("figures", "$.figures.which", lambda c: c.update(figures={"which": [6]})),
         ("figures", "$.game.bugs", _figure1_on_two_bugs),
+        ("figures", "$.game.bugs", _figure5_on_too_many_bugs),
         ("design", "$.mode", lambda c: c.update(mode="bogus")),
         ("equilibrium", "$.prizes.v", lambda c: c["prizes"].update(v=[0.0, 1.0])),
         ("design", "$.game.dist.alpha", _set_dist(kind="uniform", c_low=0.0, c_high=1.0, alpha=2.0)),
         ("design", "$.game.dist.rate", _set_dist(kind="power", c_low=0.0, c_high=1.0, alpha=2.0, rate=1.0)),
         ("design", "$.game.dist.kind", _set_dist(kind="lognormal", c_low=0.0, c_high=1.0)),
+        ("design", "$.game.dist.c_high", _set_dist(kind="uniform", c_low=0.0, c_high=None)),
+        ("design", "$.game.dist.c_high", _set_dist(kind="uniform", c_low=0.0)),
+        ("design", "$.game.dist.c_low", _set_dist(kind="uniform", c_high=1.0)),
+        ("design", "$.game.dist.c_high", _set_dist(kind="exponential", c_low=0.0, c_high=2.0)),
+        ("design", "$.game.dist.alpha", _set_dist(kind="power", c_low=0.0, c_high=1.0, alpha=None)),
         ("design", "$.game.bugs[0]", lambda c: c["game"].update(bugs=[5])),
         ("design", "$.game.budget", lambda c: c["game"].pop("budget")),
     ],
@@ -207,7 +222,8 @@ def _figure1_at_q(q):
         "n_list_distance_empty", "q_a_fig1_overflow",
         "q_a_fig1_underflow", "q_fig1_overflow", "q_fig1_subnormal",
         "unused_figures_value", "fig5_c_low_zero", "fig3_c_low_zero", "which", "fig1_two_bugs",
-        "mode", "v_length", "alpha_on_uniform", "rate_on_power", "kind", "bug_not_object",
+        "fig5_too_many_bugs", "mode", "v_length", "alpha_on_uniform", "rate_on_power", "kind", "c_high_null",
+        "c_high_missing", "c_low_missing", "c_high_on_exponential", "alpha_null", "bug_not_object",
         "budget_missing",
     ],
 )
@@ -216,8 +232,33 @@ def test_rejected_field_names_its_path(tmp_path, capsys, mode, path, poison):
     poison(cfg)
     code = main([mode, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
     assert code == 2
-    assert f"config error at {path}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error at {path}: " in err
+    # a message of its own, not a leaked TypeError or a KeyError's bare repr
+    message = err.split(f"config error at {path}: ", 1)[1].strip()
+    assert "NoneType" not in message
+    assert not (message.startswith("'") and message.endswith("'"))
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "dist, expected",
+    [
+        ({"kind": "uniform", "c_low": 0, "c_high": 1}, CostDistribution.uniform(0.0, 1.0)),
+        ({"kind": "power", "c_low": 0.0, "c_high": 1.0}, CostDistribution.power(0.0, 1.0, 1.0)),
+        ({"kind": "power", "c_low": 0.5, "c_high": 2.0, "alpha": 3}, CostDistribution.power(0.5, 2.0, 3.0)),
+        ({"kind": "exponential", "c_low": 1.0}, CostDistribution.exponential(1.0, 1.0)),
+        (
+            {"kind": "exponential", "c_low": 1.0, "c_high": None, "rate": 0.7},
+            CostDistribution.exponential(1.0, 0.7),
+        ),
+    ],
+    ids=["uniform", "power_default_alpha", "power", "exponential_default_rate", "exponential"],
+)
+def test_dist_fields_and_defaults(dist, expected):
+    cfg = _base_config()
+    cfg["game"]["dist"] = dist
+    assert RunConfig(cfg).game.dist == expected
 
 
 # -- golden run ------------------------------------------------------------------
@@ -394,7 +435,7 @@ def test_figure1_and_2_datasets(tmp_path):
     curves = {r["curve"] for r in fig1}
     assert "budget" in curves and len(curves) == 4
     # every non-budget point satisfies the fixed-point hyperplane within fp error
-    from bountylab import GameConfig, OrganicBug, CostDistribution, win_prob_phi
+    from bountylab import GameConfig, OrganicBug, win_prob_phi
 
     game = GameConfig(
         n=2,

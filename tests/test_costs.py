@@ -258,17 +258,6 @@ def test_exponential_effective_upper_bound():
     assert dist.cdf(ub) == pytest.approx(1.0 - 1e-12, abs=1e-13)
 
 
-def test_json_roundtrip():
-    for dist in (
-        CostDistribution.uniform(0.0, 1.0),
-        CostDistribution.power(0.5, 2.0, 3.0),
-        CostDistribution.exponential(1.0, 0.7),
-    ):
-        assert CostDistribution.from_json(dist.to_json()) == dist
-    with pytest.raises(ValueError):
-        CostDistribution.from_json({"kind": "exponential", "c_low": 0.0, "c_high": 2.0})
-
-
 @pytest.mark.parametrize(
     "build",
     [lambda v: CostDistribution.power(0.0, 1.0, v), lambda v: CostDistribution.exponential(0.0, v)],

@@ -441,6 +441,19 @@ def test_solution_set_infeasible_when_too_complex(private_example):
     assert sset.vertices == ()
 
 
+def _edge_points(sset, points_per_edge):
+    """The vertices of ``sset`` and ``points_per_edge`` evenly spaced points
+    inside each segment between two of them; the set is convex, so all lie in it."""
+    vertices = sset.vertices
+    points = list(vertices)
+    for i, a in enumerate(vertices):
+        for b in vertices[i + 1 :]:
+            for s in range(1, points_per_edge + 1):
+                t = s / (points_per_edge + 1)
+                points.append(tuple((1 - t) * x + t * y for x, y in zip(a, b)))
+    return points
+
+
 def test_solution_set_origin_only_at_zero(private_example):
     sset = solution_set(private_example, 0.0, 1.0)
     assert sset.feasible
@@ -453,7 +466,7 @@ def test_solution_set_zero_target_keeps_zero_coefficient_face(private_example):
     sset = solution_set(private_example, 0.0, 0.0)
     assert sset.feasible
     assert sset.vertices == ((0.0, 0.0), (0.0, private_example.budget))
-    for point in sset.sample(points_per_edge=3):
+    for point in _edge_points(sset, 3):
         sched = PrizeSchedule(
             v=tuple(point[:-1]), artificial=(ArtificialBugDesign(point[-1], 0.0),)
         )
@@ -465,7 +478,7 @@ def test_solution_set_zero_target_keeps_zero_coefficient_face(private_example):
 def test_solution_set_points_reproduce_threshold(private_example):
     sset = solution_set(private_example, 2 / 9, 1.0)
     utilities = []
-    for point in sset.sample():
+    for point in _edge_points(sset, 9):
         sched = PrizeSchedule(
             v=tuple(point[:-1]), artificial=(ArtificialBugDesign(point[-1], 1.0),)
         )
@@ -485,7 +498,7 @@ def test_solution_set_multi_bug_vertices(uniform01):
     )
     sset = solution_set(config, 0.2, 1.0)
     assert sset.feasible
-    for point in sset.sample(points_per_edge=3):
+    for point in _edge_points(sset, 3):
         v = tuple(point[:-1])
         sched = PrizeSchedule(v=v, artificial=(ArtificialBugDesign(point[-1], 1.0),))
         out = solve_equilibrium(sched, config)

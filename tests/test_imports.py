@@ -5,6 +5,7 @@ functions that draw. So only the Monte Carlo pays for loading it."""
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +13,12 @@ from pathlib import Path
 import pytest
 
 import bountylab
+import bountylab.rootfind
 import bountylab.simulation
 
 PACKAGE = Path(bountylab.__file__).parent
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 def _import_time_modules(tree):
@@ -93,3 +96,33 @@ def test_package_namespace():
     assert bountylab.simulate is bountylab.simulation.simulate
     with pytest.raises(AttributeError):
         bountylab.no_such_name
+
+
+def _tracer_constant(name):
+    """A tuple constant of ``bench/tracer.py``, read without importing it."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"bench/tracer.py defines no {name}")
+
+
+def test_benchmark_tracer_finds_what_it_hooks():
+    """The benchmark's tracer rebinds names it looks up in the package; a
+    change that moves one fails every traced run, so it fails here first."""
+    cost_methods = _tracer_constant("COST_METHODS")
+    assert [m for m in cost_methods if m not in vars(bountylab.CostDistribution)] == []
+    layers = [f"bountylab.{layer}" for layer in _tracer_constant("LAYERS")]
+    probe = "import json, sys, bountylab.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    loaded = json.loads(proc.stdout)
+    assert [m for m in layers if m not in loaded] == []
+    assert callable(bountylab.simulation._chunk_rng)
+    assert callable(bountylab.rootfind.bisect_decreasing)
