@@ -330,8 +330,8 @@ def _simulate(cfg: RunConfig) -> list[Table]:
         sim = SimConfig(trials=cfg.trials, seed=cfg.seed, threshold=threshold)
         report = simulate(cfg.prizes, cfg.game, sim)
     except ValueError as exc:
-        field = str(exc).split()[0]  # SimConfig's messages open with the field name
-        path = f"$.{field}" if field in ("seed", "trials") else "$.threshold"
+        field = str(exc).split()[0]  # the messages open with the field name
+        path = {"seed": "$.seed", "trials": "$.trials", "n": "$.game.n"}.get(field, "$.threshold")
         raise ConfigError(path, str(exc)) from exc
     header = ["statistic", "estimate", "std_error", "closed_form", "z_score"]
     rows = [[s.name, s.estimate, s.std_error, s.closed_form, s.z_score] for s in report.rows()]

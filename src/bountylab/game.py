@@ -105,6 +105,8 @@ class GameConfig:
         object.__setattr__(self, "bugs", tuple(self.bugs))
         if not (_is_int(self.n) and self.n >= 1):
             raise ValueError("n must be an integer >= 1")
+        if self.n > sys.float_info.max:  # the closed forms take n as a float
+            raise ValueError(f"n must be at most {sys.float_info.max:g}")
         if len(self.bugs) == 0:
             raise ValueError("L >= 1 required: at least one organic bug")
         if not 0.0 < self.budget < math.inf:

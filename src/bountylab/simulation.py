@@ -58,6 +58,13 @@ CHUNK = 1 << 16
 # below the measured cost crossover with numpy's binomial (about 16 at q = 0.5).
 BERNOULLI_MAX = 8
 BLOCK = CHUNK // 8  # trials per binomial draw of larger finder counts
+# Rival counts S whose standard deviation exceeds this are drawn one per
+# trial and sorted; narrower laws are drawn as a histogram. About half the
+# measured crossover: a 2^16-trial chunk's histogram took 1.4 ms at sd = 128
+# and caught up with the sorted draw's 3.4 ms near sd = 300 (F = 1/2, 0.01).
+SPREAD_MAX = 128.0
+# The histogram's law keeps the terms of at least this fraction of the mode's.
+TAIL = 1e-30
 
 
 @dataclass(frozen=True)
@@ -143,6 +150,72 @@ def _bug_arrays(prizes: PrizeSchedule, game: GameConfig):
     return [np.array(c, dtype=float) for c in columns]
 
 
+def _rival_law(rivals: int, F: float):
+    """The law of S ~ Bin(rivals, F) as the histogram sampler reads it:
+    the values k it keeps, ascending, with P(S = k | S <= k) and
+    P(S = k | S >= k); the index of the median; and P(S < median).
+
+    Terms come from the ratio recurrence pmf(k + 1) / pmf(k) =
+    (rivals - k) / (k + 1) F / (1 - F) in logs, relative to the mode, over
+    12 sd + 30 values either side of it, which holds every term of at least
+    TAIL of the mode's (checked against lgamma up to rivals = 10^12); the
+    rest are dropped. Each tail is summed from its far end, so neither loses
+    its digits to a `1 -`. The mode is found from the smaller of F and 1 - F
+    (exact for F >= 1/2), so it stays exact where S sits next to rivals."""
+    import numpy as np
+
+    sd = math.sqrt(rivals * F * (1.0 - F))
+    mode = int((rivals + 1) * F) if F <= 0.5 else rivals - int((rivals + 1) * (1.0 - F))
+    mode = min(max(mode, 0), rivals)
+    if sd == 0.0:  # no rivals, or F in {0, 1}
+        return np.array([mode]), [1.0], [1.0], 0, 0.0
+    width = math.ceil(12.0 * sd) + 30
+    lo, hi = max(mode - width, 0), min(mode + width, rivals)
+    k = lo + np.arange(hi - lo + 1)  # int64 up to rivals = 2**63 - 1
+    step = np.log(rivals - k[:-1]) - np.log(k[:-1] + 1) + (math.log(F) - math.log1p(-F))
+    log_pmf = np.concatenate(([0.0], np.cumsum(step)))
+    pmf = np.exp(log_pmf - log_pmf[mode - k[0]])
+    keep = pmf >= TAIL
+    k, pmf = k[keep], pmf[keep]
+    below = np.cumsum(pmf)  # P(S <= k), summed up from the bottom
+    above = np.cumsum(pmf[::-1])[::-1]  # P(S >= k), summed down from the top
+    split = int(np.searchsorted(below, 0.5 * below[-1]))
+    p_below = below[split - 1] / (below[split - 1] + above[split]) if split else 0.0
+    return k, (pmf / below).tolist(), (pmf / above).tolist(), split, float(p_below)
+
+
+def _rival_sampler(rivals: int, F: float):
+    """A function (rng, m) -> m draws of S ~ Bin(rivals, F), sorted.
+
+    Where the standard deviation of S exceeds SPREAD_MAX each trial draws
+    its own S and the chunk is sorted. Otherwise the chunk's histogram of S
+    is drawn: one binomial for the count below the median, then one per
+    occupied value walking down with P(S = k | S <= k) and up with
+    P(S = k | S >= k), each side stopping when it has no trials left. The
+    law takes O(SPREAD_MAX) numbers whatever rivals is."""
+    import numpy as np
+
+    if math.sqrt(rivals * F * (1.0 - F)) > SPREAD_MAX:
+        return lambda rng, m: np.sort(rng.binomial(rivals, F, m))
+    values, down, up, split, p_below = _rival_law(rivals, F)
+
+    def draw(rng, m):
+        counts = [0] * len(values)
+        below = int(rng.binomial(m, p_below))
+        for side, cond, left in (
+            (range(split - 1, -1, -1), down, below),
+            (range(split, len(values)), up, m - below),
+        ):
+            for i in side:
+                if not left:
+                    break
+                counts[i] = c = int(rng.binomial(left, cond[i]))
+                left -= c
+        return np.repeat(values, counts)
+
+    return draw
+
+
 def _finder_counts(rng, rivals, q):
     """Rival finders T ~ Bin(S, q) per bug (rows, q a column) and trial
     (columns), for rival counts S sorted ascending, as (columns, T) blocks.
@@ -180,17 +253,26 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
     if not dist.c_low <= sim.threshold <= dist.c_high:
         raise ValueError("threshold must lie within the cost support")
     _check_prize_count(prizes, game)
+    if game.n - 1 >= 2**63:
+        raise ValueError("n - 1 must be below 2**63 to draw the rival count")
     F = dist.cdf(sim.threshold)
+    draw_rivals = _rival_sampler(game.n - 1, F)
     mus, _, q, _ = _bug_arrays(prizes, game)
     L, J = len(mus), len(q)
     mu = np.ones((J, 1))  # an artificial entry exists: u < 1 always holds
     mu[:L, 0] = mus
     q = q[:, None]
     mu_q = mu * q
+    rows = J + (not pinned)
+    # one buffer per call, refilled in place: a fresh one per chunk would
+    # page-fault its rows x CHUNK floats in again; a prefix serves a short
+    # last chunk
+    buffer = np.empty(rows * min(CHUNK, sim.trials))
     for m, rng in _chunks(sim):
         # Trials are exchangeable, so they are ordered by S.
-        rivals = np.sort(rng.binomial(game.n - 1, F, m))
-        u = rng.random((J + (not pinned), m))
+        rivals = draw_rivals(rng, m)
+        u = buffer[: rows * m].reshape(rows, m)
+        rng.random(u.shape, out=u)
         searching = np.ones(m, dtype=bool) if pinned else u[J] < F
         # One uniform per bug: u < mu is existence; given it u / mu is
         # uniform, so u < mu q is agent 0's find; given that, u / (mu q) is

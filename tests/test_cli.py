@@ -214,6 +214,9 @@ def _figure1_at_q(q):
         ("design", "$.game.dist.alpha", _set_dist(kind="power", c_low=0.0, c_high=1.0, alpha=None)),
         ("design", "$.game.bugs[0]", lambda c: c["game"].update(bugs=[5])),
         ("design", "$.game.budget", lambda c: c["game"].pop("budget")),
+        ("design", "$.game", lambda c: c["game"].update(n=10**400)),
+        ("equilibrium", "$.game", lambda c: c["game"].update(n=10**400)),
+        ("simulate", "$.game", lambda c: c["game"].update(n=10**400)),
     ],
     ids=[
         "n_list_distance_below_2", "n_list_curves_above_max", "n_list_curves_zero", "n_list_zero",
@@ -224,7 +227,8 @@ def _figure1_at_q(q):
         "unused_figures_value", "fig5_c_low_zero", "fig3_c_low_zero", "which", "fig1_two_bugs",
         "fig5_too_many_bugs", "mode", "v_length", "alpha_on_uniform", "rate_on_power", "kind", "c_high_null",
         "c_high_missing", "c_low_missing", "c_high_on_exponential", "alpha_null", "bug_not_object",
-        "budget_missing",
+        "budget_missing", "design_n_overflows_float", "equilibrium_n_overflows_float",
+        "simulate_n_overflows_float",
     ],
 )
 def test_rejected_field_names_its_path(tmp_path, capsys, mode, path, poison):
@@ -384,6 +388,18 @@ def test_simulate_mode_requires_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_simulate_at_the_largest_rival_count(tmp_path):
+    # n - 1 = 2**63 - 1 is the largest rival count numpy's int64 draws hold
+    cfg = _base_config(prizes={"v": [1.0], "artificial": []}, threshold=1e-19)
+    cfg["game"]["n"] = 2**63
+    argv = ["simulate", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)]
+    assert main(argv + ["--seed", "1", "--trials", "1000"]) == 0
+    rows = {r["statistic"]: float(r["z_score"]) for r in _read_csv(tmp_path / "sim_report.csv")}
+    # the reference agent almost never searches, so only the crowd's rows carry data
+    for name in ("detect_uncond_bug_1", "detect_cond_bug_1", "payout_total"):
+        assert abs(rows[name]) <= 5.0, name
+
+
 def test_simulate_flags_override_config(tmp_path):
     cfg = _base_config(prizes={"v": [1.0], "artificial": []})
     config = _write_config(tmp_path, cfg)
@@ -412,8 +428,13 @@ def test_simulate_on_an_unbounded_support_runs_at_the_equilibrium(tmp_path):
         ({}, ["--seed", "-1", "--trials", "10"], "$.seed: seed must be"),
         ({}, ["--seed", "1", "--trials", "0"], "$.trials: trials must be"),
         ({"threshold": 5.0}, ["--seed", "1", "--trials", "10"], "$.threshold: threshold must lie"),
+        (
+            {"game": {**_base_config()["game"], "n": 2**63 + 5}},
+            ["--seed", "1", "--trials", "10"],
+            "$.game.n: n - 1 must be below 2**63",
+        ),
     ],
-    ids=["seed", "trials", "threshold"],
+    ids=["seed", "trials", "threshold", "n_beyond_int64"],
 )
 def test_simulate_error_names_its_field(tmp_path, capsys, overrides, flags, message):
     cfg = _base_config(prizes={"v": [1.0], "artificial": []}, **overrides)

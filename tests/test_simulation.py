@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -275,6 +276,172 @@ def test_both_finder_samplers_in_one_chunk(uniform01, monkeypatch):
     binomial = [top for dtype, top in blocks if dtype != np.uint8]
     assert len(bernoulli) == 4 and max(bernoulli) == simulation.BERNOULLI_MAX  # 2 chunks x 2 calls
     assert binomial and max(binomial) > simulation.BERNOULLI_MAX
+
+
+def _exact_binomial(N, F):
+    """pmf, P(S <= k) and P(S >= k) of Bin(N, F) in exact rationals."""
+    p = Fraction(F)
+    pmf = [math.comb(N, k) * p**k * (1 - p) ** (N - k) for k in range(N + 1)]
+    below = [sum(pmf[: k + 1]) for k in range(N + 1)]
+    above = [sum(pmf[k:]) for k in range(N + 1)]
+    return pmf, below, above
+
+
+@pytest.mark.parametrize("F", [1e-12, 0.3, 1.0 - 1e-12])
+def test_rival_law_matches_exact_enumeration(F):
+    """Every conditional probability the histogram sampler walks with, on
+    both sides of the median, against Fraction enumeration. Where the law is
+    cut (a term below TAIL of the mode's) the edge value takes the dropped
+    tail's trials, so it reads 1; the dropped mass must be negligible."""
+    sides = set()
+    for N in range(1, 31):
+        values, down, up, split, p_below = simulation._rival_law(N, F)
+        pmf, below, above = _exact_binomial(N, F)
+        median = next(k for k in range(N + 1) if below[k] >= Fraction(1, 2))
+        assert values[split] == median
+        assert p_below == pytest.approx(float(below[median - 1]) if median else 0.0, rel=1e-12)
+        lo, hi = int(values[0]), int(values[-1])
+        assert values.tolist() == list(range(lo, hi + 1))
+        assert (below[lo - 1] if lo else 0) + (above[hi + 1] if hi < N else 0) < N * simulation.TAIL
+        for i, k in enumerate(range(lo, hi + 1)):
+            if i < split:
+                sides.add("down")
+                exact = pmf[k] / below[k]
+                assert down[i] == (1.0 if k == lo else pytest.approx(float(exact), rel=1e-12)), (N, k)
+            else:
+                sides.add("up")
+                exact = pmf[k] / above[k]
+                assert up[i] == (1.0 if k == hi else pytest.approx(float(exact), rel=1e-12)), (N, k)
+    assert sides == ({"up"} if F < 1e-6 else {"down", "up"})
+
+
+def test_rival_law_keeps_every_term_above_tail():
+    """The law's window (12 sd + 30 values either side of the mode) must
+    reach every term of at least TAIL of the mode's: the exact log-pmf,
+    from lgamma, falls below log(TAIL) just outside the values it keeps,
+    from one rival to 10^12 and over the whole spread the histogram takes."""
+
+    def log_pmf(N, F, k):
+        return (
+            math.lgamma(N + 1) - math.lgamma(k + 1) - math.lgamma(N - k + 1)
+            + k * math.log(F) + (N - k) * math.log1p(-F)
+        )
+
+    for N in (1, 10, 1000, 10**6, 10**12):
+        sd_max = min(simulation.SPREAD_MAX, math.sqrt(N) / 2)
+        for sd in np.geomspace(1e-3, sd_max, 13):
+            var = float(sd) ** 2 / N
+            p = var / (0.5 + math.sqrt(max(0.25 - var, 0.0)))  # N p (1 - p) = sd^2
+            for F in (p, 1.0 - p) if p > 2**-53 else (p,):  # 1 - p must not round to 1
+                values = simulation._rival_law(N, F)[0]
+                top = max(log_pmf(N, F, int(k)) for k in values)
+                for k in (int(values[0]) - 1, int(values[-1]) + 1):
+                    if 0 <= k <= N:
+                        assert log_pmf(N, F, k) - top < math.log(simulation.TAIL) + 0.1, (N, F, k)
+
+
+@pytest.mark.parametrize("N", [1, 8, 63])
+@pytest.mark.parametrize("F", [0.3, 0.9])
+def test_rival_histogram_matches_binomial(N, F):
+    """The drawn S, over 2^18 trials in chunks of 2^16, against Bin(N, F):
+    a chi-square test over values with expected counts of at least 5,
+    pooled into their neighbours otherwise (Wilson-Hilferty z <= 4)."""
+    draw = simulation._rival_sampler(N, F)
+    chunks = [draw(simulation._chunk_rng(5, i), simulation.CHUNK) for i in range(4)]
+    for chunk in chunks:
+        assert chunk.dtype == np.int64 and len(chunk) == simulation.CHUNK
+        assert np.all(np.diff(chunk) >= 0)
+    rivals = np.concatenate(chunks)
+    observed = np.bincount(rivals, minlength=N + 1)
+    expected = [float(x) * len(rivals) for x in _exact_binomial(N, F)[0]]
+    chi2, df, obs_bin, exp_bin = 0.0, -1, 0, 0.0
+    for k in range(N + 1):
+        obs_bin, exp_bin = obs_bin + observed[k], exp_bin + expected[k]
+        if exp_bin >= 5.0 and sum(expected[k + 1 :]) >= 5.0 or k == N:
+            chi2, df, obs_bin, exp_bin = chi2 + (obs_bin - exp_bin) ** 2 / exp_bin, df + 1, 0, 0.0
+    if df == 0:
+        assert chi2 == pytest.approx(0.0, abs=1e-6)
+        return
+    z = ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+    assert z <= 4.0, (chi2, df)
+
+
+def test_both_rival_samplers_either_side_of_the_cutoff(monkeypatch):
+    """At F = 1/2, n - 1 = 4 SPREAD_MAX^2 puts the spread of S right at
+    SPREAD_MAX, so its histogram is drawn; eight more rivals push it over,
+    so each trial draws its own S. Both must match every closed form."""
+    laws = []
+
+    def spy(rivals, F):
+        laws.append(rivals)
+        return rival_law(rivals, F)
+
+    rival_law = simulation._rival_law
+    monkeypatch.setattr(simulation, "_rival_law", spy)
+    rivals = 4 * int(simulation.SPREAD_MAX) ** 2
+    # q small enough that about n F q = 0.3 rivals find a bug
+    bugs = (OrganicBug(0.8, 1e-5, 1.0), OrganicBug(0.6, 2e-5, 2.0))
+    sched = PrizeSchedule(v=(0.4, 0.3), artificial=(ArtificialBugDesign(0.2, 1e-5),))
+    for extra in (0, 8):
+        config = GameConfig(n=rivals + extra + 1, bugs=bugs, dist=CostDistribution.uniform(0.0, 1.0), budget=2.0)
+        report = simulate(sched, config, SimConfig(1 << 17, 3, 0.5))
+        for stat in report.rows():
+            assert abs(stat.z_score) <= 4.0, (extra, stat)
+    assert laws == [rivals]
+
+
+def _counting_chunk_rng(monkeypatch):
+    """Wrap _chunk_rng as the benchmark's tracer does, tallying the uniforms
+    each Generator.random call asks for and the buffer it fills."""
+    drawn, buffers = [0], set()
+    chunk_rng = simulation._chunk_rng
+
+    class Counting:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def random(self, size=None, *args, **kwargs):
+            drawn[0] += 1 if size is None else math.prod(np.atleast_1d(size))
+            if kwargs.get("out") is not None:
+                buffers.add(kwargs["out"].__array_interface__["data"][0])
+            return self._gen.random(size, *args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._gen, name)
+
+    monkeypatch.setattr(simulation, "_chunk_rng", lambda *a: Counting(chunk_rng(*a)))
+    return drawn, buffers
+
+
+@pytest.mark.parametrize("trials", [simulation.CHUNK + 17, 100])
+def test_uniform_buffer_serves_every_chunk(trials, monkeypatch):
+    """One uniform buffer per call: a short last chunk (CHUNK + 17 trials)
+    and a lone short chunk (100) read every row within 4 standard errors,
+    rerun bit for bit, and draw exactly 1 + L + K uniforms a trial, L + K
+    when pinned, all into one buffer. With n = 1 no rival draws any."""
+    game = GameConfig(
+        n=3,
+        bugs=(OrganicBug(0.8, 0.5, 1.0), OrganicBug(0.6, 0.3, 2.0)),
+        dist=CostDistribution.uniform(0.0, 1.0),
+        budget=2.0,
+    )
+    sched = PrizeSchedule(v=(0.4, 0.3), artificial=(ArtificialBugDesign(0.2, 0.6),))
+    sim = SimConfig(trials, 13, 0.5)
+    report = simulate(sched, game, sim)
+    for stat in report.rows():
+        assert math.isfinite(stat.z_score) and abs(stat.z_score) <= 4.0, stat
+    assert simulate(sched, game, sim) == report
+    assert check_equilibrium(sched, game, sim) == check_equilibrium(sched, game, sim)
+
+    drawn, buffers = _counting_chunk_rng(monkeypatch)
+    alone = game.with_n(1)
+    J = len(game.bugs) + len(sched.artificial)
+    simulate(sched, alone, sim)
+    assert drawn[0] == (1 + J) * trials and len(buffers) == 1
+    drawn[0] = 0
+    buffers.clear()
+    check_equilibrium(sched, alone, sim)
+    assert drawn[0] == J * trials and len(buffers) == 1
 
 
 def test_sample_variance_matches_found_variance():
