@@ -4,7 +4,8 @@ Each trial plays the game from the seat of one reference agent (agent 0)
 against n - 1 rivals who search iff their cost is at most the strategy
 threshold. Per trial it draws counts and agent 0's own outcomes only:
 
-* the number of searching rivals, S ~ Bin(n - 1, F(threshold));
+* the number of searching rivals, S ~ Bin(n - 1, F(threshold)), as one
+  histogram a chunk (below);
 * whether agent 0 searches, u < F(threshold) (always, when pinned);
 * per organic or artificial bug, one uniform u: the bug exists iff u < mu
   (mu = 1 for artificial entries, which always exist); given that, u / mu
@@ -15,16 +16,31 @@ threshold. Per trial it draws counts and agent 0's own outcomes only:
   sorted by S. Where S <= BERNOULLI_MAX, T counts the rivals whose own
   uniform falls below q; larger S take numpy's binomial sampler.
 
-That is one binomial and 1 + (L + K) uniforms a trial (L + K when pinned);
-T takes S (L + K) more uniforms where S <= BERNOULLI_MAX and L + K
-binomials where S is larger. Given S the finder counts of different bugs
-are independent, so bugs are correlated only through shared
-participation, as in the game. No array has an n axis: a chunk holds
-O(CHUNK (L + K)) numbers whatever n and F are. The draws use no closed
-form; estimates come with standard errors and the matching closed forms,
-read off ``game``, so a report row reads as a z-test. A chunk is tallied
-as counts, per bug and per pair of bugs, of the trials in which they were
-found (won); every mean and sample variance follows from those counts.
+Trials are exchangeable, so the kernel reads S only through its
+histogram over a chunk's trials. Where the standard deviation of S is at
+most the chunk size over TRIALS_PER_SD (128 for a full chunk), that
+histogram is drawn directly: one binomial for the count below the median
+of S, then one scalar binomial per occupied value, walking down with
+P(S = k | S <= k) and up with P(S = k | S >= k) until each side has no
+trials left; the sorted S is the histogram repeated.
+Those probabilities come from the binomial law of the rival count, n - 1
+independent participation draws at F (a primitive of the model, not a
+closed form of the paper), built once a call from the ratio of successive
+terms with each tail summed from its far end. Wider laws draw S per trial
+and sort the chunk.
+
+That is 1 + (L + K) uniforms a trial (L + K when pinned), drawn into one
+buffer a call, and one binomial per occupied value of S a chunk (per
+trial for wider laws); T takes S (L + K) more uniforms where
+S <= BERNOULLI_MAX and L + K binomials where S is larger. Given S the
+finder counts of different bugs are independent, so bugs are correlated
+only through shared participation, as in the game. No array has an n
+axis: a chunk holds O(CHUNK (L + K)) numbers whatever n and F are. No
+draw uses a closed form; estimates come with standard errors and the
+matching closed forms, read off ``game``, so a report row reads as a
+z-test. A chunk is tallied as counts, per bug and per pair of bugs, of the
+trials in which they were found (won); every mean and sample variance
+follows from those counts.
 
 Trial chunks of fixed size draw from PCG64 streams seeded by SeedSequence
 with the run's seed as entropy and the chunk index as spawn key, so runs
@@ -58,11 +74,12 @@ CHUNK = 1 << 16
 # below the measured cost crossover with numpy's binomial (about 16 at q = 0.5).
 BERNOULLI_MAX = 8
 BLOCK = CHUNK // 8  # trials per binomial draw of larger finder counts
-# Rival counts S whose standard deviation exceeds this are drawn one per
-# trial and sorted; narrower laws are drawn as a histogram. About half the
-# measured crossover: a 2^16-trial chunk's histogram took 1.4 ms at sd = 128
-# and caught up with the sorted draw's 3.4 ms near sd = 300 (F = 1/2, 0.01).
-SPREAD_MAX = 128.0
+# Chunks of m trials draw their rival counts S as a histogram where the
+# standard deviation of S is at most m / TRIALS_PER_SD, else one S per trial,
+# sorted. That is about half the spread of the measured crossover, near
+# sd = m / 240 to m / 200 for m from 10^3 to 2^16 (at 2^16 trials the
+# histogram took 1.4 ms at sd = 128 against the sorted draw's 3.4 ms).
+TRIALS_PER_SD = 512
 # The histogram's law keeps the terms of at least this fraction of the mode's.
 TAIL = 1e-30
 
@@ -166,7 +183,6 @@ def _rival_law(rivals: int, F: float):
 
     sd = math.sqrt(rivals * F * (1.0 - F))
     mode = int((rivals + 1) * F) if F <= 0.5 else rivals - int((rivals + 1) * (1.0 - F))
-    mode = min(max(mode, 0), rivals)
     if sd == 0.0:  # no rivals, or F in {0, 1}
         return np.array([mode]), [1.0], [1.0], 0, 0.0
     width = math.ceil(12.0 * sd) + 30
@@ -184,18 +200,18 @@ def _rival_law(rivals: int, F: float):
     return k, (pmf / below).tolist(), (pmf / above).tolist(), split, float(p_below)
 
 
-def _rival_sampler(rivals: int, F: float):
-    """A function (rng, m) -> m draws of S ~ Bin(rivals, F), sorted.
+def _rival_sampler(rivals: int, F: float, chunk: int):
+    """A function (rng, m) -> m <= chunk draws of S ~ Bin(rivals, F), sorted.
 
-    Where the standard deviation of S exceeds SPREAD_MAX each trial draws
-    its own S and the chunk is sorted. Otherwise the chunk's histogram of S
-    is drawn: one binomial for the count below the median, then one per
-    occupied value walking down with P(S = k | S <= k) and up with
-    P(S = k | S >= k), each side stopping when it has no trials left. The
-    law takes O(SPREAD_MAX) numbers whatever rivals is."""
+    Where the standard deviation of S exceeds chunk / TRIALS_PER_SD each
+    trial draws its own S and the chunk is sorted. Otherwise the chunk's
+    histogram of S is drawn: one binomial for the count below the median,
+    then one per occupied value walking down with P(S = k | S <= k) and up
+    with P(S = k | S >= k), each side stopping when it has no trials left.
+    The law takes O(CHUNK / TRIALS_PER_SD) numbers whatever rivals is."""
     import numpy as np
 
-    if math.sqrt(rivals * F * (1.0 - F)) > SPREAD_MAX:
+    if math.sqrt(rivals * F * (1.0 - F)) * TRIALS_PER_SD > chunk:
         return lambda rng, m: np.sort(rng.binomial(rivals, F, m))
     values, down, up, split, p_below = _rival_law(rivals, F)
 
@@ -256,7 +272,7 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
     if game.n - 1 >= 2**63:
         raise ValueError("n - 1 must be below 2**63 to draw the rival count")
     F = dist.cdf(sim.threshold)
-    draw_rivals = _rival_sampler(game.n - 1, F)
+    draw_rivals = _rival_sampler(game.n - 1, F, min(CHUNK, sim.trials))
     mus, _, q, _ = _bug_arrays(prizes, game)
     L, J = len(mus), len(q)
     mu = np.ones((J, 1))  # an artificial entry exists: u < 1 always holds

@@ -328,7 +328,7 @@ def test_rival_law_keeps_every_term_above_tail():
         )
 
     for N in (1, 10, 1000, 10**6, 10**12):
-        sd_max = min(simulation.SPREAD_MAX, math.sqrt(N) / 2)
+        sd_max = min(simulation.CHUNK / simulation.TRIALS_PER_SD, math.sqrt(N) / 2)
         for sd in np.geomspace(1e-3, sd_max, 13):
             var = float(sd) ** 2 / N
             p = var / (0.5 + math.sqrt(max(0.25 - var, 0.0)))  # N p (1 - p) = sd^2
@@ -346,7 +346,7 @@ def test_rival_histogram_matches_binomial(N, F):
     """The drawn S, over 2^18 trials in chunks of 2^16, against Bin(N, F):
     a chi-square test over values with expected counts of at least 5,
     pooled into their neighbours otherwise (Wilson-Hilferty z <= 4)."""
-    draw = simulation._rival_sampler(N, F)
+    draw = simulation._rival_sampler(N, F, simulation.CHUNK)
     chunks = [draw(simulation._chunk_rng(5, i), simulation.CHUNK) for i in range(4)]
     for chunk in chunks:
         assert chunk.dtype == np.int64 and len(chunk) == simulation.CHUNK
@@ -367,9 +367,10 @@ def test_rival_histogram_matches_binomial(N, F):
 
 
 def test_both_rival_samplers_either_side_of_the_cutoff(monkeypatch):
-    """At F = 1/2, n - 1 = 4 SPREAD_MAX^2 puts the spread of S right at
-    SPREAD_MAX, so its histogram is drawn; eight more rivals push it over,
-    so each trial draws its own S. Both must match every closed form."""
+    """At F = 1/2 and full chunks, n - 1 = 4 (CHUNK / TRIALS_PER_SD)^2
+    puts the spread of S right at the cutoff, so its histogram is drawn;
+    eight more rivals, or half as many trials, push it over, so each trial
+    draws its own S. Every run must match every closed form."""
     laws = []
 
     def spy(rivals, F):
@@ -378,15 +379,16 @@ def test_both_rival_samplers_either_side_of_the_cutoff(monkeypatch):
 
     rival_law = simulation._rival_law
     monkeypatch.setattr(simulation, "_rival_law", spy)
-    rivals = 4 * int(simulation.SPREAD_MAX) ** 2
+    rivals = 4 * (simulation.CHUNK // simulation.TRIALS_PER_SD) ** 2
     # q small enough that about n F q = 0.3 rivals find a bug
     bugs = (OrganicBug(0.8, 1e-5, 1.0), OrganicBug(0.6, 2e-5, 2.0))
     sched = PrizeSchedule(v=(0.4, 0.3), artificial=(ArtificialBugDesign(0.2, 1e-5),))
-    for extra in (0, 8):
+    # half a chunk halves the spread the histogram takes, so n - 1 = rivals is wide there
+    for extra, trials in ((0, 1 << 17), (8, 1 << 17), (0, simulation.CHUNK // 2)):
         config = GameConfig(n=rivals + extra + 1, bugs=bugs, dist=CostDistribution.uniform(0.0, 1.0), budget=2.0)
-        report = simulate(sched, config, SimConfig(1 << 17, 3, 0.5))
+        report = simulate(sched, config, SimConfig(trials, 3, 0.5))
         for stat in report.rows():
-            assert abs(stat.z_score) <= 4.0, (extra, stat)
+            assert abs(stat.z_score) <= 4.0, (extra, trials, stat)
     assert laws == [rivals]
 
 
