@@ -272,7 +272,8 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
     if game.n - 1 >= 2**63:
         raise ValueError("n - 1 must be below 2**63 to draw the rival count")
     F = dist.cdf(sim.threshold)
-    draw_rivals = _rival_sampler(game.n - 1, F, min(CHUNK, sim.trials))
+    chunk = min(CHUNK, sim.trials)
+    draw_rivals = _rival_sampler(game.n - 1, F, chunk)
     mus, _, q, _ = _bug_arrays(prizes, game)
     L, J = len(mus), len(q)
     mu = np.ones((J, 1))  # an artificial entry exists: u < 1 always holds
@@ -283,7 +284,7 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
     # one buffer per call, refilled in place: a fresh one per chunk would
     # page-fault its rows x CHUNK floats in again; a prefix serves a short
     # last chunk
-    buffer = np.empty(rows * min(CHUNK, sim.trials))
+    buffer = np.empty(rows * chunk)
     for m, rng in _chunks(sim):
         # Trials are exchangeable, so they are ordered by S.
         rivals = draw_rivals(rng, m)
