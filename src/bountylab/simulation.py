@@ -70,10 +70,10 @@ from .game import (
 )
 
 CHUNK = 1 << 16
-# Finder counts of at most this many rivals are sums of Bernoulli draws:
-# below the measured cost crossover with numpy's binomial (about 16 at q = 0.5).
-BERNOULLI_MAX = 8
-BLOCK = CHUNK // 8  # trials per binomial draw of larger finder counts
+# Finder counts of at most this many rivals are drawn by inversion; at 2^16
+# draws of 8 to 64 rivals that took 1/2 to 1/9 of numpy's binomial.
+INVERSION_MAX = 64
+BLOCK = CHUNK // 8  # trials per draw of finder counts
 # Chunks of m trials draw their rival counts S as a histogram where the
 # standard deviation of S is at most m / TRIALS_PER_SD, else one S per trial,
 # sorted. That is about half the spread of the measured crossover, near
@@ -232,29 +232,53 @@ def _rival_sampler(rivals: int, F: float, chunk: int):
     return draw
 
 
-def _finder_counts(rng, rivals, q):
-    """Rival finders T ~ Bin(S, q) per bug (rows, q a column) and trial
-    (columns), for rival counts S sorted ascending, as (columns, T) blocks.
-
-    Up to BERNOULLI_MAX rivals, T counts the rivals whose uniform falls
-    below q: the t-th rival's draws serve the trials with S >= t, a suffix
-    of those trials, so the S = 0 prefix draws nothing. Larger S take
-    numpy's binomial sampler, BLOCK trials at a time, so that its int64
-    counts take no more room than one byte per trial of a chunk."""
+def _finder_law(q, top: int):
+    """P(T > k | S = s) for T ~ Bin(s, q), the count of s independent rival
+    finds at each bug's q (a primitive of the model, not a closed form of the
+    paper), as an array [s, k, bug] for s = 0..top and k = 0..top - 1, zero
+    where k >= s. The law of s rivals adds one rival to that of s - 1, so
+    every term is a sum of nonnegative products, exact at q in {0, 1}, and
+    each tail is summed down from its top."""
     import numpy as np
 
-    J, m = len(q), len(rivals)
-    starts = np.searchsorted(rivals, np.arange(1, BERNOULLI_MAX + 2))
-    big = starts[-1]
-    low = np.zeros((J, big), dtype=np.uint8)
-    for start in starts[:-1]:
-        if start == big:
-            break
-        low[:, start:] += rng.random((J, big - start)) < q
-    yield slice(0, big), low
-    for start in range(big, m, BLOCK):
-        stop = min(start + BLOCK, m)
-        yield slice(start, stop), rng.binomial(rivals[start:stop], q, (J, stop - start))
+    pmf = np.zeros((top + 1, top + 2, len(q)))  # [s, T + 1, bug]: T = -1 has mass 0
+    pmf[0, 1] = 1.0
+    miss = 1.0 - q
+    for prev, row in zip(pmf, pmf[1:]):
+        np.multiply(prev[1:], miss, out=row[1:])
+        row[1:] += prev[:-1] * q
+    return np.cumsum(pmf[:, :1:-1], axis=1)[:, ::-1]
+
+
+def _finder_counts(rng, rivals, q, tails, buffer):
+    """Rival finders T ~ Bin(S, q) per bug (rows, q per bug) and trial
+    (columns), for rival counts S sorted ascending, as (columns, T) blocks.
+
+    Where 1 <= S <= top, the last s of tails = _finder_law(q, top), T is
+    drawn by inversion: one uniform v per bug and trial, drawn at most BLOCK
+    trials at a time into a prefix of buffer, and T > k iff
+    v < P(T > k | S). Each run of equal S reads one row of the table. The
+    S = 0 prefix draws nothing and yields no block. Larger S take numpy's
+    binomial sampler, BLOCK trials at a time, so that its int64 counts take
+    no more room than one byte per trial of a chunk."""
+    import numpy as np
+
+    J, top = len(q), len(tails) - 1
+    starts = np.searchsorted(rivals, np.arange(1, top + 2))  # first trial with S >= 1, 2, ...
+    for lo in range(starts[0], starts[-1], BLOCK):
+        hi = min(lo + BLOCK, starts[-1])
+        v = buffer[: J * (hi - lo)].reshape(J, hi - lo)
+        rng.random(v.shape, out=v)
+        finders = np.empty(v.shape, dtype=np.uint8)
+        for s in range(rivals[lo], rivals[hi - 1] + 1):
+            run = slice(max(starts[s - 1], lo) - lo, min(starts[s], hi) - lo)
+            # T counts the k with v < P(T > k | S = s): at most
+            # INVERSION_MAX x J x BLOCK comparisons, J CHUNK bytes, at once
+            finders[:, run] = np.add.reduce(v[:, run] < tails[s, :s, :, None], axis=0, dtype=np.uint8)
+        yield slice(lo, hi), finders
+    for start in range(starts[-1], len(rivals), BLOCK):
+        stop = min(start + BLOCK, len(rivals))
+        yield slice(start, stop), rng.binomial(rivals[start:stop], q[:, None], (J, stop - start))
 
 
 def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: bool):
@@ -278,16 +302,20 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
     L, J = len(mus), len(q)
     mu = np.ones((J, 1))  # an artificial entry exists: u < 1 always holds
     mu[:L, 0] = mus
-    q = q[:, None]
-    mu_q = mu * q
+    mu_q = mu * q[:, None]
     rows = J + (not pinned)
     # one buffer per call, refilled in place: a fresh one per chunk would
     # page-fault its rows x CHUNK floats in again; a prefix serves a short
     # last chunk
     buffer = np.empty(rows * chunk)
+    finder_buffer = np.empty(J * min(BLOCK, chunk))
+    tails = ()  # the finder law, built up to the largest S so far
     for m, rng in _chunks(sim):
         # Trials are exchangeable, so they are ordered by S.
         rivals = draw_rivals(rng, m)
+        top = min(int(rivals[-1]), INVERSION_MAX)
+        if len(tails) <= top:
+            tails = _finder_law(q, top)
         u = buffer[: rows * m].reshape(rows, m)
         rng.random(u.shape, out=u)
         searching = np.ones(m, dtype=bool) if pinned else u[J] < F
@@ -298,8 +326,9 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
         exists = u < mu
         own = u < mu_q
         own &= searching
-        found = np.empty((J, m), dtype=bool)
-        for cols, finders in _finder_counts(rng, rivals, q):
+        # T = 0 where S = 0, so the blocks cover only the trials with S >= 1
+        found = np.zeros((J, m), dtype=bool)
+        for cols, finders in _finder_counts(rng, rivals, q, tails, finder_buffer):
             np.greater(finders, 0, out=found[:, cols])
             u[:, cols] *= finders + 1
         found |= own

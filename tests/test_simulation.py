@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -232,7 +233,7 @@ def test_memory_does_not_grow_with_bernoulli_finder_counts():
     bugs = (OrganicBug(0.5, 0.5, 2.0),)
     sched = PrizeSchedule(v=(1.0,), artificial=(ArtificialBugDesign(0.5, 0.3),))
     peaks = []
-    for n in (2, simulation.BERNOULLI_MAX + 1):
+    for n in (2, simulation.INVERSION_MAX + 1):
         config = GameConfig(n=n, bugs=bugs, dist=CostDistribution.uniform(0.0, 1.0), budget=2.0)
         tracemalloc.start()
         try:
@@ -247,20 +248,27 @@ def test_memory_does_not_grow_with_bernoulli_finder_counts():
 
 
 def test_both_finder_samplers_in_one_chunk(uniform01, monkeypatch):
-    """S ~ Bin(16, 1/2) straddles BERNOULLI_MAX, so each chunk counts the
-    finders of some trials from Bernoulli draws and of the rest from numpy's
-    binomial; every row must still match its closed form."""
-    blocks = []
+    """S ~ Bin(2 INVERSION_MAX, 1/2) straddles INVERSION_MAX, so each chunk
+    draws the finders of some trials by inversion and of the rest from
+    numpy's binomial; every row must still match its closed form. The blocks
+    cover the trials with S >= 1 once each, inversion BLOCK trials at most
+    at a time."""
+    blocks, pieces = [], []
 
-    def spy(rng, rivals, q):
-        for cols, finders in finder_counts(rng, rivals, q):
-            blocks.append((finders.dtype, int(rivals[cols].max(initial=0))))
+    def spy(rng, rivals, *law):
+        inverted = np.count_nonzero((rivals >= 1) & (rivals <= simulation.INVERSION_MAX))
+        pieces.append(-(-inverted // simulation.BLOCK))
+        covered = 0
+        for cols, finders in finder_counts(rng, rivals, *law):
+            blocks.append((finders.dtype, int(rivals[cols].min()), int(rivals[cols].max())))
+            covered += cols.stop - cols.start
             yield cols, finders
+        assert covered == np.count_nonzero(rivals)
 
     finder_counts = simulation._finder_counts
     monkeypatch.setattr(simulation, "_finder_counts", spy)
     config = GameConfig(
-        n=2 * simulation.BERNOULLI_MAX + 1,
+        n=2 * simulation.INVERSION_MAX + 1,
         bugs=(OrganicBug(0.8, 0.1, 1.0), OrganicBug(0.6, 0.05, 2.0)),
         dist=uniform01,
         budget=2.0,
@@ -272,10 +280,12 @@ def test_both_finder_samplers_in_one_chunk(uniform01, monkeypatch):
     gap = check_equilibrium(sched, config, SimConfig(1 << 17, 4, 0.5))
     psi = expected_benefit_psi(0.5, sched, config)
     assert abs(gap.estimate - psi) <= 4.0 * gap.std_error, (gap, psi)
-    bernoulli = [top for dtype, top in blocks if dtype == np.uint8]
-    binomial = [top for dtype, top in blocks if dtype != np.uint8]
-    assert len(bernoulli) == 4 and max(bernoulli) == simulation.BERNOULLI_MAX  # 2 chunks x 2 calls
-    assert binomial and max(binomial) > simulation.BERNOULLI_MAX
+    inversion = [(low, top) for dtype, low, top in blocks if dtype == np.uint8]
+    binomial = [low for dtype, low, top in blocks if dtype != np.uint8]
+    assert len(pieces) == 4 and len(inversion) == sum(pieces)  # 2 chunks x 2 calls
+    assert min(low for low, _ in inversion) >= 1
+    assert max(top for _, top in inversion) == simulation.INVERSION_MAX
+    assert binomial and min(binomial) > simulation.INVERSION_MAX
 
 
 def _exact_binomial(N, F):
@@ -315,6 +325,61 @@ def test_rival_law_matches_exact_enumeration(F):
     assert sides == ({"up"} if F < 1e-6 else {"down", "up"})
 
 
+@pytest.mark.parametrize("q", [1e-12, 0.3, 1.0 - 1e-12, 1.0])
+def test_finder_law_matches_exact_enumeration(q):
+    """Every tail P(T > k | S = s) the inversion reads, s up to
+    INVERSION_MAX, against Fraction enumeration of Bin(s, q): within 1e-12
+    relative wherever the exact tail is a normal double, exactly 0 where
+    k >= s. At q = 1e-12 the tails beyond k = 25 or so lie below the
+    smallest normal double, 2^-1022, so no double holds them to 1e-12; they
+    must read below it too, where a uniform (a multiple of 2^-53) meets them
+    only at 0. At q = 1 every tail is exactly 1, so T = S."""
+    top = simulation.INVERSION_MAX
+    tails = simulation._finder_law(np.array([q, 0.5]), top)
+    assert tails.shape == (top + 1, top, 2)
+    assert np.array_equal(simulation._finder_law(np.array([q]), top)[..., 0], tails[..., 0])
+    normal = Fraction(sys.float_info.min)
+    hit, d = Fraction(q).as_integer_ratio()
+    for s in range(top + 1):
+        # d^s P(T = k) = C(s, k) hit^k (d - hit)^(s - k), in integers, summed down from k = s
+        exact, tail = [Fraction(0)] * top, 0
+        for k in range(s, 0, -1):
+            tail += math.comb(s, k) * hit**k * (d - hit) ** (s - k)
+            exact[k - 1] = Fraction(tail, d**s)  # P(T > k - 1)
+        for k, (got, want) in enumerate(zip(tails[s, :, 0].tolist(), exact)):
+            if want == 0 or q == 1.0:
+                assert got == want, (s, k)
+            elif want >= normal:
+                assert abs(Fraction(got) - want) <= want / 10**12, (s, k, got, float(want))
+            else:
+                assert 0.0 <= got < sys.float_info.min, (s, k, got)
+
+
+@pytest.mark.parametrize("q", [(0.3, 0.05, 0.9), (1e-12, 1.0, 0.5)])
+def test_finder_counts_match_binomial(q):
+    """The drawn T against Bin(S, q) for each S up to INVERSION_MAX and
+    bug, 2^13 trials each, in one chunk sorted by S: the pooled chi-square
+    test of test_rival_histogram_matches_binomial (z <= 4). No trial with
+    S = 0 gets a block, and every trial with S >= 1 gets exactly one."""
+    S = (0, 1, 2, 3, 8, 20, simulation.INVERSION_MAX)
+    per_s = 1 << 13
+    rivals = np.repeat(S, per_s)
+    q = np.array(q)
+    tails = simulation._finder_law(q, max(S))
+    buffer = np.empty(len(q) * simulation.BLOCK)
+    finders = np.full((len(q), len(rivals)), -1)
+    for cols, block in simulation._finder_counts(simulation._chunk_rng(9, 0), rivals, q, tails, buffer):
+        assert block.dtype == np.uint8 and np.all(finders[:, cols] == -1)
+        finders[:, cols] = block
+    assert np.all(finders[:, :per_s] == -1) and np.all(finders[:, per_s:] >= 0)
+    for i, s in enumerate(S[1:], start=1):
+        for j, q_j in enumerate(q.tolist()):
+            observed = np.bincount(finders[j, i * per_s : (i + 1) * per_s], minlength=s + 1)
+            assert len(observed) == s + 1, (s, q_j)
+            expected = [float(x) * per_s for x in _exact_binomial(s, q_j)[0]]
+            assert _chi_square_z(observed, expected) <= 4.0, (s, q_j)
+
+
 def test_rival_law_keeps_every_term_above_tail():
     """The law's window (12 sd + 30 values either side of the mode) must
     reach every term of at least TAIL of the mode's: the exact log-pmf,
@@ -340,6 +405,19 @@ def test_rival_law_keeps_every_term_above_tail():
                         assert log_pmf(N, F, k) - top < math.log(simulation.TAIL) + 0.1, (N, F, k)
 
 
+def _chi_square_z(observed, expected):
+    """Wilson-Hilferty z of a chi-square test over values with expected
+    counts of at least 5, pooled into their neighbours otherwise."""
+    chi2, df, obs_bin, exp_bin = 0.0, -1, 0, 0.0
+    for k in range(len(expected)):
+        obs_bin, exp_bin = obs_bin + observed[k], exp_bin + expected[k]
+        if exp_bin >= 5.0 and sum(expected[k + 1 :]) >= 5.0 or k == len(expected) - 1:
+            chi2, df, obs_bin, exp_bin = chi2 + (obs_bin - exp_bin) ** 2 / exp_bin, df + 1, 0, 0.0
+    if df == 0:  # one pooled value: nothing to test
+        return 0.0
+    return ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+
+
 @pytest.mark.parametrize("N", [1, 8, 63])
 @pytest.mark.parametrize("F", [0.3, 0.9])
 def test_rival_histogram_matches_binomial(N, F):
@@ -354,13 +432,7 @@ def test_rival_histogram_matches_binomial(N, F):
     rivals = np.concatenate(chunks)
     observed = np.bincount(rivals, minlength=N + 1)
     expected = [float(x) * len(rivals) for x in _exact_binomial(N, F)[0]]
-    chi2, df, obs_bin, exp_bin = 0.0, -1, 0, 0.0
-    for k in range(N + 1):
-        obs_bin, exp_bin = obs_bin + observed[k], exp_bin + expected[k]
-        if exp_bin >= 5.0 and sum(expected[k + 1 :]) >= 5.0 or k == N:
-            chi2, df, obs_bin, exp_bin = chi2 + (obs_bin - exp_bin) ** 2 / exp_bin, df + 1, 0, 0.0
-    z = ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
-    assert z <= 4.0, (chi2, df)
+    assert _chi_square_z(observed, expected) <= 4.0
 
 
 def test_both_rival_samplers_either_side_of_the_cutoff(monkeypatch):
@@ -389,6 +461,32 @@ def test_both_rival_samplers_either_side_of_the_cutoff(monkeypatch):
     assert laws == [rivals]
 
 
+def _count_uniforms(monkeypatch):
+    """Wraps _chunk_rng as the benchmark's tracer does. Returns a list
+    holding the count of uniforms each Generator.random call asks for, and
+    a dict from the address of each buffer it fills to that buffer's size."""
+    drawn, buffers = [0], {}
+    chunk_rng = simulation._chunk_rng
+
+    class Counting:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def random(self, size=None, *args, **kwargs):
+            drawn[0] += 1 if size is None else math.prod(np.atleast_1d(size))
+            out = kwargs.get("out")
+            if out is not None:
+                owner = out if out.base is None else out.base
+                buffers[out.__array_interface__["data"][0]] = owner.size
+            return self._gen.random(size, *args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._gen, name)
+
+    monkeypatch.setattr(simulation, "_chunk_rng", lambda *a: Counting(chunk_rng(*a)))
+    return drawn, buffers
+
+
 @pytest.mark.parametrize("trials", [simulation.CHUNK + 17, 100])
 def test_uniform_buffer_serves_every_chunk(trials, monkeypatch):
     """One uniform buffer per call: a short last chunk (CHUNK + 17 trials)
@@ -409,25 +507,7 @@ def test_uniform_buffer_serves_every_chunk(trials, monkeypatch):
     assert simulate(sched, game, sim) == report
     assert check_equilibrium(sched, game, sim) == check_equilibrium(sched, game, sim)
 
-    # wrap _chunk_rng as the benchmark's tracer does, tallying the uniforms
-    # each Generator.random call asks for and the buffer it fills
-    drawn, buffers = [0], set()
-    chunk_rng = simulation._chunk_rng
-
-    class Counting:
-        def __init__(self, gen):
-            self._gen = gen
-
-        def random(self, size=None, *args, **kwargs):
-            drawn[0] += 1 if size is None else math.prod(np.atleast_1d(size))
-            if kwargs.get("out") is not None:
-                buffers.add(kwargs["out"].__array_interface__["data"][0])
-            return self._gen.random(size, *args, **kwargs)
-
-        def __getattr__(self, name):
-            return getattr(self._gen, name)
-
-    monkeypatch.setattr(simulation, "_chunk_rng", lambda *a: Counting(chunk_rng(*a)))
+    drawn, buffers = _count_uniforms(monkeypatch)
     alone = game.with_n(1)
     J = len(game.bugs) + len(sched.artificial)
     simulate(sched, alone, sim)
@@ -436,6 +516,50 @@ def test_uniform_buffer_serves_every_chunk(trials, monkeypatch):
     buffers.clear()
     check_equilibrium(sched, alone, sim)
     assert drawn[0] == J * trials and len(buffers) == 1
+
+
+@pytest.mark.parametrize("n", [3, simulation.INVERSION_MAX + 5])
+def test_finder_uniforms_only_where_rivals_search(n, monkeypatch):
+    """With rivals (n = 3, and n - 1 = INVERSION_MAX + 4 at F = 0.94, whose
+    S straddles the cutoff) over CHUNK + 17 trials, the kernel draws exactly
+    1 + L + K uniforms a trial (L + K when pinned), plus L + K for each
+    trial with 1 <= S <= INVERSION_MAX and none for S = 0 or beyond the
+    cutoff. The finder uniforms land in one buffer of at most (L + K) BLOCK
+    floats, apart from the kernel's."""
+    game = GameConfig(
+        n=n,
+        bugs=(OrganicBug(0.8, 0.5, 1.0), OrganicBug(0.6, 0.3, 2.0)),
+        dist=CostDistribution.uniform(0.0, 1.0),
+        budget=2.0,
+    )
+    sched = PrizeSchedule(v=(0.4, 0.3), artificial=(ArtificialBugDesign(0.2, 0.6),))
+    sim = SimConfig(simulation.CHUNK + 17, 13, 0.5 if n == 3 else 0.94)
+    J = len(game.bugs) + len(sched.artificial)
+    inverted, kinds = [0], set()
+    rival_sampler = simulation._rival_sampler
+
+    def counting_sampler(*args):
+        draw = rival_sampler(*args)
+
+        def counted(rng, m):
+            rivals = draw(rng, m)
+            inverted[0] += int(np.count_nonzero((rivals >= 1) & (rivals <= simulation.INVERSION_MAX)))
+            kinds.update({"none" if s == 0 else "inverted" if s <= simulation.INVERSION_MAX else "binomial" for s in (rivals[0], rivals[-1])})
+            return rivals
+
+        return counted
+
+    monkeypatch.setattr(simulation, "_rival_sampler", counting_sampler)
+    drawn, buffers = _count_uniforms(monkeypatch)
+    for call, per_trial in ((simulate, 1 + J), (check_equilibrium, J)):
+        drawn[0], inverted[0] = 0, 0
+        buffers.clear()
+        call(sched, game, sim)
+        assert inverted[0] > 0
+        assert drawn[0] == per_trial * sim.trials + J * inverted[0], call
+        finder_buffer, kernel_buffer = sorted(buffers.values())
+        assert finder_buffer <= J * simulation.BLOCK < kernel_buffer == per_trial * simulation.CHUNK
+    assert kinds == ({"none", "inverted"} if n == 3 else {"inverted", "binomial"})
 
 
 def test_sample_variance_matches_found_variance():
