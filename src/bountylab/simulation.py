@@ -13,8 +13,13 @@ threshold. Per trial it draws counts and agent 0's own outcomes only:
   uniform again, so agent 0 wins its prize, which goes to one uniformly
   random finder among T + 1, iff u (T + 1) < mu q;
 * per bug, the number of rival finders T | S ~ Bin(S, q). Trials are
-  sorted by S. Where S <= BERNOULLI_MAX, T counts the rivals whose own
-  uniform falls below q; larger S take numpy's binomial sampler.
+  sorted by S. Where S = 0, T = 0 and nothing is drawn. Where
+  1 <= S <= INVERSION_MAX, T is drawn by inversion from one uniform v:
+  T > k iff v < P(T > k | S), read off a table of the law of S independent
+  rival finds at q (a primitive of the model, not a closed form of the
+  paper), built in each call up to the largest S drawn, one rival at a
+  time, with each tail summed down from its top. Larger S take numpy's
+  binomial sampler.
 
 Trials are exchangeable, so the kernel reads S only through its
 histogram over a chunk's trials. Where the standard deviation of S is at
@@ -31,8 +36,9 @@ and sort the chunk.
 
 That is 1 + (L + K) uniforms a trial (L + K when pinned), drawn into one
 buffer a call, and one binomial per occupied value of S a chunk (per
-trial for wider laws); T takes S (L + K) more uniforms where
-S <= BERNOULLI_MAX and L + K binomials where S is larger. Given S the
+trial for wider laws); T takes L + K more uniforms a trial where
+1 <= S <= INVERSION_MAX, BLOCK trials at a time into a second buffer,
+and L + K binomials where S is larger. Given S the
 finder counts of different bugs are independent, so bugs are correlated
 only through shared participation, as in the game. No array has an n
 axis: a chunk holds O(CHUNK (L + K)) numbers whatever n and F are. No
@@ -70,8 +76,10 @@ from .game import (
 )
 
 CHUNK = 1 << 16
-# Finder counts of at most this many rivals are drawn by inversion; at 2^16
-# draws of 8 to 64 rivals that took 1/2 to 1/9 of numpy's binomial.
+# Finder counts of at most this many rivals are drawn by inversion: at 2^16
+# trials of 8 to 64 rivals it took 1/3 to 1/10 of the time of numpy's
+# binomial, which takes the larger ones. A block's comparisons, at most
+# INVERSION_MAX x BLOCK booleans a bug, take the room of its CHUNK uniforms.
 INVERSION_MAX = 64
 BLOCK = CHUNK // 8  # trials per draw of finder counts
 # Chunks of m trials draw their rival counts S as a histogram where the
@@ -254,13 +262,13 @@ def _finder_counts(rng, rivals, q, tails, buffer):
     """Rival finders T ~ Bin(S, q) per bug (rows, q per bug) and trial
     (columns), for rival counts S sorted ascending, as (columns, T) blocks.
 
-    Where 1 <= S <= top, the last s of tails = _finder_law(q, top), T is
-    drawn by inversion: one uniform v per bug and trial, drawn at most BLOCK
-    trials at a time into a prefix of buffer, and T > k iff
-    v < P(T > k | S). Each run of equal S reads one row of the table. The
-    S = 0 prefix draws nothing and yields no block. Larger S take numpy's
-    binomial sampler, BLOCK trials at a time, so that its int64 counts take
-    no more room than one byte per trial of a chunk."""
+    tails = _finder_law(q, top) with top = min(max S, INVERSION_MAX) or more.
+    Where 1 <= S <= top, T is drawn by inversion: one uniform v per bug and
+    trial, drawn at most BLOCK trials at a time into a prefix of buffer, and
+    T > k iff v < P(T > k | S); each run of equal S reads one row of the
+    table. The S = 0 prefix draws nothing and yields no block. Larger S take
+    numpy's binomial sampler, BLOCK trials at a time, so that its int64
+    counts take no more room than one byte per trial of a chunk."""
     import numpy as np
 
     J, top = len(q), len(tails) - 1
@@ -272,8 +280,7 @@ def _finder_counts(rng, rivals, q, tails, buffer):
         finders = np.empty(v.shape, dtype=np.uint8)
         for s in range(rivals[lo], rivals[hi - 1] + 1):
             run = slice(max(starts[s - 1], lo) - lo, min(starts[s], hi) - lo)
-            # T counts the k with v < P(T > k | S = s): at most
-            # INVERSION_MAX x J x BLOCK comparisons, J CHUNK bytes, at once
+            # T counts the k with v < P(T > k | S = s)
             finders[:, run] = np.add.reduce(v[:, run] < tails[s, :s, :, None], axis=0, dtype=np.uint8)
         yield slice(lo, hi), finders
     for start in range(starts[-1], len(rivals), BLOCK):
@@ -286,7 +293,8 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
     along the last axis: searching (m,), then per bug, organic bugs first,
     exists, found and won (L+K, m) -- agent 0 searches, the bug exists
     (artificial entries always do), someone finds it, agent 0 wins its
-    prize. A pinned agent 0 always searches."""
+    prize. A pinned agent 0 always searches. The bug arrays are refilled in
+    place chunk by chunk, so each chunk's are read before the next."""
     import numpy as np
 
     dist = game.dist
@@ -309,6 +317,7 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
     # last chunk
     buffer = np.empty(rows * chunk)
     finder_buffer = np.empty(J * min(BLOCK, chunk))
+    flags = np.empty(4 * J * chunk, dtype=bool)  # exists, own, found, won
     tails = ()  # the finder law, built up to the largest S so far
     for m, rng in _chunks(sim):
         # Trials are exchangeable, so they are ordered by S.
@@ -323,17 +332,18 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
         # uniform, so u < mu q is agent 0's find; given that, u / (mu q) is
         # uniform again, so u (T + 1) < mu q is winning among T + 1 finders.
         u = u[:J]
-        exists = u < mu
-        own = u < mu_q
+        exists, own, found, won = flags[: 4 * J * m].reshape(4, J, m)
+        np.less(u, mu, out=exists)
+        np.less(u, mu_q, out=own)
         own &= searching
         # T = 0 where S = 0, so the blocks cover only the trials with S >= 1
-        found = np.zeros((J, m), dtype=bool)
+        found[...] = False
         for cols, finders in _finder_counts(rng, rivals, q, tails, finder_buffer):
             np.greater(finders, 0, out=found[:, cols])
             u[:, cols] *= finders + 1
         found |= own
         found &= exists
-        won = u < mu_q
+        np.less(u, mu_q, out=won)
         won &= own
         yield searching, exists, found, won
 

@@ -227,9 +227,10 @@ def test_memory_does_not_grow_with_n():
 
 
 def test_memory_does_not_grow_with_bernoulli_finder_counts():
-    """With S pinned at BERNOULLI_MAX (F = 1 and n - 1 = BERNOULLI_MAX) every
-    trial counts its finders from BERNOULLI_MAX uniforms a bug; each draw is
-    freed before the next, so the peak matches the n = 2 run (S = 1)."""
+    """With S pinned at INVERSION_MAX (F = 1 and n - 1 = INVERSION_MAX) every
+    trial compares its finder uniform with INVERSION_MAX tails a bug; each
+    block's comparisons are freed before the next, so the peak matches the
+    n = 2 run (S = 1)."""
     bugs = (OrganicBug(0.5, 0.5, 2.0),)
     sched = PrizeSchedule(v=(1.0,), artificial=(ArtificialBugDesign(0.5, 0.3),))
     peaks = []
