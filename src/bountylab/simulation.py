@@ -77,7 +77,7 @@ from .game import (
 
 CHUNK = 1 << 16
 # Finder counts of at most this many rivals are drawn by inversion: at 2^16
-# trials of 8 to 64 rivals it took 1/3 to 1/10 of the time of numpy's
+# trials of 8 to 64 rivals it took 1/8 to 1/2.5 of the time of numpy's
 # binomial, which takes the larger ones. A block's comparisons, at most
 # INVERSION_MAX x BLOCK booleans a bug, take the room of its CHUNK uniforms.
 INVERSION_MAX = 64
