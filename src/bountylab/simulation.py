@@ -262,7 +262,7 @@ def _finder_counts(rng, rivals, q, tails, buffer):
     """Rival finders T ~ Bin(S, q) per bug (rows, q per bug) and trial
     (columns), for rival counts S sorted ascending, as (columns, T) blocks.
 
-    tails = _finder_law(q, top) with top = min(max S, INVERSION_MAX) or more.
+    tails = _finder_law(q, top), with top at least min(max S, INVERSION_MAX).
     Where 1 <= S <= top, T is drawn by inversion: one uniform v per bug and
     trial, drawn at most BLOCK trials at a time into a prefix of buffer, and
     T > k iff v < P(T > k | S); each run of equal S reads one row of the

@@ -360,8 +360,9 @@ def test_finder_law_matches_exact_enumeration(q):
 def test_finder_counts_match_binomial(q):
     """The drawn T against Bin(S, q) for each S up to INVERSION_MAX and
     bug, 2^13 trials each, in one chunk sorted by S: the pooled chi-square
-    test of test_rival_histogram_matches_binomial (z <= 4). No trial with
-    S = 0 gets a block, and every trial with S >= 1 gets exactly one."""
+    test of test_rival_histogram_matches_binomial (z <= 4), and T = S at
+    q = 1. No trial with S = 0 gets a block, and every trial with S >= 1
+    gets exactly one."""
     S = (0, 1, 2, 3, 8, 20, simulation.INVERSION_MAX)
     per_s = 1 << 13
     rivals = np.repeat(S, per_s)
@@ -375,9 +376,12 @@ def test_finder_counts_match_binomial(q):
     assert np.all(finders[:, :per_s] == -1) and np.all(finders[:, per_s:] >= 0)
     for i, s in enumerate(S[1:], start=1):
         for j, q_j in enumerate(q.tolist()):
-            observed = np.bincount(finders[j, i * per_s : (i + 1) * per_s], minlength=s + 1)
+            drawn = finders[j, i * per_s : (i + 1) * per_s]
+            if q_j == 1.0:
+                assert np.all(drawn == s)
+            observed = np.bincount(drawn, minlength=s + 1)
             assert len(observed) == s + 1, (s, q_j)
-            expected = [float(x) * per_s for x in _exact_binomial(s, q_j)[0]]
+            expected = [math.comb(s, k) * q_j**k * (1 - q_j) ** (s - k) * per_s for k in range(s + 1)]
             assert _chi_square_z(observed, expected) <= 4.0, (s, q_j)
 
 
