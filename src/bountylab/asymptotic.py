@@ -36,10 +36,9 @@ from .design import (
     solve_c_a,
     solve_c_tilde,
 )
-from .game import GameConfig, PrizeSchedule, _check_prize_count, solve_equilibrium
+from .game import MAX_TABLE_N, GameConfig, PrizeSchedule, _check_prize_count, solve_equilibrium
 from .rootfind import PINNED_LOW, bisect_decreasing
 
-MAX_TABLE_N = 10**6
 # A set distance tries 2^(L+1) zero patterns per slice. On a 2-vCPU Xeon, one
 # distance with 25 / 36 / 49 vertices took 0.25 / 1.4 / 10.4 s and a tracemalloc
 # peak of 0.4 / 1.9 / 8.9 MB at L = 8 / 10 / 12 organic bugs; at that growth a

@@ -17,25 +17,17 @@ import os
 import sys
 from pathlib import Path
 
-from . import asymptotic, credibility, design
-from .costs import CostDistribution
-from .game import (
-    ArtificialBugDesign,
-    GameConfig,
-    OrganicBug,
-    PrizeSchedule,
-    solve_equilibrium,
-)
-from .simulation import SimConfig, simulate
+# layers are reached as module attributes at call time, so a mode executes
+# only the layers it uses (see the package docstring)
+from . import asymptotic, costs, credibility, design, game, simulation
 
 SPEC_VERSION = 1
 
 MAX_GRID_POINTS = 10**4  # figures 1 to 4 hold grid_points rows per curve
 
-_N_MAX = asymptotic.MAX_TABLE_N
 # figures parameters: default, entry type, the range each entry must lie in and
-# its message, and the noun of a list that must not be empty (None: it may be);
-# grid_points is the one scalar
+# its message ({n_max}: game.MAX_TABLE_N), and the noun of a list that must not
+# be empty (None: it may be); grid_points is the one scalar
 _FIGURE_PARAMS = {
     "which": ([1, 2, 3, 4, 5], int, lambda w: 1 <= w <= 5, "figure numbers must lie in 1..5", "figure"),
     "w_list": ([2.0, 4.0, 6.0], float, lambda w: w >= 0.0, "bug values must be >= 0", None),
@@ -45,18 +37,21 @@ _FIGURE_PARAMS = {
         201, int, lambda g: 0 <= g <= MAX_GRID_POINTS, f"grid_points must lie in [0, {MAX_GRID_POINTS}]", None
     ),
     "n_list_curves": (
-        [2, 5, 10, 50, 200, 1000], int, lambda n: 1 <= n <= _N_MAX, f"n values must lie in [1, {_N_MAX}]", "n"
+        [2, 5, 10, 50, 200, 1000], int,
+        lambda n: 1 <= n <= game.MAX_TABLE_N, "n values must lie in [1, {n_max}]", "n",
     ),
     "n_list_distance": (
-        [5, 20, 100, 500], int, lambda n: 2 <= n <= _N_MAX, f"n values must lie in [2, {_N_MAX}]", "n"
+        [5, 20, 100, 500], int,
+        lambda n: 2 <= n <= game.MAX_TABLE_N, "n values must lie in [2, {n_max}]", "n",
     ),
 }
 
-# each cost family's constructor and the fields it reads, in order
+# each cost family's fields, in the order its CostDistribution constructor of
+# the same name reads them
 _DIST_FAMILIES = {
-    "uniform": (CostDistribution.uniform, ("c_low", "c_high")),
-    "power": (CostDistribution.power, ("c_low", "c_high", "alpha")),
-    "exponential": (CostDistribution.exponential, ("c_low", "rate")),
+    "uniform": ("c_low", "c_high"),
+    "power": ("c_low", "c_high", "alpha"),
+    "exponential": ("c_low", "rate"),
 }
 
 # the optional top-level fields and their types
@@ -146,7 +141,7 @@ def _check_figure_param(value, path: str, key: str) -> None:
         if noun and not value:
             raise ConfigError(path, f"the {noun} list must not be empty")
     if not all(in_range(x) for x in value):
-        raise ConfigError(path, message)
+        raise ConfigError(path, message.format(n_max=game.MAX_TABLE_N))
 
 
 def _parse_objects(items: list, path: str, cls) -> tuple:
@@ -165,12 +160,12 @@ def _parse_objects(items: list, path: str, cls) -> tuple:
     return tuple(parsed)
 
 
-def _parse_dist(obj: dict, path: str) -> CostDistribution:
+def _parse_dist(obj: dict, path: str) -> costs.CostDistribution:
     _check_keys(obj, {"kind", "c_low", "c_high", "alpha", "rate"}, path)
     kind = _get(obj, "kind", path, str)
     if kind not in _DIST_FAMILIES:
         raise ConfigError(f"{path}.kind", f"unknown distribution kind {kind!r}")
-    make, fields = _DIST_FAMILIES[kind]
+    fields = _DIST_FAMILIES[kind]
     for key, family in (("alpha", "power"), ("rate", "exponential")):
         if key in obj and key not in fields:
             raise ConfigError(f"{path}.{key}", f"only valid for the {family} family")
@@ -178,24 +173,24 @@ def _parse_dist(obj: dict, path: str) -> CostDistribution:
         raise ConfigError(f"{path}.c_high", "the exponential family takes c_high = null")
     params = {"alpha": 1.0, "rate": 1.0, **obj}  # a missing alpha or rate reads 1.0
     try:
-        return make(*[_get(params, key, path, float) for key in fields])
+        return getattr(costs.CostDistribution, kind)(*[_get(params, key, path, float) for key in fields])
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _parse_game(obj: dict, path: str) -> GameConfig:
+def _parse_game(obj: dict, path: str) -> game.GameConfig:
     _check_keys(obj, {"n", "budget", "dist", "bugs"}, path)
     n = _get(obj, "n", path, int)
     budget = _get(obj, "budget", path, float)
     dist = _parse_dist(_get(obj, "dist", path, dict), f"{path}.dist")
-    bugs = _parse_objects(_get(obj, "bugs", path, list), f"{path}.bugs", OrganicBug)
+    bugs = _parse_objects(_get(obj, "bugs", path, list), f"{path}.bugs", game.OrganicBug)
     try:
-        return GameConfig(n=n, bugs=bugs, dist=dist, budget=budget)
+        return game.GameConfig(n=n, bugs=bugs, dist=dist, budget=budget)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _parse_prizes(obj: dict, path: str, n_bugs: int) -> PrizeSchedule:
+def _parse_prizes(obj: dict, path: str, n_bugs: int) -> game.PrizeSchedule:
     _check_keys(obj, {"v", "artificial"}, path)
     v = _get(obj, "v", path, list)
     if len(v) != n_bugs:
@@ -203,11 +198,11 @@ def _parse_prizes(obj: dict, path: str, n_bugs: int) -> PrizeSchedule:
     artificial = _parse_objects(
         _get(obj, "artificial", path, list, required=False) or [],
         f"{path}.artificial",
-        ArtificialBugDesign,
+        game.ArtificialBugDesign,
     )
     v = [_check(x, f"{path}.v[{i}]", float) for i, x in enumerate(v)]
     try:
-        return PrizeSchedule(v=tuple(v), artificial=artificial)
+        return game.PrizeSchedule(v=tuple(v), artificial=artificial)
     except (ValueError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -270,7 +265,7 @@ def _one_row(name: str, columns: list[tuple[str, object]]) -> Table:
 def _equilibrium(cfg: RunConfig) -> list[Table]:
     if cfg.prizes is None:
         raise ConfigError("$.prizes", "equilibrium mode requires a prize schedule")
-    outcome = solve_equilibrium(cfg.prizes, cfg.game)
+    outcome = game.solve_equilibrium(cfg.prizes, cfg.game)
     columns = _fields(outcome, "c_star boundary participation expected_payout designer_utility")
     for l, (cond, uncond) in enumerate(
         zip(outcome.detect_organic_conditional, outcome.detect_organic_unconditional), start=1
@@ -281,9 +276,9 @@ def _equilibrium(cfg: RunConfig) -> list[Table]:
     return [_one_row("equilibrium.csv", columns)]
 
 
-def _schedule_columns(schedule: PrizeSchedule) -> list[tuple[str, object]]:
+def _schedule_columns(schedule: game.PrizeSchedule) -> list[tuple[str, object]]:
     columns = [(f"v_bug_{l}", v) for l, v in enumerate(schedule.v, start=1)]
-    art = schedule.artificial[0] if schedule.artificial else ArtificialBugDesign(0.0, 0.0)
+    art = schedule.artificial[0] if schedule.artificial else game.ArtificialBugDesign(0.0, 0.0)
     return columns + [("v_a", art.v_a), ("q_a", art.q_a)]
 
 
@@ -325,10 +320,10 @@ def _simulate(cfg: RunConfig) -> list[Table]:
         raise ConfigError("$.trials", "simulate mode requires a trial count")
     threshold = cfg.threshold
     if threshold is None:
-        threshold = solve_equilibrium(cfg.prizes, cfg.game).c_star
+        threshold = game.solve_equilibrium(cfg.prizes, cfg.game).c_star
     try:
-        sim = SimConfig(trials=cfg.trials, seed=cfg.seed, threshold=threshold)
-        report = simulate(cfg.prizes, cfg.game, sim)
+        sim = simulation.SimConfig(trials=cfg.trials, seed=cfg.seed, threshold=threshold)
+        report = simulation.simulate(cfg.prizes, cfg.game, sim)
     except ValueError as exc:
         field = str(exc).split()[0]  # the messages open with the field name
         path = {"seed": "$.seed", "trials": "$.trials", "n": "$.game.n"}.get(field, "$.threshold")
@@ -340,49 +335,49 @@ def _simulate(cfg: RunConfig) -> list[Table]:
 
 def _figures(cfg: RunConfig) -> list[Table]:
     params = cfg.figures
-    game = cfg.game
+    config = cfg.game
     which = set(params["which"])
     if which & {3, 4} and cfg.prizes is None:
         raise ConfigError("$.prizes", "figures 3 and 4 require a prize schedule")
-    if which & {3, 4, 5} and game.dist.c_low <= 0.0:
+    if which & {3, 4, 5} and config.dist.c_low <= 0.0:
         raise ConfigError("$.game.dist.c_low", "figures 3 to 5 require c_low > 0")
-    if 5 in which and len(game.bugs) > asymptotic.MAX_SLICE_BUGS:
+    if 5 in which and len(config.bugs) > asymptotic.MAX_SLICE_BUGS:
         raise ConfigError("$.game.bugs", f"figure 5 takes at most {asymptotic.MAX_SLICE_BUGS} bugs")
     grid_points = params["grid_points"]
-    lo = max(game.dist.c_low, 0.0)
-    hi = game.dist.upper_bound()
+    lo = max(config.dist.c_low, 0.0)
+    hi = config.dist.upper_bound()
     c_grid = _linspace(lo, hi, grid_points)
     tables: list[Table] = []
 
     if 1 in which:
-        if len(game.bugs) != 1:
+        if len(config.bugs) != 1:
             raise ConfigError("$.game.bugs", "figure 1 needs exactly one organic bug")
-        c_target = design.solve_c_tilde(game)
+        c_target = design.solve_c_tilde(config)
         rows = []
         for q_a in params["q_a_fig1"]:
-            a_org, a_art = design.solution_set(game, c_target, q_a).coeffs
+            a_org, a_art = design.solution_set(config, c_target, q_a).coeffs
             if not (a_art > 0.0 and math.isfinite(c_target / a_art)):
                 raise ConfigError("$.figures.q_a_fig1", f"q_a = {q_a} leaves v_a unbounded")
             v_max = c_target / a_org if a_org > 0 else 0.0
             if not math.isfinite(v_max):
-                raise ConfigError("$.game.bugs[0].q", f"q = {game.bugs[0].q} leaves v unbounded")
+                raise ConfigError("$.game.bugs[0].q", f"q = {config.bugs[0].q} leaves v unbounded")
             for v in _linspace(0.0, v_max, grid_points):
                 rows.append([f"qa_{q_a:.6g}", q_a, v, (c_target - a_org * v) / a_art])
-        for v in _linspace(0.0, game.budget, grid_points):
-            rows.append(["budget", "", v, game.budget - v])
+        for v in _linspace(0.0, config.budget, grid_points):
+            rows.append(["budget", "", v, config.budget - v])
         tables.append(("fig1_solution_sets.csv", ["curve", "q_a", "v", "v_a"], rows))
 
     if 2 in which:
         rows = []
         for w in params["w_list"]:
-            bugs = tuple(OrganicBug(mu=b.mu, q=b.q, w=float(w)) for b in game.bugs)
-            game_w = GameConfig(n=game.n, bugs=bugs, dist=game.dist, budget=game.budget)
+            bugs = tuple(game.OrganicBug(mu=b.mu, q=b.q, w=float(w)) for b in config.bugs)
+            game_w = game.GameConfig(n=config.n, bugs=bugs, dist=config.dist, budget=config.budget)
             for c_hat in c_grid:
                 rows.append([w, c_hat, design.designer_utility(float(c_hat), game_w)])
         tables.append(("fig2_utility_curves.csv", ["w", "c_hat", "W"], rows))
         markers = [
-            ["c_0", design.solve_c0(game.budget, game).c_0],
-            ["c_a", design.solve_c_a(game.budget, game)],
+            ["c_0", design.solve_c0(config.budget, config).c_0],
+            ["c_a", design.solve_c_a(config.budget, config)],
         ]
         tables.append(("fig2_markers.csv", ["name", "value"], markers))
 
@@ -390,17 +385,17 @@ def _figures(cfg: RunConfig) -> list[Table]:
         n_list = cfg.n_list or params["n_list_curves"]
         curve_rows, scaled_rows = [], []
         for n in n_list:
-            game_n = game.with_n(int(n))
+            game_n = config.with_n(int(n))
             for c_hat in c_grid:
                 w_n = design.designer_utility(float(c_hat), game_n)
                 curve_rows.append([n, c_hat, w_n])
-                scaled_rows.append([n, n * game.dist.cdf(float(c_hat)), w_n])
+                scaled_rows.append([n, n * config.dist.cdf(float(c_hat)), w_n])
         if 3 in which:
             tables.append(("fig3_utility_convergence.csv", ["n", "c_hat", "W_n"], curve_rows))
         if 4 in which:
             header = ["n", "n_F_c_hat", "W_n"]
             tables.append(("fig4_utility_convergence_scaled.csv", header, scaled_rows))
-        table = asymptotic.convergence_table(game, cfg.prizes, [int(n) for n in n_list])
+        table = asymptotic.convergence_table(config, cfg.prizes, [int(n) for n in n_list])
         header = list(table[0].keys())
         tables.append(("convergence_table.csv", header, [[r[k] for k in header] for r in table]))
 
@@ -408,7 +403,7 @@ def _figures(cfg: RunConfig) -> list[Table]:
         rows = []
         for q_a in params["q_a_fig5"]:
             for n in params["n_list_distance"]:
-                result = asymptotic.solution_set_distance(game, int(n), float(q_a))
+                result = asymptotic.solution_set_distance(config, int(n), float(q_a))
                 if not result.feasible:
                     raise ConfigError(
                         "$.figures.q_a_fig5",

@@ -34,6 +34,10 @@ _TINY = sys.float_info.min
 
 # Largest n for which the combinatorial oracle is allowed to run.
 ORACLE_MAX_N = 25
+# Largest n of a sweep over crowd sizes: asymptotic.convergence_table and the
+# CLI's n lists. It lives here, not in asymptotic, so the CLI can check a config
+# without executing asymptotic.
+MAX_TABLE_N = 10**6
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,9 @@ are reproducible bit-for-bit, chunks are independent streams, and they
 could be evaluated in parallel without changing the result.
 
 numpy is imported by the functions that draw and tally, not when the module
-loads, so ``import bountylab`` and every CLI mode but ``simulate`` run
-without it.
+executes. ``import bountylab`` executes no layer, this one included (see the
+package docstring), and ``simulate`` is the one CLI mode that executes this
+module or loads numpy.
 """
 
 from __future__ import annotations

@@ -1,9 +1,13 @@
-"""No module of the package imports numpy when it is loaded: the solver core
-evaluates one threshold at a time in plain ``math``, the CLI's figure grids
-are plain lists, and ``simulation`` and ``costs.sample`` import numpy in the
-functions that draw. So only the Monte Carlo pays for loading it."""
+"""What a process executes. No module of the package imports numpy when it
+executes: the solver core evaluates one threshold at a time in plain
+``math``, the CLI's figure grids are plain lists, and ``simulation`` and
+``costs.sample`` import numpy in the functions that draw. ``import
+bountylab`` executes no layer, and each CLI mode executes only the layers it
+uses, so only the Monte Carlo pays for loading numpy."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -15,6 +19,7 @@ import pytest
 import bountylab
 import bountylab.rootfind
 import bountylab.simulation
+from bountylab import cli
 
 PACKAGE = Path(bountylab.__file__).parent
 ROOT = Path(__file__).parent.parent
@@ -44,58 +49,139 @@ def test_solver_core_imports_no_numpy(module):
     assert not [n for n in names if n == "numpy" or n.startswith("numpy.")]
 
 
-# Runs each argv through cli.main in one process and prints, as its last line,
-# [mode, exit code, whether numpy is loaded] after each.
-_RUN_MODES = """
-import contextlib, io, json, sys
+LAYERS = ("costs", "rootfind", "game", "design", "asymptotic", "simulation", "credibility")
+_EQUILIBRIUM = {"cli", "costs", "game", "rootfind"}
+_DESIGN = _EQUILIBRIUM | {"design"}
+_PUBLIC = _DESIGN | {"asymptotic"}
+_PROTOCOL = {"cli", "credibility"}
+# the layers each CLI mode executes
+MODE_LAYERS = {
+    "equilibrium": _EQUILIBRIUM,
+    "design": _DESIGN,
+    "public": _PUBLIC,
+    "figures": _PUBLIC,
+    "simulate": _EQUILIBRIUM | {"simulation"},
+    "commit": _PROTOCOL,
+    "reveal-verify": _PROTOCOL,
+    "coin": _PROTOCOL,
+}
+
+# A layer counts as executed once its lazy module has become a plain module.
+_EXECUTED = """
+def executed():
+    import sys, types
+    modules = sys.modules.items()
+    return sorted(m for m, mod in modules if m.startswith("bountylab.") and type(mod) is types.ModuleType)
+"""
+
+# Runs one argv through cli.main and prints, as its last line, [exit code,
+# executed layers, whether numpy is loaded].
+_RUN_MODE = _EXECUTED + """
+import json, sys
 sys.path.insert(0, sys.argv[1])
 from bountylab.cli import main
-seen = []
-for argv in json.loads(sys.argv[2]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    seen.append([argv[0], code, "numpy" in sys.modules])
-print(json.dumps(seen))
+code = main(json.loads(sys.argv[2]))
+print(json.dumps([code, executed(), "numpy" in sys.modules]))
 """
 
 
-def test_only_simulate_loads_numpy(tmp_path):
+def _mode_argv(mode, tmp_path):
+    """A command line on which ``mode`` succeeds; the protocol modes read a
+    commitment made here."""
+    out = tmp_path / "out"
     seed = tmp_path / "seed.bin"
     seed.write_bytes(bytes(range(32)))
-    out = tmp_path / "out"
+    commit = ["commit", "--payload", str(seed), "--salt-hex", "00" * 32, "--out", str(out)]
+    if mode == "commit":
+        return commit
+    if mode in ("reveal-verify", "coin"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(commit) == 0
+        record = ["--commitment", str(out / "commitment.txt"), "--reveal", str(out / "reveal.txt")]
+        return [mode, *record] + (["--beacon", "ab" * 32, "--mu-a", "0.5"] if mode == "coin" else [])
+    config = {
+        "equilibrium": "equilibrium_example.json",
+        "design": "private_example.json",
+        "public": "public_example.json",
+        "figures": "figures_example.json",
+        "simulate": "equilibrium_example.json",
+    }[mode]
+    argv = [mode, "--config", str(DATA / config), "--out", str(out)]
+    return argv + (["--seed", "1", "--trials", "10"] if mode == "simulate" else [])
 
-    def config(name):
-        return ["--config", str(DATA / name), "--out", str(out)]
 
-    record = ["--commitment", str(out / "commitment.txt"), "--reveal", str(out / "reveal.txt")]
-    runs = [
-        ["equilibrium", *config("equilibrium_example.json")],
-        ["design", *config("private_example.json")],
-        ["public", *config("public_example.json")],
-        ["figures", *config("figures_example.json")],
-        ["commit", "--payload", str(seed), "--salt-hex", "00" * 32, "--out", str(out)],
-        ["reveal-verify", *record],
-        ["coin", *record, "--beacon", "ab" * 32, "--mu-a", "0.5"],
-        ["simulate", *config("equilibrium_example.json"), "--seed", "1", "--trials", "10"],
-    ]
+@pytest.mark.parametrize("mode", MODE_LAYERS)
+def test_each_mode_executes_only_its_layers(tmp_path, mode):
+    """In a fresh process, and only simulate loads numpy."""
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_MODES, str(PACKAGE.parent), json.dumps(runs)],
+        [sys.executable, "-c", _RUN_MODE, str(PACKAGE.parent), json.dumps(_mode_argv(mode, tmp_path))],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=60,
         check=True,
     )
-    seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == [[argv[0], 0, argv[0] == "simulate"] for argv in runs]
+    code, executed, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert executed == sorted(f"bountylab.{layer}" for layer in MODE_LAYERS[mode])
+    assert numpy_loaded == (mode == "simulate")
+
+
+@pytest.mark.parametrize("mode", MODE_LAYERS)
+def test_run_as_module_is_silent(tmp_path, mode):
+    """``python -m bountylab.cli`` finds no ``bountylab.cli`` registered
+    before it runs, so runpy warns of nothing."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "bountylab.cli", *_mode_argv(mode, tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_import_executes_no_layer():
+    probe = _EXECUTED + """
+import importlib.util, json, sys
+import bountylab
+lazy = sorted(m for m, mod in sys.modules.items() if type(mod) is importlib.util._LazyModule)
+print(json.dumps([executed(), lazy, "numpy" in sys.modules]))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    executed, lazy, numpy_loaded = json.loads(proc.stdout)
+    assert executed == []
+    assert lazy == sorted(f"bountylab.{layer}" for layer in LAYERS)
+    assert not numpy_loaded
 
 
 def test_package_namespace():
     namespace = {}
     exec("from bountylab import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(bountylab.__all__)
-    assert bountylab.simulate is bountylab.simulation.simulate
+    assert set(bountylab.__all__) <= set(dir(bountylab))
+    for name in bountylab.__all__:
+        obj = getattr(bountylab, name)
+        assert vars(sys.modules[obj.__module__])[name] is obj, name
     with pytest.raises(AttributeError):
         bountylab.no_such_name
+
+
+def test_package_names_follow_their_layer(monkeypatch):
+    """A public name is read off its layer on every access, never cached, so
+    rebinding it on the layer and undoing that both show through."""
+    original = bountylab.simulate
+    stand_in = object()
+    monkeypatch.setattr(bountylab.simulation, "simulate", stand_in)
+    assert bountylab.simulate is stand_in
+    monkeypatch.undo()
+    assert bountylab.simulate is original
 
 
 def _tracer_constant(name):
@@ -112,17 +198,34 @@ def test_benchmark_tracer_finds_what_it_hooks():
     change that moves one fails every traced run, so it fails here first."""
     cost_methods = _tracer_constant("COST_METHODS")
     assert [m for m in cost_methods if m not in vars(bountylab.CostDistribution)] == []
-    layers = [f"bountylab.{layer}" for layer in _tracer_constant("LAYERS")]
-    probe = "import json, sys, bountylab.cli; print(json.dumps(sorted(sys.modules)))"
+    layers = _tracer_constant("LAYERS")
+    # the tracer's access: each layer's vars(), which executes a lazy layer
+    probe = """
+import inspect, json, sys, bountylab.cli
+seen = {}
+for layer in json.loads(sys.argv[1]):
+    mod = sys.modules[f"bountylab.{layer}"]
+    seen[layer] = sorted(
+        a for a, o in vars(mod).items()
+        if not a.startswith("_") and inspect.isfunction(o) and o.__module__ == mod.__name__
+    )
+print(json.dumps(seen))
+"""
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, json.dumps(layers)],
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
-    loaded = json.loads(proc.stdout)
-    assert [m for m in layers if m not in loaded] == []
+    seen = json.loads(proc.stdout)
+    defined = {}
+    for layer in layers:
+        tree = ast.parse((PACKAGE / f"{layer}.py").read_text(encoding="utf-8"))
+        defs = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defined[layer] = sorted(name for name in defs if not name.startswith("_"))
+    assert seen == defined
+    assert "simulate" in seen["simulation"]
     assert callable(bountylab.simulation._chunk_rng)
     assert callable(bountylab.rootfind.bisect_decreasing)
