@@ -78,11 +78,22 @@ def executed():
 # executed layers, whether numpy is loaded].
 _RUN_MODE = _EXECUTED + """
 import json, sys
-sys.path.insert(0, sys.argv[1])
 from bountylab.cli import main
-code = main(json.loads(sys.argv[2]))
+code = main(json.loads(sys.argv[1]))
 print(json.dumps([code, executed(), "numpy" in sys.modules]))
 """
+
+
+def _python(*args, check=True):
+    """A fresh interpreter's run, importing bountylab from this checkout."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=check,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
 
 
 def _mode_argv(mode, tmp_path):
@@ -113,13 +124,7 @@ def _mode_argv(mode, tmp_path):
 @pytest.mark.parametrize("mode", MODE_LAYERS)
 def test_each_mode_executes_only_its_layers(tmp_path, mode):
     """In a fresh process, and only simulate loads numpy."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUN_MODE, str(PACKAGE.parent), json.dumps(_mode_argv(mode, tmp_path))],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-    )
+    proc = _python("-c", _RUN_MODE, json.dumps(_mode_argv(mode, tmp_path)))
     code, executed, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     assert executed == sorted(f"bountylab.{layer}" for layer in MODE_LAYERS[mode])
@@ -130,13 +135,7 @@ def test_each_mode_executes_only_its_layers(tmp_path, mode):
 def test_run_as_module_is_silent(tmp_path, mode):
     """``python -m bountylab.cli`` finds no ``bountylab.cli`` registered
     before it runs, so runpy warns of nothing."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "bountylab.cli", *_mode_argv(mode, tmp_path)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-    )
+    proc = _python("-m", "bountylab.cli", *_mode_argv(mode, tmp_path), check=False)
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
@@ -147,15 +146,7 @@ import bountylab
 lazy = sorted(m for m, mod in sys.modules.items() if type(mod) is importlib.util._LazyModule)
 print(json.dumps([executed(), lazy, "numpy" in sys.modules]))
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-    )
-    executed, lazy, numpy_loaded = json.loads(proc.stdout)
+    executed, lazy, numpy_loaded = json.loads(_python("-c", probe).stdout)
     assert executed == []
     assert lazy == sorted(f"bountylab.{layer}" for layer in LAYERS)
     assert not numpy_loaded
@@ -211,15 +202,7 @@ for layer in json.loads(sys.argv[1]):
     )
 print(json.dumps(seen))
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, json.dumps(layers)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-    )
-    seen = json.loads(proc.stdout)
+    seen = json.loads(_python("-c", probe, json.dumps(layers)).stdout)
     defined = {}
     for layer in layers:
         tree = ast.parse((PACKAGE / f"{layer}.py").read_text(encoding="utf-8"))
