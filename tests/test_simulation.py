@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -726,3 +728,49 @@ def test_closed_forms_are_the_equilibrium_outcome():
         assert closed(report.detect_artificial) == out.detect_artificial
         assert report.payout.closed_form == out.expected_payout
         assert report.utility.closed_form == out.designer_utility
+
+
+def _fields_hex(obj):
+    """Every field of a report, nested reports and tuples included, with
+    each float as float.hex: equal strings mean bit-identical reports."""
+    if dataclasses.is_dataclass(obj):
+        return "{" + "|".join(f"{f.name}={_fields_hex(getattr(obj, f.name))}" for f in dataclasses.fields(obj)) + "}"
+    if isinstance(obj, tuple):
+        return "(" + ",".join(_fields_hex(x) for x in obj) + ")"
+    if isinstance(obj, float):
+        return float(obj).hex()
+    if isinstance(obj, int):
+        return str(int(obj))
+    return repr(obj)
+
+
+# Games whose runs reach every path of the kernel: the histogram of S (full
+# chunks, and the 17-trial last chunk of CHUNK + 17) and the per-trial S (a
+# lone 100-trial chunk), inversion and numpy's binomial for the finder counts
+# in one chunk (n - 1 = 2 INVERSION_MAX), F = 0 and F = 1, and agent 0 alone
+# (n = 1).
+_PIN_BUGS = (OrganicBug(0.8, 0.1, 1.0), OrganicBug(0.6, 0.05, 2.0))
+_PIN_PRIZES = PrizeSchedule(v=(0.4, 0.3), artificial=(ArtificialBugDesign(0.2, 0.08),))
+STREAM_PINS = {
+    # name: (n, threshold, trials, seed), sha256 of simulate and check_equilibrium
+    "straddle": ((2 * simulation.INVERSION_MAX + 1, 0.5, simulation.CHUNK + 17, 3), "adf1869109e76097d592112f74fa16e105a95dbbe54ce8e15f340d4da878bf27"),
+    "straddle_lone": ((2 * simulation.INVERSION_MAX + 1, 0.5, 100, 4), "658eeef7452bdcf32e644d7a46df2ea982fec8c4724d73a44d6738fc0cee44da"),
+    "wide": ((5000, 0.3, simulation.CHUNK + 17, 5), "25b30b69562c25149977c6e22b05abbfede29360467356c1eae7da5c22fe3f30"),
+    "few_rivals": ((3, 0.5, simulation.CHUNK + 17, 6), "abf360f8103954d865d91c8d2a131f90896d2d0ba4a55fe4c4fb6d25e16c6211"),
+    "few_rivals_lone": ((3, 0.5, 100, 7), "e96dba90707660a87fc24955418ce7785834fe00dac04bdb7adc79c0f8624f08"),
+    "F0": ((3, 0.0, simulation.CHUNK + 17, 8), "908e87d29eaad3e3ec9895d8484ce3e0cf0589a9c1139f905191a0e263deaf1f"),
+    "F1": ((3, 1.0, simulation.CHUNK + 17, 9), "3e667b23799b300520cdf0bdfb2a576c2276ca7cc5ec119241827c87dd77edb7"),
+    "alone": ((1, 0.5, simulation.CHUNK + 17, 10), "dcd7076abdb47566b8653bf3952885812f7157e24250a5b62a432a43cd088819"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_PINS))
+def test_stream_is_pinned(name, uniform01):
+    """simulate and check_equilibrium reproduce, bit for bit, reports taken
+    once at fixed seeds: a kernel change that moves, adds or reshapes a draw,
+    or that tallies a trial differently, changes a hash."""
+    (n, threshold, trials, seed), pinned = STREAM_PINS[name]
+    game = GameConfig(n=n, bugs=_PIN_BUGS, dist=uniform01, budget=2.0)
+    sim = SimConfig(trials, seed, threshold)
+    text = _fields_hex(simulate(_PIN_PRIZES, game, sim)) + _fields_hex(check_equilibrium(_PIN_PRIZES, game, sim))
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned
