@@ -27,26 +27,35 @@ most the chunk size over TRIALS_PER_SD (128 for a full chunk), that
 histogram is drawn directly: one binomial for the count below the median
 of S, then one scalar binomial per occupied value, walking down with
 P(S = k | S <= k) and up with P(S = k | S >= k) until each side has no
-trials left; the sorted S is the histogram repeated.
-Those probabilities come from the binomial law of the rival count, n - 1
-independent participation draws at F (a primitive of the model, not a
-closed form of the paper), built once a call from the ratio of successive
-terms with each tail summed from its far end. Wider laws draw S per trial
-and sort the chunk.
+trials left. Those probabilities come from the binomial law of the rival
+count, n - 1 independent participation draws at F (a primitive of the
+model, not a closed form of the paper), built once a call from the ratio
+of successive terms with each tail summed from its far end. Wider laws
+draw S per trial and count its values.
 
 That is 1 + (L + K) uniforms a trial (L + K when pinned), drawn into one
 buffer a call, and one binomial per occupied value of S a chunk (per
 trial for wider laws); T takes L + K more uniforms a trial where
 1 <= S <= INVERSION_MAX, BLOCK trials at a time into a second buffer,
-and L + K binomials where S is larger. Given S the
-finder counts of different bugs are independent, so bugs are correlated
-only through shared participation, as in the game. No array has an n
-axis: a chunk holds O(CHUNK (L + K)) numbers whatever n and F are. No
-draw uses a closed form; estimates come with standard errors and the
-matching closed forms, read off ``game``, so a report row reads as a
-z-test. A chunk is tallied as counts, per bug and per pair of bugs, of the
-trials in which they were found (won); every mean and sample variance
-follows from those counts.
+and L + K binomials where S is larger. Given S the finder counts of
+different bugs are independent, so bugs are correlated only through
+shared participation, as in the game. No array has an n axis: a chunk
+holds O(CHUNK (L + K)) numbers whatever n and F are. No draw uses a
+closed form; estimates come with standard errors and the matching closed
+forms, read off ``game``, so a report row reads as a z-test.
+
+A chunk keeps no outcome past its own tally: per bug and per pair of
+bugs, the trials in which they were found and won, and per bug the trials
+in which it exists and agent 0 could win it. Every mean and sample variance follows
+from those counts. The chunk reads S only through its histogram: the runs
+of equal S bound the finder blocks, and only trials with
+S > INVERSION_MAX get an S of their own, for numpy's binomial. On the
+S = 0 prefix T = 0, so a find there is agent 0's own and a win as well;
+the prefix's counts are taken once and added to both tallies. Artificial
+entries skip the existence compare (mu = 1 > u). Since fl(u k) >= u for
+k >= 1, u (T + 1) < mu q implies u < mu q bit for bit, so the pinned run
+(``check_equilibrium``) makes that one compare per bug and trial and
+tallies wins only.
 
 Trial chunks of fixed size draw from PCG64 streams seeded by SeedSequence
 with the run's seed as entropy and the chunk index as spawn key, so runs
@@ -210,18 +219,20 @@ def _rival_law(rivals: int, F: float):
 
 
 def _rival_sampler(rivals: int, F: float, chunk: int):
-    """A function (rng, m) -> m <= chunk draws of S ~ Bin(rivals, F), sorted.
+    """A function (rng, m) -> the histogram of m <= chunk draws of
+    S ~ Bin(rivals, F): the values drawn, ascending, and how many trials drew
+    each, as two int64 arrays.
 
     Where the standard deviation of S exceeds chunk / TRIALS_PER_SD each
-    trial draws its own S and the chunk is sorted. Otherwise the chunk's
-    histogram of S is drawn: one binomial for the count below the median,
-    then one per occupied value walking down with P(S = k | S <= k) and up
-    with P(S = k | S >= k), each side stopping when it has no trials left.
-    The law takes O(CHUNK / TRIALS_PER_SD) numbers whatever rivals is."""
+    trial draws its own S. Otherwise the chunk's histogram of S is drawn: one
+    binomial for the count below the median, then one per occupied value
+    walking down with P(S = k | S <= k) and up with P(S = k | S >= k), each
+    side stopping when it has no trials left. The law takes
+    O(CHUNK / TRIALS_PER_SD) numbers whatever rivals is."""
     import numpy as np
 
     if math.sqrt(rivals * F * (1.0 - F)) * TRIALS_PER_SD > chunk:
-        return lambda rng, m: np.sort(rng.binomial(rivals, F, m))
+        return lambda rng, m: np.unique(rng.binomial(rivals, F, m), return_counts=True)
     values, down, up, split, p_below = _rival_law(rivals, F)
 
     def draw(rng, m):
@@ -236,7 +247,8 @@ def _rival_sampler(rivals: int, F: float, chunk: int):
                     break
                 counts[i] = c = int(rng.binomial(left, cond[i]))
                 left -= c
-        return np.repeat(values, counts)
+        occupied = np.flatnonzero(counts)
+        return values[occupied], np.array(counts)[occupied]
 
     return draw
 
@@ -259,9 +271,10 @@ def _finder_law(q, top: int):
     return np.cumsum(pmf[:, :1:-1], axis=1)[:, ::-1]
 
 
-def _finder_counts(rng, rivals, q, tails, buffer):
+def _finder_counts(rng, values, counts, q, tails, buffer):
     """Rival finders T ~ Bin(S, q) per bug (rows, q per bug) and trial
-    (columns), for rival counts S sorted ascending, as (columns, T) blocks.
+    (columns), for the trials of a chunk sorted by S, whose histogram is
+    values (ascending) and counts, as (columns, T) blocks.
 
     tails = _finder_law(q, top), with top at least min(max S, INVERSION_MAX).
     Where 1 <= S <= top, T is drawn by inversion: one uniform v per bug and
@@ -269,33 +282,42 @@ def _finder_counts(rng, rivals, q, tails, buffer):
     T > k iff v < P(T > k | S); each run of equal S reads one row of the
     table. The S = 0 prefix draws nothing and yields no block. Larger S take
     numpy's binomial sampler, BLOCK trials at a time, so that its int64
-    counts take no more room than one byte per trial of a chunk."""
+    counts take no more room than one byte per trial of a chunk; only those
+    trials are given their own S."""
     import numpy as np
 
     J, top = len(q), len(tails) - 1
-    starts = np.searchsorted(rivals, np.arange(1, top + 2))  # first trial with S >= 1, 2, ...
-    for lo in range(starts[0], starts[-1], BLOCK):
-        hi = min(lo + BLOCK, starts[-1])
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()  # first trial of each value
+    first = int(values[0] == 0)  # the S = 0 prefix draws nothing
+    last = int(np.searchsorted(values, top, side="right"))  # values[first:last] are inverted
+    start, stop, m = bounds[first], bounds[last], bounds[-1]
+    runs = list(zip(values[first:last].tolist(), bounds[first:last], bounds[first + 1 : last + 1]))
+    for lo in range(start, stop, BLOCK):
+        hi = min(lo + BLOCK, stop)
         v = buffer[: J * (hi - lo)].reshape(J, hi - lo)
         rng.random(v.shape, out=v)
         finders = np.empty(v.shape, dtype=np.uint8)
-        for s in range(rivals[lo], rivals[hi - 1] + 1):
-            run = slice(max(starts[s - 1], lo) - lo, min(starts[s], hi) - lo)
-            # T counts the k with v < P(T > k | S = s)
-            finders[:, run] = np.add.reduce(v[:, run] < tails[s, :s, :, None], axis=0, dtype=np.uint8)
+        for s, a, b in runs:
+            if a < hi and b > lo:
+                run = slice(max(a, lo) - lo, min(b, hi) - lo)
+                # T counts the k with v < P(T > k | S = s)
+                finders[:, run] = np.add.reduce(v[:, run] < tails[s, :s, :, None], axis=0, dtype=np.uint8)
         yield slice(lo, hi), finders
-    for start in range(starts[-1], len(rivals), BLOCK):
-        stop = min(start + BLOCK, len(rivals))
-        yield slice(start, stop), rng.binomial(rivals[start:stop], q[:, None], (J, stop - start))
+    if stop < m:
+        rivals = np.repeat(values[last:], counts[last:])
+        for lo in range(stop, m, BLOCK):
+            hi = min(lo + BLOCK, m)
+            yield slice(lo, hi), rng.binomial(rivals[lo - stop : hi - stop], q[:, None], (J, hi - lo))
 
 
-def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: bool):
-    """Per chunk, the outcomes of its trials as boolean arrays with trials
-    along the last axis: searching (m,), then per bug, organic bugs first,
-    exists, found and won (L+K, m) -- agent 0 searches, the bug exists
-    (artificial entries always do), someone finds it, agent 0 wins its
-    prize. A pinned agent 0 always searches. The bug arrays are refilled in
-    place chunk by chunk, so each chunk's are read before the next."""
+def _tallies(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: bool):
+    """The run's outcomes as counts over its trials: (won, found, counts).
+    won and found are the co-occurrence counts (see _gram) of the bugs agent
+    0 wins and of the bugs someone finds; counts holds, per bug, the trials
+    in which agent 0 could win it (searching, and the bug exists) and in
+    which it exists, then the trials in which agent 0 searches. Bugs are
+    ordered organic first. A pinned agent 0 always searches, and only its
+    wins are tallied: found and counts are None."""
     import numpy as np
 
     dist = game.dist
@@ -318,35 +340,56 @@ def _trials(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: boo
     # last chunk
     buffer = np.empty(rows * chunk)
     finder_buffer = np.empty(J * min(BLOCK, chunk))
-    flags = np.empty(4 * J * chunk, dtype=bool)  # exists, own, found, won
+    flags = np.empty(2 * J * chunk, dtype=bool)
+    won = np.zeros((J, J), dtype=np.int64)
+    found = None if pinned else np.zeros((J, J), dtype=np.int64)
+    counts = None if pinned else np.zeros(2 * J + 1, dtype=np.int64)
     tails = ()  # the finder law, built up to the largest S so far
     for m, rng in _chunks(sim):
-        # Trials are exchangeable, so they are ordered by S.
-        rivals = draw_rivals(rng, m)
-        top = min(int(rivals[-1]), INVERSION_MAX)
+        # Trials are exchangeable, so they are ordered by S: its histogram.
+        values, occupied = draw_rivals(rng, m)
+        top = min(int(values[-1]), INVERSION_MAX)
         if len(tails) <= top:
             tails = _finder_law(q, top)
         u = buffer[: rows * m].reshape(rows, m)
         rng.random(u.shape, out=u)
-        searching = np.ones(m, dtype=bool) if pinned else u[J] < F
+        zero = int(occupied[0]) if values[0] == 0 else 0  # trials with S = 0, where T = 0
         # One uniform per bug: u < mu is existence; given it u / mu is
         # uniform, so u < mu q is agent 0's find; given that, u / (mu q) is
         # uniform again, so u (T + 1) < mu q is winning among T + 1 finders.
-        u = u[:J]
-        exists, own, found, won = flags[: 4 * J * m].reshape(4, J, m)
-        np.less(u, mu, out=exists)
-        np.less(u, mu_q, out=own)
-        own &= searching
-        # T = 0 where S = 0, so the blocks cover only the trials with S >= 1
-        found[...] = False
-        for cols, finders in _finder_counts(rng, rivals, q, tails, finder_buffer):
-            np.greater(finders, 0, out=found[:, cols])
-            u[:, cols] *= finders + 1
-        found |= own
-        found &= exists
-        np.less(u, mu_q, out=won)
-        won &= own
-        yield searching, exists, found, won
+        # Artificial entries skip the existence compare. Since fl(u k) >= u
+        # for k >= 1, a win implies the find, and a find implies existence.
+        wins, finds = flags[: 2 * J * m].reshape(2, J, m)
+        if pinned:
+            np.less(u[:, :zero], mu_q, out=wins[:, :zero])
+        else:
+            searching = u[J] < F
+            exists = u[:L] < mu[:L]
+            np.less(u[:J], mu_q, out=finds)
+            finds &= searching  # agent 0's own finds
+            # count_nonzero without an axis: numpy's fast path
+            n_search = np.count_nonzero(searching)
+            eligible = [np.count_nonzero(row & searching) for row in exists] + [n_search] * (J - L)
+            present = [np.count_nonzero(row) for row in exists] + [m] * (J - L)
+            counts += [*eligible, *present, n_search]
+        for cols, finders in _finder_counts(rng, values, occupied, q, tails, finder_buffer):
+            if not pinned:
+                rival = finders > 0
+                rival[:L] &= exists[:, cols]
+                finds[:, cols] |= rival
+            scaled = u[:J, cols]
+            scaled *= finders + 1
+            np.less(scaled, mu_q, out=wins[:, cols])
+            if not pinned:
+                wins[:, cols] &= searching[cols]
+        if pinned:
+            won += _gram(wins)
+        else:
+            # on the S = 0 prefix agent 0's finds are both found and won
+            alone = _gram(finds[:, :zero])
+            found += alone + _gram(finds[:, zero:])
+            won += alone + _gram(wins[:, zero:])
+    return won, found, counts
 
 
 def _gram(rows):
@@ -403,16 +446,7 @@ def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimRepo
     L = len(game.bugs)
     _, ws, q, prize = _bug_arrays(prizes, game)
     J = len(q)
-    found_gram = np.zeros((J, J), dtype=np.int64)
-    won_gram = np.zeros((J, J), dtype=np.int64)
-    # per bug: agent 0 could win it (searching, and the bug exists), exists;
-    # then the trials in which agent 0 searches
-    counts = np.zeros(2 * J + 1, dtype=np.int64)
-    for searching, exists, found, won in _trials(prizes, game, sim, pinned=False):
-        found_gram += _gram(found)
-        won_gram += _gram(won)  # agent 0 wins nothing when idle
-        rows = (*(exists & searching), *exists, searching)
-        counts += [np.count_nonzero(row) for row in rows]  # without an axis: numpy's fast path
+    won_gram, found_gram, counts = _tallies(prizes, game, sim, pinned=False)
 
     found_n, won_n = np.diag(found_gram), np.diag(won_gram)
     eligible_n, exists_n = counts[:-1].reshape(2, J)
@@ -480,9 +514,7 @@ def check_equilibrium(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -
     import numpy as np
 
     prize = _bug_arrays(prizes, game)[3]
-    won_gram = np.zeros((len(prize), len(prize)), dtype=np.int64)
-    for _, _, _, won in _trials(prizes, game, sim, pinned=True):
-        won_gram += _gram(won)
+    won_gram = _tallies(prizes, game, sim, pinned=True)[0]
 
     outcome = solve_equilibrium(prizes, game)
     # the pinned agent's winnings average Psi at the rivals' threshold

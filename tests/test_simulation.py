@@ -258,11 +258,12 @@ def test_both_finder_samplers_in_one_chunk(uniform01, monkeypatch):
     at a time."""
     blocks, pieces = [], []
 
-    def spy(rng, rivals, *law):
+    def spy(rng, values, counts, *law):
+        rivals = np.repeat(values, counts)  # the chunk's S, sorted
         inverted = np.count_nonzero((rivals >= 1) & (rivals <= simulation.INVERSION_MAX))
         pieces.append(-(-inverted // simulation.BLOCK))
         covered = 0
-        for cols, finders in finder_counts(rng, rivals, *law):
+        for cols, finders in finder_counts(rng, values, counts, *law):
             blocks.append((finders.dtype, int(rivals[cols].min()), int(rivals[cols].max())))
             covered += cols.stop - cols.start
             yield cols, finders
@@ -361,10 +362,10 @@ def test_finder_law_matches_exact_enumeration(q):
 @pytest.mark.parametrize("q", [(0.3, 0.05, 0.9), (1e-12, 1.0, 0.5)])
 def test_finder_counts_match_binomial(q):
     """The drawn T against Bin(S, q) for each S up to INVERSION_MAX and
-    bug, 2^13 trials each, in one chunk sorted by S: the pooled chi-square
-    test of test_rival_histogram_matches_binomial (z <= 4), and T = S at
-    q = 1. No trial with S = 0 gets a block, and every trial with S >= 1
-    gets exactly one."""
+    bug, 2^13 trials each, in one chunk given as its histogram: the pooled
+    chi-square test of test_rival_histogram_matches_binomial (z <= 4), and
+    T = S at q = 1. No trial with S = 0 gets a block, and every trial with
+    S >= 1 gets exactly one."""
     S = (0, 1, 2, 3, 8, 20, simulation.INVERSION_MAX)
     per_s = 1 << 13
     rivals = np.repeat(S, per_s)
@@ -372,7 +373,8 @@ def test_finder_counts_match_binomial(q):
     tails = simulation._finder_law(q, max(S))
     buffer = np.empty(len(q) * simulation.BLOCK)
     finders = np.full((len(q), len(rivals)), -1)
-    for cols, block in simulation._finder_counts(simulation._chunk_rng(9, 0), rivals, q, tails, buffer):
+    values, counts = np.unique(rivals, return_counts=True)
+    for cols, block in simulation._finder_counts(simulation._chunk_rng(9, 0), values, counts, q, tails, buffer):
         assert block.dtype == np.uint8 and np.all(finders[:, cols] == -1)
         finders[:, cols] = block
     assert np.all(finders[:, :per_s] == -1) and np.all(finders[:, per_s:] >= 0)
@@ -432,10 +434,14 @@ def test_rival_histogram_matches_binomial(N, F):
     a chi-square test over values with expected counts of at least 5,
     pooled into their neighbours otherwise (Wilson-Hilferty z <= 4)."""
     draw = simulation._rival_sampler(N, F, simulation.CHUNK)
-    chunks = [draw(simulation._chunk_rng(5, i), simulation.CHUNK) for i in range(4)]
-    for chunk in chunks:
+    chunks = []
+    for i in range(4):
+        values, counts = draw(simulation._chunk_rng(5, i), simulation.CHUNK)
+        assert np.all(np.diff(values) > 0) and np.all(counts > 0)
+        chunk = np.repeat(values, counts)
         assert chunk.dtype == np.int64 and len(chunk) == simulation.CHUNK
         assert np.all(np.diff(chunk) >= 0)
+        chunks.append(chunk)
     rivals = np.concatenate(chunks)
     observed = np.bincount(rivals, minlength=N + 1)
     expected = [float(x) * len(rivals) for x in _exact_binomial(N, F)[0]]
@@ -549,10 +555,11 @@ def test_finder_uniforms_only_where_rivals_search(n, monkeypatch):
         draw = rival_sampler(*args)
 
         def counted(rng, m):
-            rivals = draw(rng, m)
+            values, counts = draw(rng, m)
+            rivals = np.repeat(values, counts)
             inverted[0] += int(np.count_nonzero((rivals >= 1) & (rivals <= simulation.INVERSION_MAX)))
             kinds.update({"none" if s == 0 else "inverted" if s <= simulation.INVERSION_MAX else "binomial" for s in (rivals[0], rivals[-1])})
-            return rivals
+            return values, counts
 
         return counted
 
