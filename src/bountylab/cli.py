@@ -9,9 +9,7 @@ verification, 2 config or argument validation failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -91,6 +89,8 @@ def _linspace(lo: float, hi: float, k: int) -> list[float]:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    import csv  # here, not at module level: the protocol modes write no CSV
+
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
@@ -239,6 +239,8 @@ class RunConfig:
 
 
 def _load_config(path: str) -> RunConfig:
+    import json  # here, not at module level: the protocol modes read no config
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

@@ -74,13 +74,19 @@ def executed():
     return sorted(m for m, mod in modules if m.startswith("bountylab.") and type(mod) is types.ModuleType)
 """
 
-# Runs one argv through cli.main and prints, as its last line, [exit code,
-# executed layers, whether numpy is loaded].
-_RUN_MODE = _EXECUTED + """
-import json, sys
+# Runs the argv it is given through cli.main and prints, as its last line,
+# [exit code, executed layers, whether numpy is loaded, which of csv and json
+# were loaded at interpreter start, which of them the mode loaded].
+_RUN_MODE = """
+import sys
+FORMATS = {"csv", "json"}
+at_start = sorted(FORMATS & sys.modules.keys())
 from bountylab.cli import main
-code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, executed(), "numpy" in sys.modules]))
+code = main(sys.argv[1:])
+loaded = sorted(FORMATS & sys.modules.keys())
+import json
+""" + _EXECUTED + """
+print(json.dumps([code, executed(), "numpy" in sys.modules, at_start, loaded]))
 """
 
 
@@ -123,12 +129,16 @@ def _mode_argv(mode, tmp_path):
 
 @pytest.mark.parametrize("mode", MODE_LAYERS)
 def test_each_mode_executes_only_its_layers(tmp_path, mode):
-    """In a fresh process, and only simulate loads numpy."""
-    proc = _python("-c", _RUN_MODE, json.dumps(_mode_argv(mode, tmp_path)))
-    code, executed, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
+    """In a fresh process, and only simulate loads numpy. The config modes
+    load json to read the config and csv to write their tables; the protocol
+    modes load neither."""
+    proc = _python("-c", _RUN_MODE, *_mode_argv(mode, tmp_path))
+    code, executed, numpy_loaded, at_start, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     assert executed == sorted(f"bountylab.{layer}" for layer in MODE_LAYERS[mode])
     assert numpy_loaded == (mode == "simulate")
+    assert at_start == []
+    assert loaded == ([] if MODE_LAYERS[mode] == _PROTOCOL else ["csv", "json"])
 
 
 @pytest.mark.parametrize("mode", MODE_LAYERS)
