@@ -41,13 +41,11 @@ _EXPORTS = {
         "win_prob_phi_oracle",
     ),
     "design": (
-        "BenefitVerdict",
         "C0Breakdown",
         "DesignReport",
         "SolutionSet",
         "collapse_artificial",
         "designer_utility",
-        "is_artificial_beneficial",
         "omega",
         "optimize",
         "solution_set",
@@ -57,13 +55,11 @@ _EXPORTS = {
     ),
     "asymptotic": (
         "Kappa0Breakdown",
-        "PublicBenefitVerdict",
         "PublicDesignReport",
         "PublicOutcome",
         "SetDistanceResult",
         "convergence_table",
         "detect_prob_infinity",
-        "is_beneficial_public",
         "optimize_public",
         "psi_infinity",
         "solution_set_distance",

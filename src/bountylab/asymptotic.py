@@ -179,39 +179,18 @@ def solve_kappa0(budget: float, config: GameConfig) -> Kappa0Breakdown:
 
 
 @dataclass(frozen=True)
-class PublicBenefitVerdict:
-    beneficial: bool
-    margin: float  # kappa_tilde - kappa_0
-    marginal: bool
-    kappa_tilde: float
-    kappa_0: float
-    per_bug: tuple[float, ...]
-
-
-def is_beneficial_public(config: GameConfig) -> PublicBenefitVerdict:
-    """Artificial bug helps in the limit iff min(kappa_tilde, kappa_a)
-    exceeds kappa_0(budget) by more than 1e-10 of the larger of kappa_tilde
-    and kappa_0, the band within which the verdict is marginal; read off the
-    solved optimize_public."""
-    report = optimize_public(config)
-    return PublicBenefitVerdict(
-        beneficial=report.beneficial,
-        margin=report.kappa_tilde - report.kappa_0,
-        marginal=report.marginal,
-        kappa_tilde=report.kappa_tilde,
-        kappa_0=report.kappa_0,
-        per_bug=report.per_bug_kappa,
-    )
-
-
-@dataclass(frozen=True)
 class PublicDesignReport:
+    """Solved limit designer problem; the verdict fields read as in
+    ``design.DesignReport``, with kappa for c and W_inf for W."""
+
     kappa_tilde: float
     kappa_a: float
     kappa_0: float
     kappa_hat_star: float
     beneficial: bool
     marginal: bool
+    margin: float
+    gain: float
     prizes: PrizeSchedule
     utility_at_optimum: float
     per_bug_kappa: tuple[float, ...]
@@ -238,21 +217,19 @@ def optimize_public(config: GameConfig) -> PublicDesignReport:
     kt = solve_kappa_tilde(config)
     ka = solve_kappa_a(config.budget, config)
     k0 = solve_kappa0(config.budget, config)
-    k_star, beneficial, marginal, schedule = _design(
-        config, kt, ka, k0, lambda k: (k * c_low, k, lambda q: _p_inf(q, k)), True
+    k_star, schedule, verdict = _design(
+        config, kt, ka, k0, lambda k: (k * c_low, k, lambda q: _p_inf(q, k)), utility_infinity, True
     )
     return PublicDesignReport(
         kappa_tilde=kt,
         kappa_a=ka,
         kappa_0=k0.kappa_0,
         kappa_hat_star=k_star,
-        beneficial=beneficial,
-        marginal=marginal,
         prizes=schedule,
-        utility_at_optimum=utility_infinity(k_star, config),
         per_bug_kappa=k0.per_bug,
         best_bug=k0.best_bug,
         assumption_notes=tuple(notes),
+        **verdict,
     )
 
 
@@ -333,6 +310,9 @@ def solution_set_distance(config: GameConfig, n: int, q_a: float) -> SetDistance
     vertices_inf = _vertices(coeffs_inf, k_star, budget)
     if not finite_set.feasible or not vertices_inf:
         return SetDistanceResult(math.nan, False, n, q_a)
+    # a projection divides by sums of squared coefficients
+    if not all(0.0 < a * a < math.inf for a in finite_set.coeffs + coeffs_inf):
+        raise ValueError("a slice coefficient squares out of float range")
     onto_inf = _zero_patterns(coeffs_inf)
     onto_finite = _zero_patterns(finite_set.coeffs)
     distance = max(

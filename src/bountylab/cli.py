@@ -323,9 +323,14 @@ def _simulate(cfg: RunConfig) -> list[Table]:
     threshold = cfg.threshold
     if threshold is None:
         threshold = game.solve_equilibrium(cfg.prizes, cfg.game).c_star
+    import numpy as np  # the simulation layer loads it anyway
+
     try:
         sim = simulation.SimConfig(trials=cfg.trials, seed=cfg.seed, threshold=threshold)
-        report = simulation.simulate(cfg.prizes, cfg.game, sim)
+        with np.errstate(over="raise"):  # a report that overflows is rejected, not written
+            report = simulation.simulate(cfg.prizes, cfg.game, sim)
+    except FloatingPointError as exc:
+        raise ValueError(f"sim_report.csv: {exc}; the game's scale is out of float range") from exc
     except ValueError as exc:
         field = str(exc).split()[0]  # the messages open with the field name
         path = {"seed": "$.seed", "trials": "$.trials", "n": "$.game.n"}.get(field, "$.threshold")
@@ -436,6 +441,11 @@ def _run_config_mode(args) -> int:
     cfg.trials = cfg.trials if args.trials is None else args.trials
     # the mode computes every table before any is written: a failed run leaves no CSV
     tables = CONFIG_MODES[args.command](cfg)
+    for name, header, rows in tables:
+        for row in rows:
+            for key, x in zip(header, row):
+                if isinstance(x, float) and math.isinf(x):
+                    raise ValueError(f"{name} {key} reads {x}: the game's scale is out of float range")
     out = Path(args.out) if args.out else Path(cfg.output_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     for name, header, rows in tables:

@@ -125,31 +125,13 @@ def _best_single_bug(
 
 
 @dataclass(frozen=True)
-class BenefitVerdict:
-    beneficial: bool
-    margin: float  # c_tilde - c_0
-    marginal: bool  # |margin| within MARGINAL_BAND of max(|c_tilde|, |c_0|)
-
-
-def is_artificial_beneficial(config: GameConfig) -> BenefitVerdict:
-    """Does an artificial bug strictly raise achievable designer utility?
-
-    True iff the optimal achievable threshold min(c_tilde, c_a) strictly
-    exceeds c_0(budget) by more than 1e-10 of the larger of |c_tilde| and
-    |c_0|; a margin |c_tilde - c_0| within that band reports marginal.
-    The verdict is read off the solved optimize report.
-    """
-    report = optimize(config)
-    return BenefitVerdict(
-        beneficial=report.beneficial,
-        margin=report.c_tilde - report.c_0,
-        marginal=report.marginal,
-    )
-
-
-@dataclass(frozen=True)
 class DesignReport:
-    """Solved designer problem with a canonical (minimal-spend) schedule."""
+    """Solved designer problem with a canonical (minimal-spend) schedule.
+
+    ``margin`` is c_tilde - c_0 and ``gain`` the utility an artificial bug adds,
+    W(min(c_tilde, c_a)) - W(min(c_tilde, c_0)). ``beneficial``: min(c_tilde,
+    c_a) - c_0 exceeds ``MARGINAL_BAND`` max(|c_tilde|, |c_0|); ``marginal``:
+    |margin| does not."""
 
     c_tilde: float
     c_a: float
@@ -157,6 +139,8 @@ class DesignReport:
     c_hat_star: float
     beneficial: bool
     marginal: bool
+    margin: float
+    gain: float
     canonical_prizes: PrizeSchedule
     utility_at_optimum: float
     spend: float
@@ -182,36 +166,33 @@ def optimize(config: GameConfig, allow_artificial: bool = True) -> DesignReport:
         F = dist.cdf(c)
         return c, F, lambda q: _phi(c, F, q, n, dist)
 
-    c_hat_star, beneficial, marginal, schedule = _design(
-        config, c_tilde, c_a, c0b, incentive, allow_artificial
+    c_hat_star, schedule, verdict = _design(
+        config, c_tilde, c_a, c0b, incentive, designer_utility, allow_artificial
     )
     return DesignReport(
         c_tilde=c_tilde,
         c_a=c_a,
         c_0=c0b.c_0,
         c_hat_star=c_hat_star,
-        beneficial=beneficial,
-        marginal=marginal,
         canonical_prizes=schedule,
-        utility_at_optimum=designer_utility(c_hat_star, config),
         spend=schedule.total_posted(),
         per_bug_c=c0b.per_bug,
         best_bug=c0b.best_bug,
+        **verdict,
     )
 
 
 def _design(
-    config: GameConfig, free: float, cap: float, single, incentive, allow_artificial: bool
-) -> tuple[float, bool, bool, PrizeSchedule]:
+    config: GameConfig, free: float, cap: float, single, incentive, utility, allow_artificial: bool
+) -> tuple[float, PrizeSchedule, dict]:
     """The designer algorithm of the invited and the public program, run on
     their three solves: the free optimum, the cap (the whole budget on one
     q_a = 1 planted bug) and the best single-organic-bug breakdown. Returns
     the level min(free, cap), or min(free, level_0) without an artificial
-    bug, the verdict, its marginal flag and the minimal-spend schedule. The
-    verdict's band is ``MARGINAL_BAND`` relative to max(|free|, |level_0|).
-    ``incentive(level)`` returns the incentive the level needs, its
-    participation, and ``unit(q)``, the incentive one prize unit buys on a
-    bug of find probability q."""
+    bug, the minimal-spend schedule and the report fields both programs share
+    (see ``DesignReport``). ``incentive(level)`` returns the incentive the
+    level needs, its participation, and ``unit(q)``, the incentive one prize
+    unit buys on a bug of find probability q; ``utility`` is the program's W."""
     level_0 = single.per_bug[single.best_bug]
     # An artificial bug pays off iff it moves the constrained optimum, i.e.
     # min(free, cap) > level_0. On any config whose best organic bug has
@@ -219,7 +200,8 @@ def _design(
     # the min() guard only matters when level_0 = cap and nothing can be gained.
     band = MARGINAL_BAND * max(abs(free), abs(level_0))
     beneficial = min(free, cap) - level_0 > band
-    marginal = abs(free - level_0) <= band
+    with_artificial = utility(min(free, cap), config)
+    organic_only = utility(min(free, level_0), config)
     level = min(free, cap if allow_artificial else level_0)
     target, participation, unit = incentive(level)
     if target <= 0.0 or participation <= 0.0:
@@ -228,9 +210,17 @@ def _design(
         schedule = _planted(config, min(target / unit(1.0), config.budget))
     else:
         bug = config.bugs[single.best_bug]
-        v_l = min(target / (bug.mu * unit(bug.q)), config.budget)
+        per_unit = bug.mu * unit(bug.q)
+        # a per-unit incentive that underflows to 0 needs the whole budget
+        v_l = min(target / per_unit, config.budget) if per_unit > 0.0 else config.budget
         schedule = _on_bug(config, single.best_bug, v_l)
-    return level, beneficial, marginal, schedule
+    return level, schedule, dict(
+        beneficial=beneficial,
+        marginal=abs(free - level_0) <= band,
+        margin=free - level_0,
+        gain=with_artificial - organic_only,
+        utility_at_optimum=with_artificial if allow_artificial else organic_only,
+    )
 
 
 def collapse_artificial(prizes: PrizeSchedule, config: GameConfig) -> PrizeSchedule:

@@ -15,6 +15,7 @@ stand-in for it.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 # The finder stops once the bracket is at most REL_TOL * |x| wide, about 4
@@ -24,6 +25,8 @@ REL_TOL = 4.0 * 2.0**-52
 INTERIOR = "interior"
 PINNED_LOW = "pinned_low"
 PINNED_HIGH = "pinned_high"
+
+_MAX = sys.float_info.max  # the open-end search's last upper end
 
 
 def bisect_decreasing(g: Callable[[float], float], lo: float, hi: float) -> tuple[float, str]:
@@ -35,7 +38,9 @@ def bisect_decreasing(g: Callable[[float], float], lo: float, hi: float) -> tupl
     adjacent floats, or a point where g is exactly 0. The bracket shrinks at
     every step, so the loop ends without an iteration cap. With ``hi = +inf``
     the finder tries lo + 1, lo + 2, lo + 4, ... until g stops being positive
-    and solves on that last step, so the root is never pinned high.
+    and solves on that last step, so the root is never pinned high. The last
+    try is the largest float; if g is still positive there, the root's scale
+    overflows and the finder raises ValueError instead of returning inf.
     """
     if not lo <= hi:
         raise ValueError("empty bracket")
@@ -44,11 +49,10 @@ def bisect_decreasing(g: Callable[[float], float], lo: float, hi: float) -> tupl
         return lo, PINNED_LOW
     if hi == math.inf:
         base, step = lo, 1.0
-        while (g_hi := g(base + step)) > 0.0:
-            lo, g_lo, step = base + step, g_hi, 2.0 * step
-            if step == math.inf:
-                return math.inf, INTERIOR
-        hi = base + step
+        while (g_hi := g(hi := min(base + step, _MAX))) > 0.0:
+            if hi == _MAX:
+                raise ValueError("no root below the largest float: the scale overflows")
+            lo, g_lo, step = hi, g_hi, 2.0 * step
     else:
         g_hi = g(hi)
         if g_hi >= 0.0:

@@ -22,8 +22,7 @@ from bountylab import (
     designer_utility,
     detect_prob,
     detect_prob_infinity,
-    is_artificial_beneficial,
-    is_beneficial_public,
+    optimize,
     optimize_public,
     simulate,
     solution_set_distance,
@@ -78,16 +77,17 @@ def test_criterion_1_private_golden_values():
         ok &= abs(solve_c0(budget, config).c_0 - closed) <= 1e-9
     ok &= abs(designer_utility(4 / 33, config) - 32 / 363) <= 1e-12
     ok &= abs(designer_utility(2 / 9, config) - 1 / 9) <= 1e-12
+    ok &= abs(optimize(config).gain - 25 / 1089) <= 1e-12  # 1/9 - 32/363
 
     lo, hi = 0.5, 1.0  # beneficial at 0.5, not at 1.0; bisect the switch
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if is_artificial_beneficial(_private_example(mid)).beneficial:
+        if optimize(_private_example(mid)).beneficial:
             lo = mid
         else:
             hi = mid
     ok &= abs(0.5 * (lo + hi) - 16 / 17) <= 1e-8
-    _report(1, "closed-form private-program values and the 16/17 budget cutoff", ok)
+    _report(1, "closed-form private-program values, the gain and the 16/17 budget cutoff", ok)
 
 
 def test_criterion_2_identity_and_oracle():
@@ -171,11 +171,11 @@ def test_criterion_6_verdict_equivalence():
     checked = 0
     while checked < 20:
         config = random_public_game(rng, nice_floor=True)
-        verdict = is_beneficial_public(config)
+        verdict = optimize_public(config)
         if abs(verdict.margin) <= 0.05:
             continue
         for n in (200, 500, 2000):
-            ok &= is_artificial_beneficial(config.with_n(n)).beneficial == verdict.beneficial
+            ok &= optimize(config.with_n(n)).beneficial == verdict.beneficial
         checked += 1
     _report(6, "finite-n and limiting usefulness verdicts agree on 20 configs", ok)
 

@@ -13,8 +13,6 @@ from bountylab import (
     PrizeSchedule,
     convergence_table,
     detect_prob_infinity,
-    is_artificial_beneficial,
-    is_beneficial_public,
     optimize,
     optimize_public,
     psi_infinity,
@@ -204,10 +202,14 @@ def test_optimize_public_worthless(public_example):
 
 
 def test_beneficial_public_example(public_example):
-    verdict = is_beneficial_public(public_example)
+    verdict = optimize_public(public_example)
     assert verdict.beneficial
     assert verdict.kappa_tilde == pytest.approx(KAPPA_TILDE, abs=1e-9)
     assert verdict.kappa_0 == pytest.approx(KAPPA_STAR_V5, abs=1e-9)
+    assert verdict.margin == pytest.approx(KAPPA_TILDE - KAPPA_STAR_V5, abs=1e-9)
+    # W_inf(k) = 5 (1 - exp(-k / 2)) - k, and exp(-KAPPA_TILDE / 2) = 0.4
+    organic_only = 5.0 * -math.expm1(-KAPPA_STAR_V5 / 2.0) - KAPPA_STAR_V5
+    assert verdict.gain == pytest.approx(3.0 - KAPPA_TILDE - organic_only, abs=1e-9)
 
 
 def test_beneficial_public_dominant_organic():
@@ -219,14 +221,14 @@ def test_beneficial_public_dominant_organic():
         dist=CostDistribution.uniform(1.0, 2.0),
         budget=1.5,
     )
-    verdict = is_beneficial_public(config)
+    verdict = optimize_public(config)
     assert not verdict.beneficial
     assert verdict.kappa_tilde > verdict.kappa_0  # the naive margin misleads here
 
 
 def test_beneficial_public_switches_with_budget(public_example):
     verdicts = [
-        is_beneficial_public(_with_budget(public_example, b)).beneficial
+        optimize_public(_with_budget(public_example, b)).beneficial
         for b in (5.0, 20.0, 100.0)
     ]
     assert verdicts[0] is True
@@ -415,6 +417,29 @@ def test_solution_set_distance_infeasible_slice(public_example):
     assert not result.feasible
 
 
+def test_budget_over_a_subnormal_floor_is_rejected(public_example):
+    # budget / c_low overflows: Psi_inf with the budget planted is inf at every
+    # kappa > 0, so kappa_a has no float root and no verdict can be read
+    config = GameConfig(
+        n=2, bugs=public_example.bugs, dist=CostDistribution.uniform(5e-324, 2.0), budget=5.0
+    )
+    with pytest.raises(ValueError, match="largest float"):
+        optimize_public(config)
+
+
+def test_solution_set_distance_rejects_a_coefficient_that_squares_to_zero():
+    # mu (1 - exp(-q kappa)) / c_low for q = 1e-300 is about 1e-300: its square
+    # underflows, and the projection would divide by it
+    config = GameConfig(
+        n=2,
+        bugs=(OrganicBug(mu=0.5, q=1e-300, w=10.0),),
+        dist=CostDistribution.uniform(1e-300, 2.0),
+        budget=5.0,
+    )
+    with pytest.raises(ValueError, match="float range"):
+        solution_set_distance(config, 5, 0.5)
+
+
 def test_solution_set_distance_rejects_bad_args(public_example):
     with pytest.raises(ValueError):
         solution_set_distance(public_example, 1, 0.5)
@@ -551,12 +576,25 @@ def test_public_private_verdicts_agree_for_large_n():
     checked = 0
     while checked < 20:
         config = random_public_game(rng, nice_floor=True)
-        verdict = is_beneficial_public(config)
+        verdict = optimize_public(config)
         if abs(verdict.margin) <= 0.05:
             continue
         public_says = verdict.beneficial
         for n in (200, 500, 2000):
             cfg_n = config.with_n(n)
-            private_says = is_artificial_beneficial(cfg_n).beneficial
+            private_says = optimize(cfg_n).beneficial
             assert private_says == public_says, (config, n)
         checked += 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_public_games())
+def test_gain_is_never_negative(config):
+    # an artificial bug can only add utility, and adds none where the free
+    # optimum is reachable without it, in the invited and the public program
+    invited, limit = optimize(config), optimize_public(config)
+    assert invited.gain >= 0.0 and limit.gain >= 0.0
+    if invited.c_tilde <= invited.c_0:
+        assert invited.gain == 0.0
+    if limit.kappa_tilde <= limit.kappa_0:
+        assert limit.gain == 0.0

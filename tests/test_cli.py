@@ -1,14 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import random
 import struct
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bountylab import CostDistribution
 from bountylab.asymptotic import MAX_SLICE_BUGS
@@ -562,6 +567,115 @@ def test_failing_figures_run_writes_no_csv(tmp_path, capsys):
     assert "$.game.dist.c_low" in captured.err
     assert captured.out == ""
     assert not list(tmp_path.glob("*.csv"))
+
+
+# -- the edge of the float range ------------------------------------------------
+
+_EXP_TWO_BUGS = {
+    "budget": 1.0,
+    "dist": {"kind": "exponential", "c_low": 0.0, "c_high": None},
+    "bugs": [{"mu": 1.0, "q": 1.0, "w": 1.0}] * 2,
+}
+_HUGE_PAIR = {"v": [1.7e308, 1.7e308], "artificial": []}
+
+
+@pytest.mark.parametrize(
+    "mode, game, prizes, message",
+    [
+        # a lone searcher: Psi = 1.7e308 + 1.7e308 = inf at every threshold
+        ("equilibrium", {"n": 1, **_EXP_TWO_BUGS}, _HUGE_PAIR, "largest float"),
+        # c* = 1.7e308 is a float, but the expected payout 2 x 1.7e308 is not
+        ("equilibrium", {"n": 2, **_EXP_TWO_BUGS}, _HUGE_PAIR, "expected_payout reads inf"),
+        # budget / c_low overflows, so kappa_a has no float root
+        (
+            "public",
+            {
+                "n": 2,
+                "budget": 5.0,
+                "dist": {"kind": "uniform", "c_low": 5e-324, "c_high": 2.0},
+                "bugs": [{"mu": 0.5, "q": 0.5, "w": 10.0}],
+            },
+            {"v": [5.0], "artificial": []},
+            "largest float",
+        ),
+        # the payout variance, of order v^2, overflows
+        ("simulate", _base_config()["game"], {"v": [1e300], "artificial": []}, "sim_report.csv"),
+    ],
+    ids=["lone_searcher", "payout", "subnormal_floor", "payout_variance"],
+)
+def test_a_game_whose_scale_overflows_exits_2(tmp_path, capsys, mode, game, prizes, message):
+    cfg = _base_config(game=game, prizes=prizes, seed=1, trials=100)
+    code = main([mode, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# values at and next to both ends of the float range, and a few ordinary ones
+_FLOAT_EXTREMES = [
+    5e-324, sys.float_info.min, 1e-300, 1e-12, 0.0, -1.0, 0.5, 1.0, 3.0, 1e12, 1e300, 1.7e308, -1.7e308
+]
+_INT_EXTREMES = [0, 1, 2, 3, 2**31, 2**53, 2**62]
+_EXAMPLE_RUNS = [
+    ("equilibrium_example.json", "equilibrium"),
+    ("equilibrium_example.json", "simulate"),
+    ("figures_example.json", "figures"),
+    ("private_example.json", "design"),
+    ("public_example.json", "public"),
+]
+
+
+def _numeric_leaves(obj, path=()):
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [path] if isinstance(obj, (int, float)) and not isinstance(obj, bool) else []
+    return [leaf for key, value in items for leaf in _numeric_leaves(value, (*path, key))]
+
+
+@st.composite
+def _extreme_runs(draw):
+    """An example config and its mode, with one to three numbers of its game,
+    prizes or figures set to extremes of their type."""
+    name, mode = draw(st.sampled_from(_EXAMPLE_RUNS))
+    raw = json.loads((DATA / name).read_text(encoding="utf-8"))
+    leaves = [path for path in _numeric_leaves(raw) if path[0] != "spec_version"]
+    for *parents, key in draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3, unique=True)):
+        node = raw
+        for step in parents:
+            node = node[step]
+        node[key] = draw(st.sampled_from(_INT_EXTREMES if isinstance(node[key], int) else _FLOAT_EXTREMES))
+    if mode == "simulate":
+        # $.trials has no upper limit, and 2^63 trials is work asked for, not a
+        # hang: the draws stay small so that every run takes milliseconds
+        raw.update(seed=draw(st.integers(0, 2**64 - 1)), trials=draw(st.integers(1, 1000)))
+    return mode, raw
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(_extreme_runs())
+def test_extreme_configs_exit_0_with_finite_cells_or_exit_2(run):
+    mode, raw = run
+    with tempfile.TemporaryDirectory() as out:
+        config = Path(out) / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([mode, "--config", str(config), "--out", out])
+        assert code in (0, 2)
+        for path in Path(out).glob("*.csv"):
+            for row in _read_csv(path):
+                # sim_report.csv documents nan for a row with no observations
+                no_data = path.name == "sim_report.csv" and row["estimate"] == "nan"
+                for key, cell in row.items():
+                    try:
+                        x = float(cell)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(x) or (no_data and key != "closed_form"), (path, key, cell)
 
 
 def _random_end(rng):

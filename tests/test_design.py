@@ -12,7 +12,6 @@ from bountylab import (
     collapse_artificial,
     designer_utility,
     expected_benefit_psi,
-    is_artificial_beneficial,
     omega,
     optimize,
     optimize_public,
@@ -23,6 +22,7 @@ from bountylab import (
     solve_equilibrium,
     solve_kappa_star,
     solve_kappa_tilde,
+    utility_infinity,
     win_prob_phi,
 )
 from bountylab import design, game, rootfind
@@ -175,9 +175,9 @@ def test_c0_picks_best_bug(uniform01):
 
 
 def test_beneficial_golden_cutoff(private_example):
-    assert is_artificial_beneficial(_with_budget(private_example, 0.5)).beneficial
-    assert not is_artificial_beneficial(_with_budget(private_example, 1.0)).beneficial
-    at_cutoff = is_artificial_beneficial(_with_budget(private_example, 16 / 17))
+    assert optimize(_with_budget(private_example, 0.5)).beneficial
+    assert not optimize(_with_budget(private_example, 1.0)).beneficial
+    at_cutoff = optimize(_with_budget(private_example, 16 / 17))
     assert not at_cutoff.beneficial
     assert abs(at_cutoff.margin) < 1e-8
 
@@ -185,9 +185,10 @@ def test_beneficial_golden_cutoff(private_example):
 def test_beneficial_false_when_organic_dominates(uniform01):
     # best organic bug is found as easily as any artificial one; nothing to gain
     config = GameConfig(n=2, bugs=(OrganicBug(1.0, 1.0, 50.0),), dist=uniform01, budget=0.4)
-    verdict = is_artificial_beneficial(config)
+    verdict = optimize(config)
     assert not verdict.beneficial
     assert verdict.margin > 0  # c_tilde exceeds c_0, yet the cap c_a = c_0 binds
+    assert verdict.gain == 0.0
 
 
 def _scaled_private_example(s):
@@ -259,6 +260,8 @@ def test_optimize_private_example_with_artificial(private_example):
     assert report.c_hat_star == pytest.approx(2 / 9, abs=1e-9)
     assert report.beneficial
     assert report.utility_at_optimum == pytest.approx(1 / 9, abs=1e-12)
+    assert report.margin == pytest.approx(2 / 9 - 4 / 33, abs=1e-12)
+    assert report.gain == pytest.approx(25 / 1089, abs=1e-12)  # W(2/9) - W(4/33) = 1/9 - 32/363
     assert report.canonical_prizes.v == (0.0,)
     art = report.canonical_prizes.artificial[0]
     assert art.q_a == 1.0
@@ -280,6 +283,15 @@ def test_optimize_worthless_bugs(uniform01):
     assert report.c_hat_star == 0.0
     assert report.canonical_prizes.total_posted() == 0.0
     assert report.utility_at_optimum == 0.0
+
+
+def test_optimize_where_the_incentive_per_prize_unit_underflows(uniform01):
+    # mu Phi(c; q) = 5e-324 * 0.5 rounds to 0: the organic schedule takes the
+    # whole budget instead of dividing by that 0
+    config = GameConfig(n=2, bugs=(OrganicBug(5e-324, 0.5, 2.0),), dist=uniform01, budget=3.0)
+    report = optimize(config)
+    assert not report.beneficial
+    assert report.canonical_prizes.v == (3.0,)
 
 
 def _invited(rng, allow_artificial):
@@ -326,16 +338,52 @@ def test_benefit_verdict_equals_utility_gain():
     checked = 0
     for _ in range(100):
         config = random_game(rng)
-        verdict = is_artificial_beneficial(config)
-        if abs(verdict.margin) <= 1e-6:
-            continue  # skip knife-edge draws; the band is measure zero
+        verdict = optimize(config)
         gain = (
             optimize(config, allow_artificial=True).utility_at_optimum
             - optimize(config, allow_artificial=False).utility_at_optimum
         )
+        assert verdict.gain == gain
+        if abs(verdict.margin) <= 1e-6:
+            continue  # skip knife-edge draws; the band is measure zero
         assert verdict.beneficial == (gain > 1e-10)
         checked += 1
     assert checked >= 90
+
+
+def _grid_max(utility, lo: float, hi: float) -> float:
+    return max(utility(float(x)) for x in np.linspace(lo, hi, 2001))
+
+
+def test_gain_matches_a_dense_grid_of_reachable_levels():
+    """The gain of both programs against the best utility on a 2001-point
+    grid of the levels the budget reaches with an artificial bug (up to the
+    cap) and without one (up to level_0), over the three cost families. At an
+    interior maximum W' = 0, so a grid of step h falls short of it by O(h^2):
+    the worst shortfall seen is 2.4e-7 on utilities of order 1, hence 1e-6."""
+    rng = np.random.default_rng(37)
+    families = set()
+    for _ in range(20):
+        config = random_game(rng)
+        report = optimize(config)
+        lo = max(config.dist.c_low, 0.0)
+
+        def utility(c):
+            return designer_utility(c, config)
+
+        oracle = _grid_max(utility, lo, report.c_a) - _grid_max(utility, lo, report.c_0)
+        assert abs(report.gain - oracle) <= 1e-6
+
+        public = random_public_game(rng)
+        limit = optimize_public(public)
+
+        def utility_inf(k):
+            return utility_infinity(k, public)
+
+        oracle = _grid_max(utility_inf, 0.0, limit.kappa_a) - _grid_max(utility_inf, 0.0, limit.kappa_0)
+        assert abs(limit.gain - oracle) <= 1e-6
+        families |= {config.dist.kind, public.dist.kind}
+    assert families == {"uniform", "power", "exponential"}
 
 
 def test_utility_unimodal_sign_matches_omega():

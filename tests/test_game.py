@@ -248,6 +248,31 @@ def test_equilibrium_on_a_wide_support_is_the_root():
     assert abs(expected_benefit_psi(out.c_star, sched, config) - out.c_star) <= 1e-10
 
 
+def test_equilibrium_past_two_to_the_1023_is_finite():
+    # a lone searcher: Psi = v = 1.7e308 at every threshold, so c* = 1.7e308
+    config = GameConfig(
+        n=1,
+        bugs=(OrganicBug(mu=1.0, q=1.0, w=1.0),),
+        dist=CostDistribution.exponential(0.0, 1.0),
+        budget=1.0,
+    )
+    out = solve_equilibrium(PrizeSchedule.organic_only((1.7e308,)), config)
+    assert out.boundary == "interior"
+    assert out.c_star == pytest.approx(1.7e308, rel=1e-15)
+
+
+def test_equilibrium_whose_prize_total_overflows_is_rejected():
+    # Psi = 1.7e308 + 1.7e308 = inf at every threshold: no float is the root
+    config = GameConfig(
+        n=1,
+        bugs=(OrganicBug(mu=1.0, q=1.0, w=1.0),) * 2,
+        dist=CostDistribution.exponential(0.0, 1.0),
+        budget=1.0,
+    )
+    with pytest.raises(ValueError, match="largest float"):
+        solve_equilibrium(PrizeSchedule.organic_only((1.7e308, 1.7e308)), config)
+
+
 @pytest.mark.parametrize("v", [1e-13, 1e-6, 1.0])
 def test_equilibrium_is_exact_at_every_prize_scale(uniform01, v):
     # n = 2, uniform(0, 1): Psi(c) = v q (1 - q c / 2), so c* = v q / (1 + v q^2 / 2)

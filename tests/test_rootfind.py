@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -112,6 +113,19 @@ def test_open_upper_end_is_searched_at_finite_points_only():
     assert all(math.isfinite(c) for c in seen)
     # the outward search steps 1, 2, 4, ... past the start
     assert seen[1:4] == [1.0, 2.0, 4.0]
+
+
+def test_open_upper_end_tries_the_largest_float_last():
+    # the doublings jump from 2^1023 (8.99e307) to inf; the root lies between
+    x, label = bisect_decreasing(lambda c: 1.7e308 - c, 0.0, math.inf)
+    assert label == INTERIOR and math.isfinite(x) and _within_stop(x, 1.7e308)
+
+
+def test_open_upper_end_without_a_float_root_raises():
+    counted, seen = _counted(lambda c: math.inf)
+    with pytest.raises(ValueError, match="largest float"):
+        bisect_decreasing(counted, 0.0, math.inf)
+    assert seen[-1] == sys.float_info.max
 
 
 def test_empty_bracket_rejected():
