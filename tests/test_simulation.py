@@ -759,25 +759,77 @@ def _fields_hex(obj):
 _PIN_BUGS = (OrganicBug(0.8, 0.1, 1.0), OrganicBug(0.6, 0.05, 2.0))
 _PIN_PRIZES = PrizeSchedule(v=(0.4, 0.3), artificial=(ArtificialBugDesign(0.2, 0.08),))
 STREAM_PINS = {
-    # name: (n, threshold, trials, seed), sha256 of simulate and check_equilibrium
-    "straddle": ((2 * simulation.INVERSION_MAX + 1, 0.5, simulation.CHUNK + 17, 3), "adf1869109e76097d592112f74fa16e105a95dbbe54ce8e15f340d4da878bf27"),
-    "straddle_lone": ((2 * simulation.INVERSION_MAX + 1, 0.5, 100, 4), "658eeef7452bdcf32e644d7a46df2ea982fec8c4724d73a44d6738fc0cee44da"),
-    "wide": ((5000, 0.3, simulation.CHUNK + 17, 5), "25b30b69562c25149977c6e22b05abbfede29360467356c1eae7da5c22fe3f30"),
-    "few_rivals": ((3, 0.5, simulation.CHUNK + 17, 6), "abf360f8103954d865d91c8d2a131f90896d2d0ba4a55fe4c4fb6d25e16c6211"),
-    "few_rivals_lone": ((3, 0.5, 100, 7), "e96dba90707660a87fc24955418ce7785834fe00dac04bdb7adc79c0f8624f08"),
-    "F0": ((3, 0.0, simulation.CHUNK + 17, 8), "908e87d29eaad3e3ec9895d8484ce3e0cf0589a9c1139f905191a0e263deaf1f"),
-    "F1": ((3, 1.0, simulation.CHUNK + 17, 9), "3e667b23799b300520cdf0bdfb2a576c2276ca7cc5ec119241827c87dd77edb7"),
-    "alone": ((1, 0.5, simulation.CHUNK + 17, 10), "dcd7076abdb47566b8653bf3952885812f7157e24250a5b62a432a43cd088819"),
+    # name: (n, threshold, trials, seed), {call: sha256 of its report}
+    "straddle": (
+        (2 * simulation.INVERSION_MAX + 1, 0.5, simulation.CHUNK + 17, 3),
+        {
+            "simulate": "1015731b200675fed6544dea311f0e73e59fa2d56e8341d7fda9820b9d49b0b0",
+            "check_equilibrium": "2e4b40db65eceae8d139f20b28f77b7c3b55abb24dc58210023625466d150a41",
+        },
+    ),
+    "straddle_lone": (
+        (2 * simulation.INVERSION_MAX + 1, 0.5, 100, 4),
+        {
+            "simulate": "8f9f6dde4ae64fdaa65bd1398028051c6e8e1f39e1e8e0bc545a83a7f0abc2f9",
+            "check_equilibrium": "509a7d4195a8d64dfcd1f4881bb79fde224dfe122d3f4e633645bc3998020239",
+        },
+    ),
+    "wide": (
+        (5000, 0.3, simulation.CHUNK + 17, 5),
+        {
+            "simulate": "98a875046fa1c21c81a58ec8532ce220537427cee16322df59e09db611d52ce1",
+            "check_equilibrium": "43aaa35101681da58075da693b982a4cf2239498dfdd59ac8c3a2ceadae47962",
+        },
+    ),
+    "few_rivals": (
+        (3, 0.5, simulation.CHUNK + 17, 6),
+        {
+            "simulate": "f0fc40e12c4f745e13c5e1dada8fd11eebe7e774f4d0b376583d6bb991bff366",
+            "check_equilibrium": "d318f690017d08d5ff77f6bd070b71b0c963669b8a2cfc4a69305e7c080d926b",
+        },
+    ),
+    "few_rivals_lone": (
+        (3, 0.5, 100, 7),
+        {
+            "simulate": "8bb8da6cc2cbb83fb6c8082b2d47694b3ddb992a9f99e192eb954c978068b5f8",
+            "check_equilibrium": "4bdfb33288ed5d79167a8b48daae1efbb7cb95e7e29c6b5ff89cfc6e61b7ea59",
+        },
+    ),
+    "F0": (
+        (3, 0.0, simulation.CHUNK + 17, 8),
+        {
+            "simulate": "13b42efcde772be5a6ae438ab3de203d46dded4934bea76383aa2daa6cb733d6",
+            "check_equilibrium": "0d648bf817e683224b8899ed3481b391a2a8fa2d59e08236b0ec30ffa04000a2",
+        },
+    ),
+    "F1": (
+        (3, 1.0, simulation.CHUNK + 17, 9),
+        {
+            "simulate": "779c8be6c7e08eb83095dc4545c8d1a4d55c7391cf1187d6e3fbd0eb39df6b34",
+            "check_equilibrium": "73fdb82bf6ff4e925005bb2e98ed3076c4813a20698b7f36ceb6989cb1ac15bd",
+        },
+    ),
+    "alone": (
+        (1, 0.5, simulation.CHUNK + 17, 10),
+        {
+            "simulate": "6f2e7baeb816aa714e90fcb6feb1d55d65250f64f4e43a5e0e543906eb2527e9",
+            "check_equilibrium": "6cf7e9cbd47cdfc458ebcdcfa418f806ccfd029a21e18764f914dc20ab3086d9",
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_PINS))
 def test_stream_is_pinned(name, uniform01):
-    """simulate and check_equilibrium reproduce, bit for bit, reports taken
-    once at fixed seeds: a kernel change that moves, adds or reshapes a draw,
-    or that tallies a trial differently, changes a hash."""
-    (n, threshold, trials, seed), pinned = STREAM_PINS[name]
+    """simulate and check_equilibrium each reproduce, bit for bit, a report
+    taken once at a fixed seed: a kernel change that moves, adds or reshapes
+    a draw, or that tallies a trial differently, changes that call's hash.
+    On a mismatch the assertion shows the new digests."""
+    (n, threshold, trials, seed), pins = STREAM_PINS[name]
     game = GameConfig(n=n, bugs=_PIN_BUGS, dist=uniform01, budget=2.0)
     sim = SimConfig(trials, seed, threshold)
-    text = _fields_hex(simulate(_PIN_PRIZES, game, sim)) + _fields_hex(check_equilibrium(_PIN_PRIZES, game, sim))
-    assert hashlib.sha256(text.encode()).hexdigest() == pinned
+    digests = {
+        call.__name__: hashlib.sha256(_fields_hex(call(_PIN_PRIZES, game, sim)).encode()).hexdigest()
+        for call in (simulate, check_equilibrium)
+    }
+    assert digests == pins
