@@ -6,20 +6,28 @@ threshold. Per trial it draws counts and agent 0's own outcomes only:
 
 * the number of searching rivals, S ~ Bin(n - 1, F(threshold)), as one
   histogram a chunk (below);
-* whether agent 0 searches, u < F(threshold) (always, when pinned);
+* whether agent 0 searches, as a count: of the chunk's trials at each
+  value of S, Bin(count, F) search (all of them, when pinned);
 * per organic or artificial bug, one uniform u: the bug exists iff u < mu
   (mu = 1 for artificial entries, which always exist); given that, u / mu
-  is uniform, so agent 0 finds it iff u < mu q; given that, u / (mu q) is
-  uniform again, so agent 0 wins its prize, which goes to one uniformly
-  random finder among T + 1, iff u (T + 1) < mu q;
-* per bug, the number of rival finders T | S ~ Bin(S, q). Trials are
-  sorted by S. Where S = 0, T = 0 and nothing is drawn. Where
-  1 <= S <= INVERSION_MAX, T is drawn by inversion from one uniform v:
-  T > k iff v < P(T > k | S), read off a table of the law of S independent
-  rival finds at q (a primitive of the model, not a closed form of the
-  paper), built in each call up to the largest S drawn, one rival at a
-  time, with each tail summed down from its top. Larger S take numpy's
-  binomial sampler.
+  is uniform, so a searching agent 0 finds it iff u < mu q; given that,
+  u / (mu q) is uniform again, so agent 0 wins its prize, which goes to
+  one uniformly random finder among T + 1, iff u (T + 1) < mu q;
+* per bug and trial in which agent 0 searches, the number of rival
+  finders T | S ~ Bin(S, q). Where S = 0, T = 0 and nothing is drawn.
+  Where 1 <= S <= INVERSION_MAX, T is drawn by inversion from one uniform
+  v: T > k iff v < P(T > k | S), read off a table of the law of S
+  independent rival finds at q (a primitive of the model, not a closed
+  form of the paper), built in each call up to the largest S drawn, one
+  rival at a time, with each tail summed down from its top. Larger S take
+  numpy's binomial sampler.
+
+Whether anyone finds a bug needs only whether T > 0. Where agent 0 does
+not find it, the rest of u is uniform again, so someone finds it iff
+u < mu q + mu (1 - q) P(T > 0 | S) when agent 0 searches and
+u < mu P(T > 0 | S) when it does not. P(T > 0 | S) = 1 - (1 - q)^S is the
+first tail of the same finder law, taken as -expm1(S log1p(-q)). So T is
+drawn only where agent 0 searches, the one place a win is tallied.
 
 Trials are exchangeable, so the kernel reads S only through its
 histogram over a chunk's trials. Where the standard deviation of S is at
@@ -33,11 +41,12 @@ model, not a closed form of the paper), built once a call from the ratio
 of successive terms with each tail summed from its far end. Wider laws
 draw S per trial and count its values.
 
-That is 1 + (L + K) uniforms a trial (L + K when pinned), drawn into one
-buffer a call, and one binomial per occupied value of S a chunk (per
-trial for wider laws); T takes L + K more uniforms a trial where
-1 <= S <= INVERSION_MAX, BLOCK trials at a time into a second buffer,
-and L + K binomials where S is larger. Given S the finder counts of
+That is L + K uniforms a trial, pinned or not, drawn into one buffer a
+call, one binomial per occupied value of S a chunk (per trial for wider
+laws), and, unless pinned, one more per occupied value for agent 0's
+search. T takes L + K more uniforms for each searching trial with
+1 <= S <= INVERSION_MAX, BLOCK trials at a time into a second buffer, and
+L + K binomials for each with a larger S. Given S the finder counts of
 different bugs are independent, so bugs are correlated only through
 shared participation, as in the game. No array has an n axis: a chunk
 holds O(CHUNK (L + K)) numbers whatever n and F are. No draw uses a
@@ -46,16 +55,18 @@ forms, read off ``game``, so a report row reads as a z-test.
 
 A chunk keeps no outcome past its own tally: per bug and per pair of
 bugs, the trials in which they were found and won, and per bug the trials
-in which it exists and agent 0 could win it. Every mean and sample variance follows
-from those counts. The chunk reads S only through its histogram: the runs
-of equal S bound the finder blocks, and only trials with
-S > INVERSION_MAX get an S of their own, for numpy's binomial. On the
-S = 0 prefix T = 0, so a find there is agent 0's own and a win as well;
-the prefix's counts are taken once and added to both tallies. Artificial
-entries skip the existence compare (mu = 1 > u). Since fl(u k) >= u for
-k >= 1, u (T + 1) < mu q implies u < mu q bit for bit, so the pinned run
-(``check_equilibrium``) makes that one compare per bug and trial and
-tallies wins only.
+in which it exists and agent 0 could win it. Every mean and sample
+variance follows from those counts, so the chunk lays its trials out in
+runs of equal (search, S): the searching trials first, then the idle
+ones, each part sorted by S. The found compare's threshold is constant
+on a run, the searching runs bound the finder blocks, and only searching
+trials with S > INVERSION_MAX get an S of their own, for numpy's
+binomial. On the searching S = 0 run T = 0, so a find there is agent 0's
+own and a win as well; its counts are taken once and added to both
+tallies. Artificial entries skip the existence compare (mu = 1 > u).
+Since fl(u k) >= u for k >= 1, u (T + 1) < mu q implies u < mu q bit for
+bit, so the pinned run (``check_equilibrium``) makes that one compare per
+bug and trial and tallies wins only.
 
 Trial chunks of fixed size draw from PCG64 streams seeded by SeedSequence
 with the run's seed as entropy and the chunk index as spawn key, so runs
@@ -88,8 +99,8 @@ from .game import (
 CHUNK = 1 << 16
 # Finder counts of at most this many rivals are drawn by inversion: at 2^16
 # trials of 8 to 64 rivals it took 1/8 to 1/2.5 of the time of numpy's
-# binomial, which takes the larger ones. A block's comparisons, at most
-# INVERSION_MAX x BLOCK booleans a bug, take the room of its CHUNK uniforms.
+# binomial, which takes the larger ones. A block's comparisons take at most
+# 8 x BLOCK booleans a bug, the room of its CHUNK uniforms.
 INVERSION_MAX = 64
 BLOCK = CHUNK // 8  # trials per draw of finder counts
 # Chunks of m trials draw their rival counts S as a histogram where the
@@ -271,27 +282,41 @@ def _finder_law(q, top: int):
     return np.cumsum(pmf[:, :1:-1], axis=1)[:, ::-1]
 
 
+def _rival_reach(q, values):
+    """P(T > 0 | S = s) = 1 - (1 - q)^s for T ~ Bin(s, q), the k = 0 tail of
+    _finder_law, as an array [s, bug] over the given values of s. (1 - q)^s
+    is taken as exp(s log1p(-q)), which keeps its digits at small q; a
+    certain find (q = 1) and s = 0 skip the log and the product, where they
+    would read log 0 and 0 x -inf."""
+    import numpy as np
+
+    log_miss = np.log1p(-q, out=np.full(len(q), -np.inf), where=q < 1.0)
+    s = values[:, None].astype(float)
+    return -np.expm1(np.multiply(s, log_miss, out=np.zeros((len(values), len(q))), where=s > 0))
+
+
 def _finder_counts(rng, values, counts, q, tails, buffer):
     """Rival finders T ~ Bin(S, q) per bug (rows, q per bug) and trial
-    (columns), for the trials of a chunk sorted by S, whose histogram is
+    (columns), for the trials of a block sorted by S, whose histogram is
     values (ascending) and counts, as (columns, T) blocks.
 
     tails = _finder_law(q, top), with top at least min(max S, INVERSION_MAX).
     Where 1 <= S <= top, T is drawn by inversion: one uniform v per bug and
     trial, drawn at most BLOCK trials at a time into a prefix of buffer, and
     T > k iff v < P(T > k | S); each run of equal S reads one row of the
-    table. The S = 0 prefix draws nothing and yields no block. Larger S take
-    numpy's binomial sampler, BLOCK trials at a time, so that its int64
-    counts take no more room than one byte per trial of a chunk; only those
-    trials are given their own S."""
+    table, at most 8 values of k at a time, so a block's compares take at
+    most 8 x BLOCK booleans a bug. The S = 0 prefix draws nothing and yields
+    no block. Larger S take numpy's binomial sampler, BLOCK trials at a
+    time, so that its int64 counts take no more room than one byte per
+    trial of a chunk; each such block expands its own S."""
     import numpy as np
 
     J, top = len(q), len(tails) - 1
-    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()  # first trial of each value
+    bounds = np.concatenate(([0], np.cumsum(counts)))  # first trial of each value
     first = int(values[0] == 0)  # the S = 0 prefix draws nothing
     last = int(np.searchsorted(values, top, side="right"))  # values[first:last] are inverted
-    start, stop, m = bounds[first], bounds[last], bounds[-1]
-    runs = list(zip(values[first:last].tolist(), bounds[first:last], bounds[first + 1 : last + 1]))
+    start, stop, m = int(bounds[first]), int(bounds[last]), int(bounds[-1])
+    runs = list(zip(values[first:last].tolist(), bounds[first:last].tolist(), bounds[first + 1 : last + 1].tolist()))
     for lo in range(start, stop, BLOCK):
         hi = min(lo + BLOCK, stop)
         v = buffer[: J * (hi - lo)].reshape(J, hi - lo)
@@ -301,13 +326,16 @@ def _finder_counts(rng, values, counts, q, tails, buffer):
             if a < hi and b > lo:
                 run = slice(max(a, lo) - lo, min(b, hi) - lo)
                 # T counts the k with v < P(T > k | S = s)
-                finders[:, run] = np.add.reduce(v[:, run] < tails[s, :s, :, None], axis=0, dtype=np.uint8)
+                np.add.reduce(v[:, run] < tails[s, : min(s, 8), :, None], axis=0, dtype=np.uint8, out=finders[:, run])
+                for k in range(8, s, 8):
+                    tail = tails[s, k : min(s, k + 8), :, None]
+                    finders[:, run] += np.add.reduce(v[:, run] < tail, axis=0, dtype=np.uint8)
         yield slice(lo, hi), finders
-    if stop < m:
-        rivals = np.repeat(values[last:], counts[last:])
-        for lo in range(stop, m, BLOCK):
-            hi = min(lo + BLOCK, m)
-            yield slice(lo, hi), rng.binomial(rivals[lo - stop : hi - stop], q[:, None], (J, hi - lo))
+    for lo in range(stop, m, BLOCK):
+        hi = min(lo + BLOCK, m)
+        # the block's S: each value's trials clipped to [lo, hi)
+        rivals = np.repeat(values, np.maximum(np.minimum(bounds[1:], hi) - np.maximum(bounds[:-1], lo), 0))
+        yield slice(lo, hi), rng.binomial(rivals, q[:, None], (J, hi - lo))
 
 
 def _tallies(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: bool):
@@ -334,11 +362,11 @@ def _tallies(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: bo
     mu = np.ones((J, 1))  # an artificial entry exists: u < 1 always holds
     mu[:L, 0] = mus
     mu_q = mu * q[:, None]
-    rows = J + (not pinned)
+    mu_miss = mu * (1.0 - q[:, None])
     # one buffer per call, refilled in place: a fresh one per chunk would
-    # page-fault its rows x CHUNK floats in again; a prefix serves a short
-    # last chunk
-    buffer = np.empty(rows * chunk)
+    # page-fault its J x CHUNK floats in again; a prefix serves a short last
+    # chunk
+    buffer = np.empty(J * chunk)
     finder_buffer = np.empty(J * min(BLOCK, chunk))
     flags = np.empty(2 * J * chunk, dtype=bool)
     won = np.zeros((J, J), dtype=np.int64)
@@ -346,49 +374,57 @@ def _tallies(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: bo
     counts = None if pinned else np.zeros(2 * J + 1, dtype=np.int64)
     tails = ()  # the finder law, built up to the largest S so far
     for m, rng in _chunks(sim):
-        # Trials are exchangeable, so they are ordered by S: its histogram.
+        # Trials are exchangeable, so they are ordered by S, through its
+        # histogram, and by agent 0's search: the searching trials at each
+        # value of S, Bin(count, F) of them, come first.
         values, occupied = draw_rivals(rng, m)
         top = min(int(values[-1]), INVERSION_MAX)
         if len(tails) <= top:
             tails = _finder_law(q, top)
-        u = buffer[: rows * m].reshape(rows, m)
+        search = occupied if pinned else rng.binomial(occupied, F)
+        searching = search > 0
+        s_values, s_counts = values[searching], search[searching]
+        n_search = int(s_counts.sum())
+        zero = int(s_counts[0]) if n_search and s_values[0] == 0 else 0  # searching, S = 0: T = 0
+        u = buffer[: J * m].reshape(J, m)
         rng.random(u.shape, out=u)
-        zero = int(occupied[0]) if values[0] == 0 else 0  # trials with S = 0, where T = 0
         # One uniform per bug: u < mu is existence; given it u / mu is
         # uniform, so u < mu q is agent 0's find; given that, u / (mu q) is
         # uniform again, so u (T + 1) < mu q is winning among T + 1 finders.
-        # Artificial entries skip the existence compare. Since fl(u k) >= u
-        # for k >= 1, a win implies the find, and a find implies existence.
+        # Since fl(u k) >= u for k >= 1, a win implies the find.
         wins, finds = flags[: 2 * J * m].reshape(2, J, m)
         if pinned:
             np.less(u[:, :zero], mu_q, out=wins[:, :zero])
         else:
-            searching = u[J] < F
-            exists = u[:L] < mu[:L]
-            np.less(u[:J], mu_q, out=finds)
-            finds &= searching  # agent 0's own finds
-            # count_nonzero without an axis: numpy's fast path
-            n_search = np.count_nonzero(searching)
-            eligible = [np.count_nonzero(row & searching) for row in exists] + [n_search] * (J - L)
+            # Where agent 0 does not find the bug, the rest of u is uniform
+            # again, so someone finds it iff u < mu q + mu (1 - q) P(T > 0 | S)
+            # on a searching run and u < mu P(T > 0 | S) on an idle one: one
+            # compare a run, and T is needed only where agent 0 searches.
+            reach = _rival_reach(q, values)[..., None]
+            thresholds = np.concatenate((mu_q + mu_miss * reach, mu * reach))
+            end = 0
+            for threshold, size in zip(thresholds, np.concatenate((search, occupied - search)).tolist()):
+                if size:
+                    np.less(u[:, end : end + size], threshold, out=finds[:, end : end + size])
+                    end += size
+            # wins[:L] holds existence until the finder blocks fill it; artificial
+            # entries always exist
+            exists = np.less(u[:L], mu[:L], out=wins[:L])
+            eligible = [np.count_nonzero(row[:n_search]) for row in exists] + [n_search] * (J - L)
             present = [np.count_nonzero(row) for row in exists] + [m] * (J - L)
             counts += [*eligible, *present, n_search]
-        for cols, finders in _finder_counts(rng, values, occupied, q, tails, finder_buffer):
-            if not pinned:
-                rival = finders > 0
-                rival[:L] &= exists[:, cols]
-                finds[:, cols] |= rival
-            scaled = u[:J, cols]
-            scaled *= finders + 1
-            np.less(scaled, mu_q, out=wins[:, cols])
-            if not pinned:
-                wins[:, cols] &= searching[cols]
+        if n_search:
+            for cols, finders in _finder_counts(rng, s_values, s_counts, q, tails, finder_buffer):
+                scaled = u[:, cols]
+                scaled *= finders + 1
+                np.less(scaled, mu_q, out=wins[:, cols])
         if pinned:
             won += _gram(wins)
         else:
-            # on the S = 0 prefix agent 0's finds are both found and won
+            # on the searching S = 0 prefix agent 0's finds are both found and won
             alone = _gram(finds[:, :zero])
             found += alone + _gram(finds[:, zero:])
-            won += alone + _gram(wins[:, zero:])
+            won += alone + _gram(wins[:, zero:n_search])
     return won, found, counts
 
 
@@ -409,7 +445,8 @@ def _binomial_stat(name, hits, n_obs, closed):
     p = hits / n_obs if n_obs > 0 else math.nan
     # at p = 0 or 1 the plug-in error is 0; the closed form's keeps z finite
     p_se = closed if p in (0.0, 1.0) else p
-    se = math.sqrt(p_se * (1.0 - p_se) / n_obs) if n_obs > 0 else math.nan
+    # as a product of roots, so that a subnormal p_se keeps a nonzero error
+    se = math.sqrt(p_se) * math.sqrt((1.0 - p_se) / n_obs) if n_obs > 0 else math.nan
     return SimStat(name, p, se, closed)
 
 

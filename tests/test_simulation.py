@@ -174,6 +174,16 @@ def test_binomial_rows_where_every_trial_agrees(uniform01):
     assert math.isnan(idle.win_organic[0].estimate) and math.isnan(idle.win_organic[0].std_error)
 
 
+def test_subnormal_closed_form_reads_a_finite_z(uniform01):
+    """At q = 5e-324 agent 0's win probability is subnormal and no trial
+    wins: p (1 - p) / n underflows to 0, but the error taken as a product of
+    roots stays positive, so win_bug_1 reads a finite z near 0."""
+    config = GameConfig(n=2, bugs=(OrganicBug(0.5, 5e-324, 2.0),), dist=uniform01, budget=0.5)
+    stat = simulate(CANONICAL, config, SimConfig(100, 1, 0.5)).win_organic[0]
+    assert stat.estimate == 0.0 and 0.0 < stat.closed_form < sys.float_info.min
+    assert stat.std_error > 0.0 and math.isfinite(stat.z_score) and abs(stat.z_score) < 1.0
+
+
 def test_zero_sample_variance_reads_the_exact_variance(uniform01):
     # At n = 30 and threshold 0.9 every trial pays 0.5: the sample variance
     # is 0, and the standard error comes from the closed-form variance.
@@ -359,6 +369,31 @@ def test_finder_law_matches_exact_enumeration(q):
                 assert 0.0 <= got < sys.float_info.min, (s, k, got)
 
 
+@pytest.mark.parametrize("q", [0.0, 5e-324, 1e-12, 0.3, 1.0 - 1e-12, 1.0])
+def test_rival_reach_matches_the_finder_law(q):
+    """P(T > 0 | S = s), which the found compare reads, against Fraction
+    enumeration of 1 - (1 - q)^s for s up to INVERSION_MAX: within 2 ulps,
+    and exactly 0 at s = 0 or q = 0 and 1 at q = 1. It agrees with the
+    k = 0 tail of _finder_law to within s + 2 ulps, the table's own rounding
+    over s rivals. Larger S read a probability too, and no value of s or q
+    raises a warning (log1p(-1) and 0 x -inf are kept out)."""
+    top = simulation.INVERSION_MAX
+    qs = np.array([q, 0.5])
+    reach = simulation._rival_reach(qs, np.arange(top + 1))
+    tails = simulation._finder_law(qs, top)[:, 0, :]
+    assert reach.shape == (top + 1, 2) and np.array_equal(reach[:, 1], simulation._rival_reach(np.array([0.5]), np.arange(top + 1))[:, 0])
+    for s in range(top + 1):
+        exact = 1 - (1 - Fraction(q)) ** s
+        got = reach[s, 0]
+        if s == 0 or q in (0.0, 1.0):
+            assert got == exact, s
+        assert abs(Fraction(got) - exact) <= 2 * Fraction(np.spacing(float(exact))), (s, got)
+        if s:
+            assert abs(got - tails[s, 0]) <= (s + 2) * np.spacing(tails[s, 0]), (s, got, tails[s, 0])
+    far = simulation._rival_reach(qs, np.array([10**6, 2**62]))
+    assert np.all((far >= 0.0) & (far <= 1.0)) and (q < 1.0 or np.all(far[:, 0] == 1.0))
+
+
 @pytest.mark.parametrize("q", [(0.3, 0.05, 0.9), (1e-12, 1.0, 0.5)])
 def test_finder_counts_match_binomial(q):
     """The drawn T against Bin(S, q) for each S up to INVERSION_MAX and
@@ -504,8 +539,8 @@ def _count_uniforms(monkeypatch):
 def test_uniform_buffer_serves_every_chunk(trials, monkeypatch):
     """One uniform buffer per call: a short last chunk (CHUNK + 17 trials)
     and a lone short chunk (100) read every row within 4 standard errors,
-    rerun bit for bit, and draw exactly 1 + L + K uniforms a trial, L + K
-    when pinned, all into one buffer. With n = 1 no rival draws any."""
+    rerun bit for bit, and draw exactly L + K uniforms a trial, pinned or
+    not, all into one buffer. With n = 1 no rival draws any."""
     game = GameConfig(
         n=3,
         bugs=(OrganicBug(0.8, 0.5, 1.0), OrganicBug(0.6, 0.3, 2.0)),
@@ -524,7 +559,7 @@ def test_uniform_buffer_serves_every_chunk(trials, monkeypatch):
     alone = game.with_n(1)
     J = len(game.bugs) + len(sched.artificial)
     simulate(sched, alone, sim)
-    assert drawn[0] == (1 + J) * trials and len(buffers) == 1
+    assert drawn[0] == J * trials and len(buffers) == 1
     drawn[0] = 0
     buffers.clear()
     check_equilibrium(sched, alone, sim)
@@ -535,10 +570,11 @@ def test_uniform_buffer_serves_every_chunk(trials, monkeypatch):
 def test_finder_uniforms_only_where_rivals_search(n, monkeypatch):
     """With rivals (n = 3, and n - 1 = INVERSION_MAX + 4 at F = 0.94, whose
     S straddles the cutoff) over CHUNK + 17 trials, the kernel draws exactly
-    1 + L + K uniforms a trial (L + K when pinned), plus L + K for each
-    trial with 1 <= S <= INVERSION_MAX and none for S = 0 or beyond the
-    cutoff. The finder uniforms land in one buffer of at most (L + K) BLOCK
-    floats, apart from the kernel's."""
+    L + K uniforms a trial, plus L + K for each trial in which agent 0
+    searches (every trial, when pinned) with 1 <= S <= INVERSION_MAX, and
+    none for an idle agent 0, S = 0 or S beyond the cutoff. The finder
+    uniforms land in one buffer of at most (L + K) BLOCK floats, apart from
+    the kernel's."""
     game = GameConfig(
         n=n,
         bugs=(OrganicBug(0.8, 0.5, 1.0), OrganicBug(0.6, 0.3, 2.0)),
@@ -548,8 +584,9 @@ def test_finder_uniforms_only_where_rivals_search(n, monkeypatch):
     sched = PrizeSchedule(v=(0.4, 0.3), artificial=(ArtificialBugDesign(0.2, 0.6),))
     sim = SimConfig(simulation.CHUNK + 17, 13, 0.5 if n == 3 else 0.94)
     J = len(game.bugs) + len(sched.artificial)
-    inverted, kinds = [0], set()
+    inverted, searched, kinds = [0], [0], set()
     rival_sampler = simulation._rival_sampler
+    finder_counts = simulation._finder_counts
 
     def counting_sampler(*args):
         draw = rival_sampler(*args)
@@ -563,16 +600,22 @@ def test_finder_uniforms_only_where_rivals_search(n, monkeypatch):
 
         return counted
 
+    def counting_finders(rng, values, counts, *law):
+        # the trials handed over are those in which agent 0 searches
+        searched[0] += int(counts[(values >= 1) & (values <= simulation.INVERSION_MAX)].sum())
+        return finder_counts(rng, values, counts, *law)
+
     monkeypatch.setattr(simulation, "_rival_sampler", counting_sampler)
+    monkeypatch.setattr(simulation, "_finder_counts", counting_finders)
     drawn, buffers = _count_uniforms(monkeypatch)
-    for call, per_trial in ((simulate, 1 + J), (check_equilibrium, J)):
-        drawn[0], inverted[0] = 0, 0
+    for call, pinned in ((simulate, False), (check_equilibrium, True)):
+        drawn[0], inverted[0], searched[0] = 0, 0, 0
         buffers.clear()
         call(sched, game, sim)
-        assert inverted[0] > 0
-        assert drawn[0] == per_trial * sim.trials + J * inverted[0], call
+        assert 0 < searched[0] <= inverted[0] and (searched[0] == inverted[0]) == pinned
+        assert drawn[0] == J * sim.trials + J * searched[0], call
         finder_buffer, kernel_buffer = sorted(buffers.values())
-        assert finder_buffer <= J * simulation.BLOCK < kernel_buffer == per_trial * simulation.CHUNK
+        assert finder_buffer <= J * simulation.BLOCK < kernel_buffer == J * simulation.CHUNK
     assert kinds == ({"none", "inverted"} if n == 3 else {"inverted", "binomial"})
 
 
@@ -692,6 +735,68 @@ def test_payout_variance_matches_joint_enumeration(uniform01):
     assert abs(var_independent - var) > 100.0 * var_se
 
 
+def _winnings_law(config, sched, F):
+    """Exact law of agent 0's winnings when it searches, {value: probability},
+    by enumerating which rivals search, which organic bugs exist, which
+    agent finds which bug and, for each bug agent 0 finds, whether it wins
+    the uniform draw among the finders."""
+    mus = [b.mu for b in config.bugs]
+    qs = [b.q for b in config.bugs] + [a.q_a for a in sched.artificial]
+    prizes = list(sched.v) + [a.v_a for a in sched.artificial]
+    n, L, J = config.n, len(mus), len(qs)
+    law: dict[float, float] = {}
+    for rivals in product((False, True), repeat=n - 1):
+        part = (True, *rivals)
+        p_part = math.prod(F if s else 1.0 - F for s in rivals)
+        for exists in product((False, True), repeat=L):
+            p_exists = math.prod(mu if e else 1.0 - mu for mu, e in zip(mus, exists))
+            for finds in product((False, True), repeat=n * J):
+                p_finds = math.prod(qs[k % J] if f else 1.0 - qs[k % J] for k, f in enumerate(finds))
+                # (prize, agent 0's chance in the draw) per bug agent 0 finds
+                draws = [
+                    (prizes[j], 1.0 / sum(part[i] and finds[i * J + j] for i in range(n)))
+                    for j in range(J)
+                    if (j >= L or exists[j]) and finds[j]
+                ]
+                for wins in product((False, True), repeat=len(draws)):
+                    p_wins = math.prod(share if w else 1.0 - share for (_, share), w in zip(draws, wins))
+                    x = sum(v for (v, _), w in zip(draws, wins) if w)
+                    law[x] = law.get(x, 0.0) + p_part * p_exists * p_finds * p_wins
+    return law
+
+
+def test_win_variance_matches_joint_enumeration(uniform01):
+    """marginal_benefit's sample variance, over the trials in which agent 0
+    searches, holds the cross-bug covariance of its wins that the shared
+    rival count creates: a kernel that paired one bug's wins with another
+    trial's rivals would match every marginal z-test but miss the
+    enumerated variance, from which independent bugs' variance lies > 50
+    standard errors away."""
+    config = GameConfig(
+        n=3,
+        bugs=(OrganicBug(0.9, 0.8, 1.0), OrganicBug(0.7, 0.9, 2.0)),
+        dist=uniform01,
+        budget=5.0,
+    )
+    sched = PrizeSchedule(v=(1.0, 1.5), artificial=(ArtificialBugDesign(1.0, 0.9),))
+    law = _winnings_law(config, sched, F=0.5)
+    mean = sum(x * p for x, p in law.items())
+    var = sum((x - mean) ** 2 * p for x, p in law.items())
+    mu4 = sum((x - mean) ** 4 * p for x, p in law.items())
+    assert mean == pytest.approx(expected_benefit_psi(0.5, sched, config), rel=1e-12)
+
+    sim = SimConfig(1 << 18, 5, threshold=0.5)
+    report = simulate(sched, config, sim)
+    searching = int(simulation._tallies(sched, config, sim, pinned=False)[2][-1])
+    var_se = math.sqrt((mu4 - var * var) / searching)  # std error of the sample variance
+    assert abs(report.marginal_benefit.std_error**2 * searching - var) <= 4.0 * var_se
+
+    wins = [s.closed_form * mu for s, mu in zip(report.win_organic + report.win_artificial, (0.9, 0.7, 1.0))]
+    prizes = list(sched.v) + [a.v_a for a in sched.artificial]
+    var_independent = sum(v * v * p * (1.0 - p) for v, p in zip(prizes, wins))
+    assert abs(var_independent - var) > 50.0 * var_se
+
+
 @pytest.mark.parametrize(
     "v, v_a, F",
     [((1.0, 1.5), 1.0, 0.5), ((2.0, 0.0), 3.0, 0.1), ((0.5, 1.0), 0.7, 0.97)],
@@ -763,35 +868,35 @@ STREAM_PINS = {
     "straddle": (
         (2 * simulation.INVERSION_MAX + 1, 0.5, simulation.CHUNK + 17, 3),
         {
-            "simulate": "1015731b200675fed6544dea311f0e73e59fa2d56e8341d7fda9820b9d49b0b0",
+            "simulate": "1b3979a24d7874fc2745987efd2630da9586d1ae5988351fb038d1d904ed55a4",
             "check_equilibrium": "2e4b40db65eceae8d139f20b28f77b7c3b55abb24dc58210023625466d150a41",
         },
     ),
     "straddle_lone": (
         (2 * simulation.INVERSION_MAX + 1, 0.5, 100, 4),
         {
-            "simulate": "8f9f6dde4ae64fdaa65bd1398028051c6e8e1f39e1e8e0bc545a83a7f0abc2f9",
+            "simulate": "857929ac7320cf06ec9746ec97e8a4f7fcb2d69fa8becb671fcdb3657c1cb128",
             "check_equilibrium": "509a7d4195a8d64dfcd1f4881bb79fde224dfe122d3f4e633645bc3998020239",
         },
     ),
     "wide": (
         (5000, 0.3, simulation.CHUNK + 17, 5),
         {
-            "simulate": "98a875046fa1c21c81a58ec8532ce220537427cee16322df59e09db611d52ce1",
+            "simulate": "abb081477317d01d2546e04902492fa2a093cef1a18a11dfdbdf9a072caa97cf",
             "check_equilibrium": "43aaa35101681da58075da693b982a4cf2239498dfdd59ac8c3a2ceadae47962",
         },
     ),
     "few_rivals": (
         (3, 0.5, simulation.CHUNK + 17, 6),
         {
-            "simulate": "f0fc40e12c4f745e13c5e1dada8fd11eebe7e774f4d0b376583d6bb991bff366",
+            "simulate": "17a38824fffc1c23820d69d101b4cd06bcc83b851a5db92854f1c6b60020329d",
             "check_equilibrium": "d318f690017d08d5ff77f6bd070b71b0c963669b8a2cfc4a69305e7c080d926b",
         },
     ),
     "few_rivals_lone": (
         (3, 0.5, 100, 7),
         {
-            "simulate": "8bb8da6cc2cbb83fb6c8082b2d47694b3ddb992a9f99e192eb954c978068b5f8",
+            "simulate": "0a9866bbf2fd92e0745c3cd09caf1f69833ac0131a0c5481156e2fe8b68c42cd",
             "check_equilibrium": "4bdfb33288ed5d79167a8b48daae1efbb7cb95e7e29c6b5ff89cfc6e61b7ea59",
         },
     ),
@@ -805,14 +910,14 @@ STREAM_PINS = {
     "F1": (
         (3, 1.0, simulation.CHUNK + 17, 9),
         {
-            "simulate": "779c8be6c7e08eb83095dc4545c8d1a4d55c7391cf1187d6e3fbd0eb39df6b34",
+            "simulate": "315a3d41fbae0f6bdb5c3b18d411d7751f75c65121ea37b165c9dda0dacfabaf",
             "check_equilibrium": "73fdb82bf6ff4e925005bb2e98ed3076c4813a20698b7f36ceb6989cb1ac15bd",
         },
     ),
     "alone": (
         (1, 0.5, simulation.CHUNK + 17, 10),
         {
-            "simulate": "6f2e7baeb816aa714e90fcb6feb1d55d65250f64f4e43a5e0e543906eb2527e9",
+            "simulate": "a07bef27143a9418a86a0fa12bc4817c123b58e852b4e6a6fb40166892f29acb",
             "check_equilibrium": "6cf7e9cbd47cdfc458ebcdcfa418f806ccfd029a21e18764f914dc20ab3086d9",
         },
     ),
