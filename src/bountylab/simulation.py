@@ -111,6 +111,12 @@ BLOCK = CHUNK // 8  # trials per draw of finder counts
 TRIALS_PER_SD = 512
 # The histogram's law keeps the terms of at least this fraction of the mode's.
 TAIL = 1e-30
+# The found compare takes one call a run of equal (search, S) where a chunk's
+# runs average at least this many trials, else it expands each trial's
+# threshold: a call costs about as much as expanding 250 to 500 trials'
+# thresholds (at 2^16 trials, 16 runs took 1.5 ns a trial against 7 ns
+# expanded, and 600 runs 19 ns against 5).
+MIN_RUN = 256
 
 
 @dataclass(frozen=True)
@@ -304,11 +310,12 @@ def _finder_counts(rng, values, counts, q, tails, buffer):
     Where 1 <= S <= top, T is drawn by inversion: one uniform v per bug and
     trial, drawn at most BLOCK trials at a time into a prefix of buffer, and
     T > k iff v < P(T > k | S); each run of equal S reads one row of the
-    table, at most 8 values of k at a time, so a block's compares take at
-    most 8 x BLOCK booleans a bug. The S = 0 prefix draws nothing and yields
-    no block. Larger S take numpy's binomial sampler, BLOCK trials at a
-    time, so that its int64 counts take no more room than one byte per
-    trial of a chunk; each such block expands its own S."""
+    table, 8 values of k at a time, or more where the run is short, so that
+    its compares take at most 8 x BLOCK booleans a bug. The S = 0 prefix
+    draws nothing and yields no block. Larger S take numpy's binomial
+    sampler, BLOCK trials at a time, so that its int64 counts take no more
+    room than one byte per trial of a chunk; each such block expands only
+    its own S."""
     import numpy as np
 
     J, top = len(q), len(tails) - 1
@@ -326,16 +333,23 @@ def _finder_counts(rng, values, counts, q, tails, buffer):
             if a < hi and b > lo:
                 run = slice(max(a, lo) - lo, min(b, hi) - lo)
                 # T counts the k with v < P(T > k | S = s)
-                np.add.reduce(v[:, run] < tails[s, : min(s, 8), :, None], axis=0, dtype=np.uint8, out=finders[:, run])
-                for k in range(8, s, 8):
-                    tail = tails[s, k : min(s, k + 8), :, None]
+                step = max(8, 8 * BLOCK // (run.stop - run.start))
+                np.add.reduce(v[:, run] < tails[s, : min(s, step), :, None], axis=0, dtype=np.uint8, out=finders[:, run])
+                for k in range(step, s, step):
+                    tail = tails[s, k : min(s, k + step), :, None]
                     finders[:, run] += np.add.reduce(v[:, run] < tail, axis=0, dtype=np.uint8)
         yield slice(lo, hi), finders
     for lo in range(stop, m, BLOCK):
         hi = min(lo + BLOCK, m)
-        # the block's S: each value's trials clipped to [lo, hi)
-        rivals = np.repeat(values, np.maximum(np.minimum(bounds[1:], hi) - np.maximum(bounds[:-1], lo), 0))
-        yield slice(lo, hi), rng.binomial(rivals, q[:, None], (J, hi - lo))
+        yield slice(lo, hi), rng.binomial(np.repeat(values, _clip_runs(bounds, lo, hi)), q[:, None], (J, hi - lo))
+
+
+def _clip_runs(bounds, lo, hi):
+    """The trials of each run, run i being trials bounds[i] to
+    bounds[i + 1], that fall in trials lo to hi."""
+    import numpy as np
+
+    return np.maximum(np.minimum(bounds[1:], hi) - np.maximum(bounds[:-1], lo), 0)
 
 
 def _tallies(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: bool):
@@ -402,11 +416,19 @@ def _tallies(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: bo
             # compare a run, and T is needed only where agent 0 searches.
             reach = _rival_reach(q, values)[..., None]
             thresholds = np.concatenate((mu_q + mu_miss * reach, mu * reach))
-            end = 0
-            for threshold, size in zip(thresholds, np.concatenate((search, occupied - search)).tolist()):
-                if size:
-                    np.less(u[:, end : end + size], threshold, out=finds[:, end : end + size])
-                    end += size
+            sizes = np.concatenate((search, occupied - search))
+            if np.count_nonzero(sizes) * MIN_RUN <= m:
+                end = 0
+                for threshold, size in zip(thresholds, sizes.tolist()):
+                    if size:
+                        np.less(u[:, end : end + size], threshold, out=finds[:, end : end + size])
+                        end += size
+            else:  # short runs: each trial's threshold, BLOCK trials at a time
+                bounds = np.concatenate(([0], np.cumsum(sizes)))
+                for lo in range(0, m, BLOCK):
+                    hi = min(lo + BLOCK, m)
+                    per_trial = np.repeat(thresholds[..., 0], _clip_runs(bounds, lo, hi), axis=0)
+                    np.less(u[:, lo:hi], per_trial.T, out=finds[:, lo:hi])
             # wins[:L] holds existence until the finder blocks fill it; artificial
             # entries always exist
             exists = np.less(u[:L], mu[:L], out=wins[:L])

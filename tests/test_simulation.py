@@ -619,6 +619,24 @@ def test_finder_uniforms_only_where_rivals_search(n, monkeypatch):
     assert kinds == ({"none", "inverted"} if n == 3 else {"inverted", "binomial"})
 
 
+@pytest.mark.parametrize("n, threshold, trials, q", [(3, 0.5, 1 << 17, 0.1), (5000, 0.3, 1 << 17, 1e-3), (20, 0.5, 100, 0.1)])
+def test_found_compare_takes_one_threshold_a_run_either_way(n, threshold, trials, q, monkeypatch):
+    """The found compare reads one threshold a run of equal (search, S),
+    either one call a run or expanded to each trial where runs are short;
+    forcing either path gives a bit-identical report, on long runs (n = 3),
+    hundreds of short ones (n = 5000, where q is small enough that
+    P(T > 0 | S) still varies with S) and a short call."""
+    bugs = (OrganicBug(0.8, q, 1.0), OrganicBug(0.6, q / 2, 2.0))
+    sched = PrizeSchedule(v=(0.4, 0.3), artificial=(ArtificialBugDesign(0.2, 0.8 * q),))
+    game = GameConfig(n=n, bugs=bugs, dist=CostDistribution.uniform(0.0, 1.0), budget=2.0)
+    sim = SimConfig(trials, 17, threshold)
+    reports = []
+    for min_run in (0, trials + 1):  # every run long enough, then none
+        monkeypatch.setattr(simulation, "MIN_RUN", min_run)
+        reports.append(_fields_hex(simulate(sched, game, sim)))
+    assert reports[0] == reports[1]
+
+
 def test_sample_variance_matches_found_variance():
     """The payout's and the designer utility's sample variances estimate
     Var(sum_j a_j X_j), the closed form game._found_variance, on random
