@@ -303,8 +303,8 @@ def _rival_reach(q, values):
 
 def _finder_counts(rng, values, counts, q, tails, buffer):
     """Rival finders T ~ Bin(S, q) per bug (rows, q per bug) and trial
-    (columns), for the trials of a block sorted by S, whose histogram is
-    values (ascending) and counts, as (columns, T) blocks.
+    (columns), for trials sorted by S, whose histogram is values
+    (ascending) and counts, as (columns, T) blocks.
 
     tails = _finder_law(q, top), with top at least min(max S, INVERSION_MAX).
     Where 1 <= S <= top, T is drawn by inversion: one uniform v per bug and
