@@ -51,7 +51,9 @@ different bugs are independent, so bugs are correlated only through
 shared participation, as in the game. No array has an n axis: a chunk
 holds O(CHUNK (L + K)) numbers whatever n and F are. No draw uses a
 closed form; estimates come with standard errors and the matching closed
-forms, read off ``game``, so a report row reads as a z-test.
+forms, read off ``game``, so a report row reads as a z-test. The mean
+rows are formed in an exact power-of-two unit of their prizes
+(``_mean_stat``), so their variances do not overflow in squared units.
 
 A chunk keeps no outcome past its own tally: per bug and per pair of
 bugs, the trials in which they were found and won, and per bug the trials
@@ -473,14 +475,19 @@ def _binomial_stat(name, hits, n_obs, closed):
 
 
 def _mean_stat(name, weights, gram, count, closed, fallback_var):
-    """The mean of weights . x over count trials, from the co-occurrence
-    counts of the rows x (trials beyond count have x = 0). When every
-    trial gave the same value the sample variance is 0, and fallback_var()
-    stands in for it."""
+    """The mean of weights . x over count trials and its standard error,
+    from the co-occurrence counts of the rows x (trials beyond count have
+    x = 0), formed in units of 2^(e - 1), e the ``math.frexp`` exponent of
+    the largest |weight|: the scale is exact, and squares stay in range.
+    When every trial gave the same value the sample variance is 0, and
+    fallback_var(scaled weights, unit) stands in for it, in squared units."""
     import numpy as np
 
     if count == 0:
         return SimStat(name, math.nan, math.nan, closed)
+    # 2^e itself overflows at a weight of 1.7e308
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(weights))))[1] - 1)
+    weights = weights / unit
     hits = np.diag(gram)
     # count^2 times the rows' sample covariance, in exact (Python) integers:
     # all-equal trials give exactly 0, with no cancellation in floats
@@ -488,14 +495,14 @@ def _mean_stat(name, weights, gram, count, closed, fallback_var):
     scaled_cov = (gram.astype(object) * count - np.outer(exact_hits, exact_hits)).astype(float)
     var = max(float(weights @ scaled_cov @ weights), 0.0) / (count * max(count - 1, 1))
     if var == 0.0:
-        var = fallback_var()
-    return SimStat(name, float(weights @ hits) / count, math.sqrt(var / count), closed)
+        var = fallback_var(weights, unit)
+    return SimStat(name, float(weights @ hits) / count * unit, math.sqrt(var / count) * unit, closed)
 
 
-def _winnings_variance(prize, mean):
+def _winnings_variance(mean):
     """Bhatia-Davis: a winning in [0, sum of prizes] with this mean has
-    variance at most (sum - mean) mean."""
-    return lambda: max(float(prize.sum()) - mean, 0.0) * mean
+    variance at most (sum - mean) mean, as _mean_stat's fallback_var."""
+    return lambda prize, unit: max(float(prize.sum()) - mean / unit, 0.0) * (mean / unit)
 
 
 def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimReport:
@@ -516,8 +523,8 @@ def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimRepo
     psi = expected_benefit_psi(c_hat, prizes, game)
     surplus = np.pad(ws, (0, J - L)) - prize  # w_l - v_l, then -v_a
 
-    def found_variance(weights):
-        return lambda: _found_variance(c_hat, prizes, game, weights.tolist())
+    def found_variance(weights, unit):
+        return _found_variance(c_hat, prizes, game, weights.tolist())
 
     def group(name, bugs, hits, n_obs, closed):
         return tuple(
@@ -538,18 +545,13 @@ def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimRepo
         win_organic=group("win_bug", org, won_n, eligible_n, phi),
         win_artificial=group("win_artificial", art, won_n, eligible_n, phi),
         payout=_mean_stat(
-            "payout_total", prize, found_gram, sim.trials, stage.expected_payout, found_variance(prize)
+            "payout_total", prize, found_gram, sim.trials, stage.expected_payout, found_variance
         ),
         utility=_mean_stat(
-            "designer_utility",
-            surplus,
-            found_gram,
-            sim.trials,
-            stage.designer_utility,
-            found_variance(surplus),
+            "designer_utility", surplus, found_gram, sim.trials, stage.designer_utility, found_variance
         ),
         marginal_benefit=_mean_stat(
-            "marginal_benefit", prize, won_gram, int(counts[-1]), psi, _winnings_variance(prize, psi)
+            "marginal_benefit", prize, won_gram, int(counts[-1]), psi, _winnings_variance(psi)
         ),
     )
 
@@ -579,7 +581,7 @@ def check_equilibrium(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -
     # the pinned agent's winnings average Psi at the rivals' threshold
     psi = expected_benefit_psi(sim.threshold, prizes, game)
     stat = _mean_stat(
-        "pinned_benefit", prize, won_gram, sim.trials, outcome.c_star, _winnings_variance(prize, psi)
+        "pinned_benefit", prize, won_gram, sim.trials, outcome.c_star, _winnings_variance(psi)
     )
     return DeviationGap(
         gap=abs(stat.estimate - outcome.c_star),

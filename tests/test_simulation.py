@@ -696,8 +696,10 @@ def test_equal_winnings_take_the_bhatia_davis_variance(uniform01):
             equal += 1
             assert gap.std_error == pytest.approx(math.sqrt((0.5 - psi) * psi / 256), rel=1e-12)
     assert equal >= 5
-    # the mean statistic's rule on its own: one weight, ten trials that all paid 0.5
-    stat = simulation._mean_stat("x", np.array([0.5]), np.array([[10]]), 10, 0.4975, lambda: 0.01)
+    # the mean statistic's rule on its own: one weight, ten trials that all paid 0.5;
+    # the fallback answers in the squared unit of the scaled weights
+    fallback = lambda weights, unit: 0.01 / unit**2  # noqa: E731
+    stat = simulation._mean_stat("x", np.array([0.5]), np.array([[10]]), 10, 0.4975, fallback)
     assert (stat.estimate, stat.std_error) == (0.5, math.sqrt(0.01 / 10))
 
 
@@ -956,3 +958,43 @@ def test_stream_is_pinned(name, uniform01):
         for call in (simulate, check_equilibrium)
     }
     assert digests == pins
+
+
+@pytest.mark.parametrize("k", [1000, -1000])
+@pytest.mark.parametrize(
+    "bugs, prizes, n, threshold, trials",
+    [
+        (_PIN_BUGS, _PIN_PRIZES, 3, 0.5, 4096),
+        # every searching trial wins 0.5: simulate's Bhatia-Davis fallback
+        (FOUND_GAME["bugs"], FOUND_PRIZES, 2, 0.01, 1000),
+        # every trial pays 0.5: the closed-form payout variance stands in
+        (FOUND_GAME["bugs"], FOUND_PRIZES, 2, 0.99, 1000),
+        # the pinned agent wins 0.5 in every trial: check_equilibrium's fallback
+        (FOUND_GAME["bugs"], FOUND_PRIZES, 2, 0.001, 256),
+    ],
+    ids=["pins", "equal_winnings", "equal_payouts", "pinned_equal_winnings"],
+)
+def test_mean_rows_scale_exactly_with_a_power_of_two_unit(uniform01, bugs, prizes, n, threshold, trials, k):
+    """With every prize and bug value multiplied by 2^k, at the same threshold
+    and seed, simulate's three mean rows and check_equilibrium read exactly
+    2^k times their estimate and standard error, and the rows keep their
+    z-scores: the variance's squared units neither overflow at 2^1000 nor
+    underflow at 2^-1000."""
+    scale = 2.0**k
+    game = GameConfig(n=n, bugs=bugs, dist=uniform01, budget=1.0)
+    scaled_game = GameConfig(
+        n=n, bugs=tuple(OrganicBug(b.mu, b.q, b.w * scale) for b in bugs), dist=uniform01, budget=1.0
+    )
+    scaled_prizes = PrizeSchedule(
+        v=tuple(v * scale for v in prizes.v),
+        artificial=tuple(ArtificialBugDesign(a.v_a * scale, a.q_a) for a in prizes.artificial),
+    )
+    sim = SimConfig(trials, 1, threshold)
+    base, scaled = simulate(prizes, game, sim), simulate(scaled_prizes, scaled_game, sim)
+    for a, b in zip(base.rows()[-3:], scaled.rows()[-3:]):
+        # as hex strings, so that a nan row (no searching trial) compares equal
+        expected = ((a.estimate * scale).hex(), (a.std_error * scale).hex(), a.z_score.hex())
+        assert expected == (b.estimate.hex(), b.std_error.hex(), b.z_score.hex()), a.name
+    a = check_equilibrium(prizes, game, sim)
+    b = check_equilibrium(scaled_prizes, scaled_game, sim)
+    assert ((a.estimate * scale).hex(), (a.std_error * scale).hex()) == (b.estimate.hex(), b.std_error.hex())
