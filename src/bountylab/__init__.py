@@ -6,6 +6,11 @@ open (large-crowd limit) programs, validates the closed forms by Monte Carlo
 and enumeration oracles, and implements the commit-reveal protocol that makes
 planted bugs publicly credible.
 
+Every public class is a frozen record, not a dataclass: it is built from its
+fields (``__match_args__``) by position or keyword, validates them on
+construction, compares and hashes field by field within its own class, and
+raises AttributeError on assignment.
+
 ``import bountylab`` executes none of the layers. ``costs``, ``rootfind``,
 ``game``, ``design``, ``asymptotic``, ``simulation`` and ``credibility`` are
 each registered in ``sys.modules`` and bound on the package through
@@ -24,6 +29,87 @@ so touch each layer once before threads share it.
 
 import importlib.util
 import sys
+
+
+class _Record:
+    """Base of the public records. The fields are the names a subclass body
+    annotates, in order, with the values assigned there as defaults. A call
+    binds its arguments to the fields as a ``def`` of them would, then calls
+    ``__post_init__``; ``repr``, ``==`` between records of one class, and
+    ``hash`` read the fields; assignment and deletion raise AttributeError.
+    Fields are stored as plain instance attributes, so reads, pickle and copy
+    work as on any object."""
+
+    __match_args__ = ()  # the field names
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ += tuple(vars(cls).get("__annotations__", ()))
+        cls._defaults = {name: getattr(cls, name) for name in cls.__match_args__ if hasattr(cls, name)}
+
+    def __init__(self, *args, **kwargs):
+        # object.__setattr__ per field, as a frozen dataclass does: touching
+        # self.__dict__ would turn the object's inline attribute values into a
+        # dict, and every later read of a field would be slower
+        fields = self.__match_args__
+        for name, value in zip(fields, args):
+            _setattr(self, name, value)
+        if kwargs or len(args) != len(fields):
+            if len(args) + len(kwargs) != len(fields):
+                kwargs = self._bind(args, kwargs)
+            try:
+                for name in fields[len(args):]:
+                    _setattr(self, name, kwargs[name])
+            except KeyError:  # a keyword that names no field left
+                self._bind(args, kwargs)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The keyword arguments with the defaults added, or the TypeError of
+        a bad call."""
+        fields, name = cls.__match_args__, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments but {len(args)} were given")
+        rest = fields[len(args):]
+        for key in kwargs:
+            if key not in rest:
+                problem = "got multiple values for argument" if key in fields else "got an unexpected keyword argument"
+                raise TypeError(f"{name}() {problem} {key!r}")
+        kwargs = {**cls._defaults, **kwargs}
+        missing = [key for key in rest if key not in kwargs]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+        return kwargs
+
+    def __post_init__(self):
+        pass
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_setattr = object.__setattr__
+
 
 # every public name, by its home layer
 _EXPORTS = {

@@ -21,8 +21,8 @@ can induce, and an artificial bug helps iff kappa_tilde > kappa_0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from . import _Record
 from .design import (
     _FEAS_TOL,
     _best_single_bug,
@@ -73,8 +73,7 @@ def psi_infinity(kappa: float, prizes: PrizeSchedule, config: GameConfig) -> flo
     return total / c_low
 
 
-@dataclass(frozen=True)
-class PublicOutcome:
+class PublicOutcome(_Record):
     """Limiting participation and the outcomes evaluated there."""
 
     kappa_star: float
@@ -163,8 +162,9 @@ def solve_kappa_a(budget: float, config: GameConfig) -> float:
     return solve_kappa_star(_planted(config, budget), config).kappa_star
 
 
-@dataclass(frozen=True)
-class Kappa0Breakdown:
+class Kappa0Breakdown(_Record):
+    """Best limiting participation reachable with organic prizes only, and per-bug detail."""
+
     kappa_0: float
     per_bug: tuple[float, ...]
     best_bug: int
@@ -178,8 +178,7 @@ def solve_kappa0(budget: float, config: GameConfig) -> Kappa0Breakdown:
     )
 
 
-@dataclass(frozen=True)
-class PublicDesignReport:
+class PublicDesignReport(_Record):
     """Solved limit designer problem; the verdict fields read as in
     ``design.DesignReport``, with kappa for c and W_inf for W."""
 
@@ -265,8 +264,9 @@ def convergence_table(
     return rows
 
 
-@dataclass(frozen=True)
-class SetDistanceResult:
+class SetDistanceResult(_Record):
+    """Hausdorff distance between the finite-n and limiting optimal prize slices at q_a."""
+
     distance: float
     feasible: bool
     n: int

@@ -9,7 +9,6 @@ verification, 2 config or argument validation failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -146,7 +145,7 @@ def _check_figure_param(value, path: str, key: str) -> None:
 
 def _parse_objects(items: list, path: str, cls) -> tuple:
     """Each entry of ``items`` as ``cls``, its float fields checked under ``path[i]``."""
-    names = [field.name for field in dataclasses.fields(cls)]
+    names = cls.__match_args__
     parsed = []
     for i, item in enumerate(items):
         item_path = f"{path}[{i}]"

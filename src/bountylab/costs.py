@@ -23,7 +23,8 @@ parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from . import _Record
 
 UNIFORM = "uniform"
 POWER = "power"
@@ -40,8 +41,7 @@ def _clip01(v: float) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class CostDistribution:
+class CostDistribution(_Record):
     """Immutable cost law; safe for concurrent reads.
 
     ``alpha`` is only meaningful for the power family and ``rate`` only for

@@ -20,18 +20,18 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-from dataclasses import dataclass
-from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
+
+from . import _Record
 
 SCHEME = "sha256-salted-v1"
 SALT_LEN = 32
 DIGEST_LEN = 32
 
 
-@dataclass(frozen=True)
-class CommitmentRecord:
+class CommitmentRecord(_Record):
+    """A published commitment: scheme id, SHA-256 digest and creation time."""
+
     scheme: str
     digest: bytes
     created_at: str
@@ -44,8 +44,9 @@ class CommitmentRecord:
         _check_line(self.created_at, "created_at", "ascii")
 
 
-@dataclass(frozen=True)
-class RevealRecord:
+class RevealRecord(_Record):
+    """The opening of a commitment: the salt and the payload."""
+
     salt: bytes
     payload: bytes
 
@@ -74,6 +75,8 @@ def commit(payload: bytes, salt: bytes | None = None, created_at: str | None = N
     if len(salt) != SALT_LEN:
         raise ValueError("salt must be exactly 32 bytes")
     if created_at is None:
+        from datetime import datetime, timezone  # only a clock read needs it
+
         created_at = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     digest = hashlib.sha256(salt + payload).digest()
     return CommitmentRecord(scheme=SCHEME, digest=digest, created_at=created_at)
@@ -94,8 +97,8 @@ def coin_resolve(seed: bytes, beacon: bytes, mu_a: float) -> bool:
     if not 0.0 <= mu_a <= 1.0:
         raise ValueError("mu_a must lie in [0, 1]")
     r = int.from_bytes(hashlib.sha256(seed + beacon).digest(), "big")
-    threshold = int(Fraction(mu_a) * (1 << 256))
-    return r < threshold
+    num, den = mu_a.as_integer_ratio()
+    return r < (num << 256) // den  # floor(mu_a * 2**256), exactly
 
 
 def verify_coin(

@@ -19,9 +19,9 @@ and planting an artificial bug helps exactly when c_tilde > c_0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
+from . import _Record
 from .game import (
     ArtificialBugDesign,
     GameConfig,
@@ -96,8 +96,7 @@ def _on_bug(config: GameConfig, l: int, v_l: float) -> PrizeSchedule:
     return PrizeSchedule.organic_only(v)
 
 
-@dataclass(frozen=True)
-class C0Breakdown:
+class C0Breakdown(_Record):
     """Best threshold reachable with organic prizes only, and per-bug detail."""
 
     c_0: float
@@ -124,8 +123,7 @@ def _best_single_bug(
     return breakdown(levels[best], levels, best)
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(_Record):
     """Solved designer problem with a canonical (minimal-spend) schedule.
 
     ``margin`` is c_tilde - c_0 and ``gain`` the utility an artificial bug adds,
@@ -249,8 +247,7 @@ def collapse_artificial(prizes: PrizeSchedule, config: GameConfig) -> PrizeSched
     )
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(_Record):
     """Prize vectors (v_1..v_L, v_a) inducing a target threshold at fixed q_a.
 
     The set is the hyperplane ``coeffs . x = target`` cut down by x >= 0 and

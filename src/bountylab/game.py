@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
+from . import _Record
 from .costs import CostDistribution
 from .rootfind import bisect_decreasing
 
@@ -40,8 +40,7 @@ ORACLE_MAX_N = 25
 MAX_TABLE_N = 10**6
 
 
-@dataclass(frozen=True)
-class OrganicBug:
+class OrganicBug(_Record):
     """A real vulnerability: existence probability, find probability, value."""
 
     mu: float
@@ -57,8 +56,7 @@ class OrganicBug:
             raise ValueError("w must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class ArtificialBugDesign:
+class ArtificialBugDesign(_Record):
     """A planted bug: prize and find probability. (0, 0) encodes 'none'."""
 
     v_a: float
@@ -71,8 +69,7 @@ class ArtificialBugDesign:
             raise ValueError("q_a must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class PrizeSchedule:
+class PrizeSchedule(_Record):
     """Posted prizes: one per organic bug plus any artificial entries."""
 
     v: tuple[float, ...]
@@ -96,8 +93,7 @@ class PrizeSchedule:
         return sum(self.v) + sum(a.v_a for a in self.artificial)
 
 
-@dataclass(frozen=True)
-class GameConfig:
+class GameConfig(_Record):
     """One crowdsearch instance: agents, bugs, cost law, prize budget."""
 
     n: int
@@ -120,8 +116,7 @@ class GameConfig:
         return GameConfig(n=n, bugs=self.bugs, dist=self.dist, budget=self.budget)
 
 
-@dataclass(frozen=True)
-class EquilibriumOutcome:
+class EquilibriumOutcome(_Record):
     """Solved second stage at a prize schedule.
 
     ``detect_organic_unconditional`` folds in the existence probability mu;
@@ -246,11 +241,12 @@ def solve_equilibrium(prizes: PrizeSchedule, config: GameConfig) -> EquilibriumO
         return expected_benefit_psi(c, prizes, config) - c
 
     c_star, boundary = bisect_decreasing(gap, config.dist.c_low, config.dist.c_high)
-    return EquilibriumOutcome(c_star, boundary, **_stage_at(c_star, prizes, config)._asdict())
+    return EquilibriumOutcome(c_star, boundary, *_stage_at(c_star, prizes, config))
 
 
 class _Stage(NamedTuple):
-    """The stage closed forms at one threshold, named as in EquilibriumOutcome."""
+    """The stage closed forms at one threshold: the fields of EquilibriumOutcome
+    after c_star and boundary, by name and in order."""
 
     participation: float
     detect_organic_conditional: tuple[float, ...]

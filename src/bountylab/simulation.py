@@ -84,8 +84,8 @@ module or loads numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from . import _Record
 from .game import (
     GameConfig,
     PrizeSchedule,
@@ -121,8 +121,9 @@ TAIL = 1e-30
 MIN_RUN = 256
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
+    """A Monte Carlo run: trial count, 64-bit seed and the common threshold strategy."""
+
     trials: int
     seed: int
     threshold: float
@@ -136,8 +137,9 @@ class SimConfig:
             raise ValueError("threshold must be finite")
 
 
-@dataclass(frozen=True)
-class SimStat:
+class SimStat(_Record):
+    """One estimate with its standard error, beside the closed form it checks."""
+
     name: str
     estimate: float
     std_error: float
@@ -150,8 +152,9 @@ class SimStat:
         return (self.estimate - self.closed_form) / self.std_error
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(_Record):
+    """Every estimate of one ``simulate`` run, with the run's configuration."""
+
     trials: int
     seed: int
     threshold: float
@@ -556,8 +559,7 @@ def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimRepo
     )
 
 
-@dataclass(frozen=True)
-class DeviationGap:
+class DeviationGap(_Record):
     """How far a threshold-cost searcher's simulated benefit sits from the
     equilibrium threshold. At an interior equilibrium the gap estimates 0."""
 

@@ -1,5 +1,8 @@
 import hashlib
+import math
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from bountylab import (
     write_commitment_file,
     write_reveal_file,
 )
+from bountylab import credibility
 
 DATA = Path(__file__).parent / "data"
 ZERO_SALT = bytes(32)
@@ -85,6 +89,21 @@ def test_coin_degenerate_probabilities():
     seed = bytes(32)
     assert coin_resolve(seed, b"any beacon", 1.0) is True
     assert coin_resolve(seed, b"any beacon", 0.0) is False
+
+
+@pytest.mark.parametrize(
+    "mu_a", [0.0, 5e-324, 1 / 3, 0.5, math.nextafter(1.0, 0.0), 1.0, 1, Fraction(1, 3)], ids=repr
+)
+def test_coin_threshold_is_exact(monkeypatch, mu_a):
+    """The coin reads heads exactly below floor(mu_a * 2**256): a digest one
+    under that threshold resolves True, the threshold itself False."""
+    threshold = int(Fraction(mu_a) * 2**256)
+    for r, heads in ((threshold - 1, True), (threshold, False)):
+        if not 0 <= r < 2**256:
+            continue
+        digest = SimpleNamespace(digest=lambda r=r: r.to_bytes(32, "big"))
+        monkeypatch.setattr(credibility, "hashlib", SimpleNamespace(sha256=lambda data: digest))
+        assert coin_resolve(bytes(32), b"beacon", mu_a) is heads
 
 
 def test_coin_rejects_bad_inputs():

@@ -76,7 +76,8 @@ def executed():
 
 # Runs the argv it is given through cli.main and prints, as its last line,
 # [exit code, executed layers, whether numpy is loaded, which of csv and json
-# were loaded at interpreter start, which of them the mode loaded].
+# were loaded at interpreter start, which of them the mode loaded, which of
+# dataclasses, fractions and datetime are loaded after the mode].
 _RUN_MODE = """
 import sys
 FORMATS = {"csv", "json"}
@@ -84,9 +85,10 @@ at_start = sorted(FORMATS & sys.modules.keys())
 from bountylab.cli import main
 code = main(sys.argv[1:])
 loaded = sorted(FORMATS & sys.modules.keys())
+stdlib = sorted({"dataclasses", "fractions", "datetime"} & sys.modules.keys())
 import json
 """ + _EXECUTED + """
-print(json.dumps([code, executed(), "numpy" in sys.modules, at_start, loaded]))
+print(json.dumps([code, executed(), "numpy" in sys.modules, at_start, loaded, stdlib]))
 """
 
 
@@ -131,14 +133,20 @@ def _mode_argv(mode, tmp_path):
 def test_each_mode_executes_only_its_layers(tmp_path, mode):
     """In a fresh process, and only simulate loads numpy. The config modes
     load json to read the config and csv to write their tables; the protocol
-    modes load neither."""
+    modes load neither. No mode loads dataclasses; the protocol modes load no
+    fractions, and only commit, reading the clock, loads datetime."""
     proc = _python("-c", _RUN_MODE, *_mode_argv(mode, tmp_path))
-    code, executed, numpy_loaded, at_start, loaded = json.loads(proc.stdout.splitlines()[-1])
+    code, executed, numpy_loaded, at_start, loaded, stdlib = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     assert executed == sorted(f"bountylab.{layer}" for layer in MODE_LAYERS[mode])
     assert numpy_loaded == (mode == "simulate")
     assert at_start == []
     assert loaded == ([] if MODE_LAYERS[mode] == _PROTOCOL else ["csv", "json"])
+    assert "dataclasses" not in stdlib
+    if mode in ("reveal-verify", "coin"):
+        assert stdlib == []
+    if mode == "commit":
+        assert stdlib == ["datetime"]  # its argv passes no --timestamp
 
 
 @pytest.mark.parametrize("mode", MODE_LAYERS)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import sys
@@ -865,8 +864,9 @@ def test_closed_forms_are_the_equilibrium_outcome():
 def _fields_hex(obj):
     """Every field of a report, nested reports and tuples included, with
     each float as float.hex: equal strings mean bit-identical reports."""
-    if dataclasses.is_dataclass(obj):
-        return "{" + "|".join(f"{f.name}={_fields_hex(getattr(obj, f.name))}" for f in dataclasses.fields(obj)) + "}"
+    fields = getattr(type(obj), "__match_args__", None)
+    if fields is not None:
+        return "{" + "|".join(f"{name}={_fields_hex(getattr(obj, name))}" for name in fields) + "}"
     if isinstance(obj, tuple):
         return "(" + ",".join(_fields_hex(x) for x in obj) + ")"
     if isinstance(obj, float):
