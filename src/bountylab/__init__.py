@@ -30,6 +30,8 @@ so touch each layer once before threads share it.
 import importlib.util
 import sys
 
+_setattr = object.__setattr__
+
 
 class _Record:
     """Base of the public records. The fields are the names a subclass body
@@ -43,8 +45,7 @@ class _Record:
     __match_args__ = ()  # the field names
     _defaults = {}
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         cls.__match_args__ += tuple(vars(cls).get("__annotations__", ()))
         cls._defaults = {name: getattr(cls, name) for name in cls.__match_args__ if hasattr(cls, name)}
 
@@ -106,9 +107,6 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-_setattr = object.__setattr__
 
 
 # every public name, by its home layer
