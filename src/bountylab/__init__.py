@@ -6,10 +6,10 @@ open (large-crowd limit) programs, validates the closed forms by Monte Carlo
 and enumeration oracles, and implements the commit-reveal protocol that makes
 planted bugs publicly credible.
 
-Every public class is a frozen record, not a dataclass: it is built from its
-fields (``__match_args__``) by position or keyword, validates them on
-construction, compares and hashes field by field within its own class, and
-raises AttributeError on assignment.
+Every public class is a frozen record: it is built from its fields
+(``__match_args__``) by position or keyword, validates them on construction,
+compares and hashes field by field within its own class, and raises
+AttributeError on assignment.
 
 ``import bountylab`` executes none of the layers. ``costs``, ``rootfind``,
 ``game``, ``design``, ``asymptotic``, ``simulation`` and ``credibility`` are
@@ -50,9 +50,9 @@ class _Record:
         cls._defaults = {name: getattr(cls, name) for name in cls.__match_args__ if hasattr(cls, name)}
 
     def __init__(self, *args, **kwargs):
-        # object.__setattr__ per field, as a frozen dataclass does: touching
-        # self.__dict__ would turn the object's inline attribute values into a
-        # dict, and every later read of a field would be slower
+        # object.__setattr__ per field: touching self.__dict__ would turn the
+        # object's inline attribute values into a dict, and on CPython 3.11
+        # every later read of a field would take about twice as long
         fields = self.__match_args__
         for name, value in zip(fields, args):
             _setattr(self, name, value)

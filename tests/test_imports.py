@@ -134,7 +134,7 @@ def test_each_mode_executes_only_its_layers(tmp_path, mode):
     """In a fresh process, and only simulate loads numpy. The config modes
     load json to read the config and csv to write their tables; the protocol
     modes load neither. No mode loads dataclasses; the protocol modes load no
-    fractions, and only commit, reading the clock, loads datetime."""
+    fractions, and of them only commit, which reads the clock, loads datetime."""
     proc = _python("-c", _RUN_MODE, *_mode_argv(mode, tmp_path))
     code, executed, numpy_loaded, at_start, loaded, stdlib = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
