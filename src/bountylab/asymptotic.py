@@ -36,7 +36,7 @@ from .design import (
     solve_c_a,
     solve_c_tilde,
 )
-from .game import MAX_TABLE_N, GameConfig, PrizeSchedule, _check_prize_count, solve_equilibrium
+from .game import MAX_TABLE_N, GameConfig, PrizeSchedule, _check_prize_count, _entries, solve_equilibrium
 from .rootfind import PINNED_LOW, bisect_decreasing
 
 # A set distance tries 2^(L+1) zero patterns per slice. On a 2-vCPU Xeon, one
@@ -96,8 +96,7 @@ def solve_kappa_star(prizes: PrizeSchedule, config: GameConfig) -> PublicOutcome
     # S2 = (sum v mu q^2 + sum v_a q_a^2) / c_low <= s, as q <= 1. So the gap
     # is positive at (s - 1) / s, which brackets the positive root from below
     # however close s is to 1.
-    slope = sum(p * b.mu * b.q for p, b in zip(prizes.v, config.bugs))
-    slope += sum(a.v_a * a.q_a for a in prizes.artificial)
+    slope = sum(v * mu * q for v, mu, q, _ in _entries(prizes, config))
 
     def gap(k: float) -> float:
         return psi_infinity(k, prizes, config) - k
@@ -217,7 +216,7 @@ def optimize_public(config: GameConfig) -> PublicDesignReport:
     ka = solve_kappa_a(config.budget, config)
     k0 = solve_kappa0(config.budget, config)
     k_star, schedule, verdict = _design(
-        config, kt, ka, k0, lambda k: (k * c_low, k, lambda q: _p_inf(q, k)), utility_infinity, True
+        config, kt, ka, k0, lambda k: (k * c_low, k, lambda q: _p_inf(q, k)), utility_infinity
     )
     return PublicDesignReport(
         kappa_tilde=kt,
@@ -324,8 +323,8 @@ def solution_set_distance(config: GameConfig, n: int, q_a: float) -> SetDistance
 
 def _optimal_levels(config: GameConfig) -> tuple[float, float]:
     """min(c_tilde, c_a) and min(kappa_tilde, kappa_a): the levels
-    ``design._design`` returns with allow_artificial=True for the finite-n
-    and for the limit stage model, that is optimize(config).c_hat_star and
+    ``design._design`` returns for the finite-n and for the limit stage
+    model, that is optimize(config).c_hat_star and
     optimize_public(config).kappa_hat_star, from four of their root solves."""
     budget = config.budget
     c_star = min(solve_c_tilde(config), solve_c_a(budget, config))

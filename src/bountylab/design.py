@@ -19,7 +19,7 @@ and planting an artificial bug helps exactly when c_tilde > c_0.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from . import _Record
 from .game import (
@@ -146,14 +146,13 @@ class DesignReport(_Record):
     best_bug: int
 
 
-def optimize(config: GameConfig, allow_artificial: bool = True) -> DesignReport:
+def optimize(config: GameConfig) -> DesignReport:
     """Optimal threshold min(c_tilde, c_a) and one schedule that attains it.
 
     The optimum is a whole set of prize vectors; the canonical representative
     is the minimal-total-spend point: everything on an artificial bug with
     q_a = 1 when that helps, otherwise everything on the most cost-effective
-    organic bug, scaled to hit the target threshold exactly. With
-    ``allow_artificial=False`` the threshold is capped at c_0 instead of c_a.
+    organic bug, scaled to hit the target threshold exactly.
     """
     n, dist = config.n, config.dist
     c_tilde = solve_c_tilde(config)
@@ -164,9 +163,7 @@ def optimize(config: GameConfig, allow_artificial: bool = True) -> DesignReport:
         F = dist.cdf(c)
         return c, F, lambda q: _phi(c, F, q, n, dist)
 
-    c_hat_star, schedule, verdict = _design(
-        config, c_tilde, c_a, c0b, incentive, designer_utility, allow_artificial
-    )
+    c_hat_star, schedule, verdict = _design(config, c_tilde, c_a, c0b, incentive, designer_utility)
     return DesignReport(
         c_tilde=c_tilde,
         c_a=c_a,
@@ -181,43 +178,42 @@ def optimize(config: GameConfig, allow_artificial: bool = True) -> DesignReport:
 
 
 def _design(
-    config: GameConfig, free: float, cap: float, single, incentive, utility, allow_artificial: bool
+    config: GameConfig, free: float, cap: float, single, incentive, utility
 ) -> tuple[float, PrizeSchedule, dict]:
     """The designer algorithm of the invited and the public program, run on
     their three solves: the free optimum, the cap (the whole budget on one
     q_a = 1 planted bug) and the best single-organic-bug breakdown. Returns
-    the level min(free, cap), or min(free, level_0) without an artificial
-    bug, the minimal-spend schedule and the report fields both programs share
-    (see ``DesignReport``). ``incentive(level)`` returns the incentive the
-    level needs, its participation, and ``unit(q)``, the incentive one prize
-    unit buys on a bug of find probability q; ``utility`` is the program's W."""
+    the level min(free, cap), the minimal-spend schedule and the report
+    fields both programs share (see ``DesignReport``). ``incentive(level)``
+    returns the incentive the level needs, its participation, and
+    ``unit(q)``, the incentive one prize unit buys on a bug of find
+    probability q; ``utility`` is the program's W."""
     level_0 = single.per_bug[single.best_bug]
     # An artificial bug pays off iff it moves the constrained optimum, i.e.
     # min(free, cap) > level_0. On any config whose best organic bug has
     # mu q < 1 this is the plain free > level_0 test (since then cap > level_0);
     # the min() guard only matters when level_0 = cap and nothing can be gained.
     band = MARGINAL_BAND * max(abs(free), abs(level_0))
-    beneficial = min(free, cap) - level_0 > band
-    with_artificial = utility(min(free, cap), config)
-    organic_only = utility(min(free, level_0), config)
-    level = min(free, cap if allow_artificial else level_0)
+    level = min(free, cap)
+    beneficial = level - level_0 > band
+    with_artificial = utility(level, config)
     target, participation, unit = incentive(level)
     if target <= 0.0 or participation <= 0.0:
         schedule = PrizeSchedule.zero(len(config.bugs))
-    elif allow_artificial and beneficial:
-        schedule = _planted(config, min(target / unit(1.0), config.budget))
     else:
+        # the planted bug is a bug with mu = q = 1
         bug = config.bugs[single.best_bug]
-        per_unit = bug.mu * unit(bug.q)
+        mu, q = (1.0, 1.0) if beneficial else (bug.mu, bug.q)
+        per_unit = mu * unit(q)
         # a per-unit incentive that underflows to 0 needs the whole budget
-        v_l = min(target / per_unit, config.budget) if per_unit > 0.0 else config.budget
-        schedule = _on_bug(config, single.best_bug, v_l)
+        prize = min(target / per_unit, config.budget) if per_unit > 0.0 else config.budget
+        schedule = _planted(config, prize) if beneficial else _on_bug(config, single.best_bug, prize)
     return level, schedule, dict(
         beneficial=beneficial,
         marginal=abs(free - level_0) <= band,
         margin=free - level_0,
-        gain=with_artificial - organic_only,
-        utility_at_optimum=with_artificial if allow_artificial else organic_only,
+        gain=with_artificial - utility(min(free, level_0), config),
+        utility_at_optimum=with_artificial,
     )
 
 

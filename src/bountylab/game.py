@@ -9,8 +9,12 @@ iff the cost is at most a threshold. With rivals at threshold ``c_hat``:
                         searching agent wins that bug's prize (conditional on
                         the bug existing), with Phi -> q as F -> 0;
 * ``expected_benefit_psi``  a searcher's total expected prize money, the sum
-                        of v * mu * Phi over organic bugs plus v_a * Phi over
-                        artificial ones.
+                        of v * mu * Phi over the posted entries.
+
+An artificial entry (v_a, q_a) is a bug with mu = 1 and w = 0: the designer
+plants it, so it exists for sure, and finding it is worth nothing to the
+designer. Every closed form written for organic bugs covers it with those
+values, and ``_entries`` lists the posted entries that way.
 
 The symmetric equilibrium threshold is the fixed point of Psi, pinned at an
 end of the cost support when Psi never crosses the identity (solve_equilibrium).
@@ -21,7 +25,6 @@ from __future__ import annotations
 import math
 import sys
 from math import comb
-from typing import NamedTuple
 
 from . import _Record
 from .costs import CostDistribution
@@ -155,8 +158,6 @@ def _detect(c: float, F: float, q: float, n: int, dist: CostDistribution) -> flo
 
 
 def _phi(c: float, F: float, q: float, n: int, dist: CostDistribution) -> float:
-    if q <= 0.0:
-        return 0.0
     if q * F < _TINY:
         return q
     return _detect(c, F, q, n, dist) / (n * F)
@@ -216,6 +217,14 @@ def _check_prize_count(prizes: PrizeSchedule, config: GameConfig) -> None:
         )
 
 
+def _entries(prizes: PrizeSchedule, config: GameConfig) -> list[tuple[float, float, float, float]]:
+    """(prize, mu, q, w) per posted entry: the organic bugs in order, then
+    each artificial entry as a bug with mu = 1 and w = 0."""
+    _check_prize_count(prizes, config)
+    entries = [(v, bug.mu, bug.q, bug.w) for v, bug in zip(prizes.v, config.bugs)]
+    return entries + [(a.v_a, 1.0, a.q_a, 0.0) for a in prizes.artificial]
+
+
 def expected_benefit_psi(c_hat: float, prizes: PrizeSchedule, config: GameConfig) -> float:
     """Psi(c_hat): expected prize winnings of a searching agent."""
     _check_prize_count(prizes, config)
@@ -244,30 +253,19 @@ def solve_equilibrium(prizes: PrizeSchedule, config: GameConfig) -> EquilibriumO
     return EquilibriumOutcome(c_star, boundary, *_stage_at(c_star, prizes, config))
 
 
-class _Stage(NamedTuple):
-    """The stage closed forms at one threshold: the fields of EquilibriumOutcome
-    after c_star and boundary, by name and in order."""
-
-    participation: float
-    detect_organic_conditional: tuple[float, ...]
-    detect_organic_unconditional: tuple[float, ...]
-    detect_artificial: tuple[float, ...]
-    expected_payout: float
-    designer_utility: float
-
-
-def _stage_at(c_hat: float, prizes: PrizeSchedule, config: GameConfig) -> _Stage:
-    """Participation, detection, expected payout and designer utility when
+def _stage_at(c_hat: float, prizes: PrizeSchedule, config: GameConfig) -> tuple:
+    """The fields of EquilibriumOutcome after c_star and boundary, in order:
+    participation, detection, expected payout and designer utility when
     every agent searches at threshold c_hat."""
     n, dist = config.n, config.dist
     F = dist.cdf(c_hat)
-    det_cond = tuple(_detect(c_hat, F, bug.q, n, dist) for bug in config.bugs)
-    det_uncond = tuple(bug.mu * d for bug, d in zip(config.bugs, det_cond))
-    det_art = tuple(_detect(c_hat, F, a.q_a, n, dist) for a in prizes.artificial)
-    payout = sum(p * d for p, d in zip(prizes.v, det_uncond))
-    payout += sum(a.v_a * d for a, d in zip(prizes.artificial, det_art))
-    value = sum(bug.w * d for bug, d in zip(config.bugs, det_uncond))
-    return _Stage(F, det_cond, det_uncond, det_art, payout, value - payout)
+    entries = _entries(prizes, config)
+    detect = [_detect(c_hat, F, q, n, dist) for _, _, q, _ in entries]
+    found = [mu * d for (_, mu, _, _), d in zip(entries, detect)]
+    payout = sum(v * f for (v, _, _, _), f in zip(entries, found))
+    value = sum(w * f for (_, _, _, w), f in zip(entries, found))
+    L = len(config.bugs)
+    return F, tuple(detect[:L]), tuple(found[:L]), tuple(detect[L:]), payout, value - payout
 
 
 def _found_variance(c_hat: float, prizes: PrizeSchedule, config: GameConfig, weights) -> float:
@@ -284,7 +282,7 @@ def _found_variance(c_hat: float, prizes: PrizeSchedule, config: GameConfig, wei
     """
     n, dist = config.n, config.dist
     F = dist.cdf(c_hat)
-    bugs = [(b.mu, b.q) for b in config.bugs] + [(1.0, a.q_a) for a in prizes.artificial]
+    bugs = [(mu, q) for _, mu, q, _ in _entries(prizes, config)]
     logs = [_log_miss(c_hat, F, q, n, dist) for _, q in bugs]
     total = 0.0
     for j, ((mu_j, q_j), l_j, w_j) in enumerate(zip(bugs, logs, weights)):

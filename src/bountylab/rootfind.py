@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 # The finder stops once the bracket is at most REL_TOL * |x| wide, about 4
 # ulps of x, or is two adjacent floats; evaluation noise in g is of that order.

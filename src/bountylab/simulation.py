@@ -53,7 +53,10 @@ holds O(CHUNK (L + K)) numbers whatever n and F are. No draw uses a
 closed form; estimates come with standard errors and the matching closed
 forms, read off ``game``, so a report row reads as a z-test. The mean
 rows are formed in an exact power-of-two unit of their prizes
-(``_mean_stat``), so their variances do not overflow in squared units.
+(``_mean_stat``), so their variances do not overflow in squared units. A
+mean row of a certain outcome has no sampling error; where its estimate
+parts from the closed form by no more than the closed form's rounding, it
+reads that rounding bound as its error.
 
 A chunk keeps no outcome past its own tally: per bug and per pair of
 bugs, the trials in which they were found and won, and per bug the trials
@@ -89,7 +92,7 @@ from . import _Record
 from .game import (
     GameConfig,
     PrizeSchedule,
-    _check_prize_count,
+    _entries,
     _found_variance,
     _is_int,
     _stage_at,
@@ -193,18 +196,12 @@ def _chunks(sim: SimConfig):
 
 
 def _bug_arrays(prizes: PrizeSchedule, game: GameConfig):
-    """mu and w per organic bug, then q and the prize per bug, organic
-    bugs first and artificial entries after them, as arrays."""
+    """The prize, mu, q and w per posted entry, as four arrays: the organic
+    bugs first, then the artificial entries, each a bug with mu = 1 and
+    w = 0 (``game._entries``)."""
     import numpy as np
 
-    bugs, art = game.bugs, prizes.artificial
-    columns = [
-        [b.mu for b in bugs],
-        [b.w for b in bugs],
-        [b.q for b in bugs] + [a.q_a for a in art],
-        list(prizes.v) + [a.v_a for a in art],
-    ]
-    return [np.array(c, dtype=float) for c in columns]
+    return np.array(_entries(prizes, game), dtype=float).T
 
 
 def _rival_law(rivals: int, F: float):
@@ -370,16 +367,14 @@ def _tallies(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig, pinned: bo
     dist = game.dist
     if not dist.c_low <= sim.threshold <= dist.c_high:
         raise ValueError("threshold must lie within the cost support")
-    _check_prize_count(prizes, game)
+    _, mu, q, _ = _bug_arrays(prizes, game)
     if game.n - 1 >= 2**63:
         raise ValueError("n - 1 must be below 2**63 to draw the rival count")
     F = dist.cdf(sim.threshold)
     chunk = min(CHUNK, sim.trials)
     draw_rivals = _rival_sampler(game.n - 1, F, chunk)
-    mus, _, q, _ = _bug_arrays(prizes, game)
-    L, J = len(mus), len(q)
-    mu = np.ones((J, 1))  # an artificial entry exists: u < 1 always holds
-    mu[:L, 0] = mus
+    L, J = len(game.bugs), len(q)
+    mu = mu[:, None]
     mu_q = mu * q[:, None]
     mu_miss = mu * (1.0 - q[:, None])
     # one buffer per call, refilled in place: a fresh one per chunk would
@@ -477,13 +472,15 @@ def _binomial_stat(name, hits, n_obs, closed):
     return SimStat(name, p, se, closed)
 
 
-def _mean_stat(name, weights, gram, count, closed, fallback_var):
+def _mean_stat(name, weights, gram, count, closed, fallback_var, rounding=0.0):
     """The mean of weights . x over count trials and its standard error,
     from the co-occurrence counts of the rows x (trials beyond count have
     x = 0), formed in units of 2^(e - 1), e the ``math.frexp`` exponent of
     the largest |weight|: the scale is exact, and squares stay in range.
     When every trial gave the same value the sample variance is 0, and
-    fallback_var(scaled weights, unit) stands in for it, in squared units."""
+    fallback_var(scaled weights, unit) stands in for it, in squared units.
+    Where that is 0 too the outcome is certain, and an estimate within
+    ``rounding`` of the closed form reads that bound as its error."""
     import numpy as np
 
     if count == 0:
@@ -499,7 +496,19 @@ def _mean_stat(name, weights, gram, count, closed, fallback_var):
     var = max(float(weights @ scaled_cov @ weights), 0.0) / (count * max(count - 1, 1))
     if var == 0.0:
         var = fallback_var(weights, unit)
-    return SimStat(name, float(weights @ hits) / count * unit, math.sqrt(var / count) * unit, closed)
+    estimate, se = float(weights @ hits) / count * unit, math.sqrt(var / count) * unit
+    if se == 0.0 and 0.0 < abs(estimate - closed) <= rounding:
+        se = rounding
+    return SimStat(name, estimate, se, closed)
+
+
+def _rounding_bound(terms) -> float:
+    """A bound on the rounding error of a closed form that sums k terms of
+    these magnitudes, each exact to a few ulps: (k + 2)^2 ulps of the
+    largest. Each of the k roundings of the running sums is at most an ulp
+    of a partial sum, which is at most k times the largest term (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3)."""
+    return (len(terms) + 2) ** 2 * math.ulp(float(max(terms)))
 
 
 def _winnings_variance(mean):
@@ -513,18 +522,22 @@ def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimRepo
     import numpy as np
 
     L = len(game.bugs)
-    _, ws, q, prize = _bug_arrays(prizes, game)
+    prize, mu, q, w = _bug_arrays(prizes, game)
     J = len(q)
     won_gram, found_gram, counts = _tallies(prizes, game, sim, pinned=False)
 
     found_n, won_n = np.diag(found_gram), np.diag(won_gram)
     eligible_n, exists_n = counts[:-1].reshape(2, J)
     c_hat = sim.threshold
-    stage = _stage_at(c_hat, prizes, game)
-    detect = stage.detect_organic_conditional + stage.detect_artificial
+    _, detect_cond, detect_uncond, detect_art, payout, utility = _stage_at(c_hat, prizes, game)
+    detect = detect_cond + detect_art
     phi = [win_prob_phi(c_hat, q_j, game.n, game.dist) for q_j in q]
     psi = expected_benefit_psi(c_hat, prizes, game)
-    surplus = np.pad(ws, (0, J - L)) - prize  # w_l - v_l, then -v_a
+    # the terms the closed forms sum: w P and v P per entry for the payout
+    # and W (P the chance it is found), v mu Phi for Psi
+    found = mu * detect
+    found_bound = _rounding_bound(np.concatenate((w * found, prize * found)))
+    won_bound = _rounding_bound(prize * mu * phi)
 
     def found_variance(weights, unit):
         return _found_variance(c_hat, prizes, game, weights.tolist())
@@ -540,21 +553,19 @@ def simulate(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> SimRepo
         trials=sim.trials,
         seed=sim.seed,
         threshold=c_hat,
-        detect_unconditional=group(
-            "detect_uncond_bug", org, found_n, [sim.trials] * L, stage.detect_organic_unconditional
-        ),
+        detect_unconditional=group("detect_uncond_bug", org, found_n, [sim.trials] * L, detect_uncond),
         detect_conditional=group("detect_cond_bug", org, found_n, exists_n, detect),
         detect_artificial=group("detect_artificial", art, found_n, exists_n, detect),
         win_organic=group("win_bug", org, won_n, eligible_n, phi),
         win_artificial=group("win_artificial", art, won_n, eligible_n, phi),
         payout=_mean_stat(
-            "payout_total", prize, found_gram, sim.trials, stage.expected_payout, found_variance
+            "payout_total", prize, found_gram, sim.trials, payout, found_variance, found_bound
         ),
         utility=_mean_stat(
-            "designer_utility", surplus, found_gram, sim.trials, stage.designer_utility, found_variance
+            "designer_utility", w - prize, found_gram, sim.trials, utility, found_variance, found_bound
         ),
         marginal_benefit=_mean_stat(
-            "marginal_benefit", prize, won_gram, int(counts[-1]), psi, _winnings_variance(psi)
+            "marginal_benefit", prize, won_gram, int(counts[-1]), psi, _winnings_variance(psi), won_bound
         ),
     )
 
@@ -574,9 +585,7 @@ class DeviationGap(_Record):
 def check_equilibrium(prizes: PrizeSchedule, game: GameConfig, sim: SimConfig) -> DeviationGap:
     """Pin one agent to always search against n - 1 threshold rivals and
     compare the pinned agent's mean winnings to the equilibrium threshold."""
-    import numpy as np
-
-    prize = _bug_arrays(prizes, game)[3]
+    prize = _bug_arrays(prizes, game)[0]
     won_gram = _tallies(prizes, game, sim, pinned=True)[0]
 
     outcome = solve_equilibrium(prizes, game)

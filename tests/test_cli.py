@@ -626,6 +626,29 @@ def test_a_simulated_game_whose_prizes_square_out_of_range_exits_0(tmp_path, cap
         assert all(math.isfinite(x) for x in cells), row
 
 
+@pytest.mark.parametrize(
+    "v, v_a", [(1e300, 5e-324), (1.7e308, 1e300)], ids=["subnormal_plant", "huge_plant"]
+)
+def test_a_certain_outcome_off_by_its_rounding_exits_0(tmp_path, capsys, v, v_a):
+    """w = v on the organic bug, so W's sample is -v_a in every trial: the
+    planted bug is found for sure and the row has no sampling error. Its
+    closed form w P - (v P + v_a) loses v_a to the rounding of v P, and the
+    row compares within that rounding, so z reads a float, not inf."""
+    cfg = json.loads((DATA / "equilibrium_example.json").read_text(encoding="utf-8"))
+    cfg["game"]["bugs"][0]["w"] = v
+    cfg["prizes"] = {"v": [v], "artificial": [{"v_a": v_a, "q_a": 1.0}]}
+    argv = ["simulate", "--config", _write_config(tmp_path, cfg), "--seed", "3", "--trials", "500"]
+    code = main([*argv, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == f"{tmp_path / 'sim_report.csv'}\n"
+    rows = {row.pop("statistic"): row for row in _read_csv(tmp_path / "sim_report.csv")}
+    for name, row in rows.items():
+        assert all(math.isfinite(float(cell)) for cell in row.values()), (name, row)
+    utility = rows["designer_utility"]
+    assert float(utility["estimate"]) == -v_a and abs(float(utility["z_score"])) <= 1.0
+
+
 # values at and next to both ends of the float range, and a few ordinary ones
 _FLOAT_EXTREMES = [
     5e-324, sys.float_info.min, 1e-300, 1e-12, 0.0, -1.0, 0.5, 1.0, 3.0, 1e12, 1e300, 1.7e308, -1.7e308

@@ -294,35 +294,30 @@ def test_optimize_where_the_incentive_per_prize_unit_underflows(uniform01):
     assert report.canonical_prizes.v == (3.0,)
 
 
-def _invited(rng, allow_artificial):
+def _invited(rng):
     config = random_game(rng)
-    r = optimize(config, allow_artificial=allow_artificial)
+    r = optimize(config)
     reached = solve_equilibrium(r.canonical_prizes, config).c_star
     return config, (r.c_tilde, r.c_a, r.c_0, r.c_hat_star), r.canonical_prizes, reached
 
 
-def _public(rng, allow_artificial):
+def _public(rng):
     config = random_public_game(rng)
     r = optimize_public(config)
     reached = solve_kappa_star(r.prizes, config).kappa_star
     return config, (r.kappa_tilde, r.kappa_a, r.kappa_0, r.kappa_hat_star), r.prizes, reached
 
 
-@pytest.mark.parametrize(
-    "designer, allow_artificial",
-    [(_invited, True), (_invited, False), (_public, True)],
-    ids=["optimize", "optimize_organic_only", "optimize_public"],
-)
-def test_optimize_round_trip_sweep(designer, allow_artificial):
-    """Both designers: the level is min(free, cap or level_0), the schedule
-    stays in budget, and solving its equilibrium gives the level back."""
+@pytest.mark.parametrize("designer", [_invited, _public], ids=["optimize", "optimize_public"])
+def test_optimize_round_trip_sweep(designer):
+    """Both designers: the level is min(free, cap), the schedule stays in
+    budget, and solving its equilibrium gives the level back."""
     rng = np.random.default_rng(23)
     for _ in range(200):
-        config, (free, cap, level_0, level), prizes, reached = designer(rng, allow_artificial)
+        config, (free, cap, level_0, level), prizes, reached = designer(rng)
         assert 0.0 <= level_0 <= cap + 1e-12
-        assert level == min(free, cap if allow_artificial else level_0)
+        assert level == min(free, cap)
         assert prizes.total_posted() <= config.budget + 1e-12
-        assert allow_artificial or not prizes.artificial
         assert abs(reached - level) <= 1e-8
 
 
@@ -339,10 +334,7 @@ def test_benefit_verdict_equals_utility_gain():
     for _ in range(100):
         config = random_game(rng)
         verdict = optimize(config)
-        gain = (
-            optimize(config, allow_artificial=True).utility_at_optimum
-            - optimize(config, allow_artificial=False).utility_at_optimum
-        )
+        gain = verdict.utility_at_optimum - designer_utility(min(verdict.c_tilde, verdict.c_0), config)
         assert verdict.gain == gain
         if abs(verdict.margin) <= 1e-6:
             continue  # skip knife-edge draws; the band is measure zero

@@ -7,7 +7,6 @@ import pytest
 from bountylab import (
     ArtificialBugDesign,
     CostDistribution,
-    EquilibriumOutcome,
     GameConfig,
     OrganicBug,
     PrizeSchedule,
@@ -17,7 +16,6 @@ from bountylab import (
     win_prob_phi,
     win_prob_phi_oracle,
 )
-from bountylab import game
 from conftest import random_game
 
 
@@ -222,11 +220,6 @@ def test_equilibrium_fixed_point_residual_and_payout_identity():
             )
         else:
             assert psi >= out.c_star - 1e-12
-
-
-def test_equilibrium_outcome_carries_the_stage_field_by_field():
-    """solve_equilibrium passes the stage closed forms by position."""
-    assert game._Stage._fields == EquilibriumOutcome.__match_args__[2:]
 
 
 def test_equilibrium_infinite_support():

@@ -49,6 +49,14 @@ def test_solver_core_imports_no_numpy(module):
     assert not [n for n in names if n == "numpy" or n.startswith("numpy.")]
 
 
+def test_no_module_imports_typing_when_it_executes():
+    """Annotations are strings (PEP 563) and callables come from
+    ``collections.abc``, so no module needs ``typing`` at run time."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = _import_time_modules(ast.parse(path.read_text(encoding="utf-8")))
+        assert not [n for n in names if n == "typing" or n.startswith("typing.")], path.name
+
+
 LAYERS = ("costs", "rootfind", "game", "design", "asymptotic", "simulation", "credibility")
 _EQUILIBRIUM = {"cli", "costs", "game", "rootfind"}
 _DESIGN = _EQUILIBRIUM | {"design"}

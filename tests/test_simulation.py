@@ -202,6 +202,25 @@ def test_zero_sample_variance_reads_the_exact_variance(uniform01):
         assert stat.std_error == 0.0 and stat.z_score == 0.0, stat
 
 
+def test_a_certain_mean_row_compares_within_the_closed_forms_rounding(uniform01):
+    """A lone searcher finds and wins both prizes, 0.3 and 0.1, whenever it
+    searches: at threshold 1 it always does, so W has no sampling error, and
+    at 0.5 neither do its winnings. The estimates part from the closed forms
+    by rounding only (-0.3 against -0.30000000000000004, 0.39999999999999997
+    against 0.4), and those rows read the closed form's rounding bound as
+    their error, so |z| <= 1 where an exact compare read inf. A row whose
+    estimate equals its closed form keeps an error of 0."""
+    config = GameConfig(n=1, bugs=(OrganicBug(1.0, 1.0, 0.1),), dist=uniform01, budget=1.0)
+    sched = PrizeSchedule(v=(0.3,), artificial=(ArtificialBugDesign(0.1, 1.0),))
+    always = simulate(sched, config, SimConfig(64, 1, 1.0))
+    half = simulate(sched, config, SimConfig(64, 1, 0.5))
+    for stat in (always.utility, half.marginal_benefit):
+        assert stat.estimate != stat.closed_form, stat
+        assert 0.0 < stat.std_error <= 64 * math.ulp(0.4) and abs(stat.z_score) <= 1.0, stat
+    for stat in (always.payout, always.marginal_benefit):
+        assert stat.estimate == stat.closed_form and stat.std_error == 0.0 and stat.z_score == 0.0, stat
+
+
 def test_check_equilibrium_rejects_bad_inputs(private_example):
     # the private example's support is [0, 1]
     for threshold in (-0.5, 1.5):
@@ -883,6 +902,9 @@ def _fields_hex(obj):
 # (n = 1).
 _PIN_BUGS = (OrganicBug(0.8, 0.1, 1.0), OrganicBug(0.6, 0.05, 2.0))
 _PIN_PRIZES = PrizeSchedule(v=(0.4, 0.3), artificial=(ArtificialBugDesign(0.2, 0.08),))
+_TWO_PLANTED = PrizeSchedule(
+    v=(0.4, 0.3), artificial=(ArtificialBugDesign(0.2, 0.08), ArtificialBugDesign(0.1, 0.5))
+)
 STREAM_PINS = {
     # name: (n, threshold, trials, seed), {call: sha256 of its report}
     "straddle": (
@@ -971,15 +993,19 @@ def test_stream_is_pinned(name, uniform01):
         (FOUND_GAME["bugs"], FOUND_PRIZES, 2, 0.99, 1000),
         # the pinned agent wins 0.5 in every trial: check_equilibrium's fallback
         (FOUND_GAME["bugs"], FOUND_PRIZES, 2, 0.001, 256),
+        # two artificial entries: the one schedule whose payout sum regroups
+        (_PIN_BUGS, _TWO_PLANTED, 3, 0.5, 1000),
     ],
-    ids=["pins", "equal_winnings", "equal_payouts", "pinned_equal_winnings"],
+    ids=["pins", "equal_winnings", "equal_payouts", "pinned_equal_winnings", "two_artificial"],
 )
 def test_mean_rows_scale_exactly_with_a_power_of_two_unit(uniform01, bugs, prizes, n, threshold, trials, k):
     """With every prize and bug value multiplied by 2^k, at the same threshold
     and seed, simulate's three mean rows and check_equilibrium read exactly
     2^k times their estimate and standard error, and the rows keep their
     z-scores: the variance's squared units neither overflow at 2^1000 nor
-    underflow at 2^-1000."""
+    underflow at 2^-1000. The payout and utility closed forms, the
+    expected_payout and designer_utility at the threshold, are within
+    1e-15 of the exactly rounded sums of their per-entry terms."""
     scale = 2.0**k
     game = GameConfig(n=n, bugs=bugs, dist=uniform01, budget=1.0)
     scaled_game = GameConfig(
@@ -998,3 +1024,9 @@ def test_mean_rows_scale_exactly_with_a_power_of_two_unit(uniform01, bugs, prize
     a = check_equilibrium(prizes, game, sim)
     b = check_equilibrium(scaled_prizes, scaled_game, sim)
     assert ((a.estimate * scale).hex(), (a.std_error * scale).hex()) == (b.estimate.hex(), b.std_error.hex())
+    found = [s.closed_form for s in base.detect_unconditional + base.detect_artificial]
+    paid = [v * f for v, f in zip(prizes.v + tuple(art.v_a for art in prizes.artificial), found)]
+    value = [bug.w * f for bug, f in zip(bugs, found)]
+    utility = math.fsum(value + [-x for x in paid])
+    assert base.payout.closed_form == pytest.approx(math.fsum(paid), rel=1e-15, abs=0.0)
+    assert base.utility.closed_form == pytest.approx(utility, rel=1e-15, abs=0.0)
