@@ -33,14 +33,23 @@ from .design import (
     _vertices,
     designer_utility,
     solution_set,
-    solve_c_a,
     solve_c_tilde,
 )
-from .game import MAX_TABLE_N, GameConfig, PrizeSchedule, _check_prize_count, _entries, solve_equilibrium
-from .rootfind import PINNED_LOW, bisect_decreasing
+from .game import (
+    MAX_TABLE_N,
+    GameConfig,
+    PrizeSchedule,
+    _check_prize_count,
+    _entries,
+    _is_int,
+    _threshold,
+    _threshold_problem,
+    solve_equilibrium,
+)
+from .rootfind import PINNED_LOW, REL_TOL, bisect_decreasing
 
 # A set distance tries 2^(L+1) zero patterns per slice. On a 2-vCPU Xeon, one
-# distance with 25 / 36 / 49 vertices took 0.25 / 1.4 / 10.4 s and a tracemalloc
+# distance with 25 / 36 / 48 vertices took 0.08 / 0.42 / 2.6 s and a tracemalloc
 # peak of 0.4 / 1.9 / 8.9 MB at L = 8 / 10 / 12 organic bugs; at that growth a
 # 20-bug slice would need gigabytes and hours.
 MAX_SLICE_BUGS = 10
@@ -89,6 +98,28 @@ def solve_kappa_star(prizes: PrizeSchedule, config: GameConfig) -> PublicOutcome
     zero, (sum v mu q + sum v_a q_a) / c_low, exceeds 1. The trivial flag
     marks the no-participation case.
     """
+    kappa = _kappa_root(prizes, config)
+    return PublicOutcome(
+        kappa_star=kappa,
+        detect_inf=tuple(detect_prob_infinity(b.q, kappa) for b in config.bugs),
+        utility_inf=utility_infinity(kappa, config),
+        trivial=kappa == 0.0,
+    )
+
+
+def _kappa_root(prizes: PrizeSchedule, config: GameConfig) -> float:
+    """kappa_star alone, without the outcomes evaluated there."""
+    problem = _kappa_problem(prizes, config)
+    if problem is None:
+        return 0.0
+    root, where = bisect_decreasing(*problem)
+    return 0.0 if where == PINNED_LOW else root
+
+
+def _kappa_problem(prizes: PrizeSchedule, config: GameConfig) -> tuple | None:
+    """(gap, lo, hi) that ``_kappa_root`` hands the finder: Psi_inf - id on a
+    bracket of its positive root; None when the slope at zero is at most 1,
+    so that zero is the only fixed point."""
     c_low = _require_positive_floor(config)
     # Psi_inf is concave with Psi_inf(0) = 0, so a positive fixed point needs
     # a slope s above 1 at zero. Since 1 - exp(-x) >= x - x^2/2, the gap
@@ -97,21 +128,13 @@ def solve_kappa_star(prizes: PrizeSchedule, config: GameConfig) -> PublicOutcome
     # is positive at (s - 1) / s, which brackets the positive root from below
     # however close s is to 1.
     slope = sum(v * mu * q for v, mu, q, _ in _entries(prizes, config))
+    if not slope / c_low > 1.0:
+        return None
 
     def gap(k: float) -> float:
         return psi_infinity(k, prizes, config) - k
 
-    kappa = 0.0
-    if slope / c_low > 1.0:
-        lower = (slope - c_low) / slope
-        root, where = bisect_decreasing(gap, lower, prizes.total_posted() / c_low)
-        kappa = 0.0 if where == PINNED_LOW else root
-    return PublicOutcome(
-        kappa_star=kappa,
-        detect_inf=tuple(detect_prob_infinity(b.q, kappa) for b in config.bugs),
-        utility_inf=utility_infinity(kappa, config),
-        trivial=kappa == 0.0,
-    )
+    return gap, (slope - c_low) / slope, prizes.total_posted() / c_low
 
 
 def detect_prob_infinity(q: float, kappa: float) -> float:
@@ -158,7 +181,7 @@ def solve_kappa_a(budget: float, config: GameConfig) -> float:
     _require_positive_floor(config)
     if not budget > 0.0:
         raise ValueError("budget must be > 0")
-    return solve_kappa_star(_planted(config, budget), config).kappa_star
+    return _kappa_root(_planted(config, budget), config)
 
 
 class Kappa0Breakdown(_Record):
@@ -173,7 +196,7 @@ def solve_kappa0(budget: float, config: GameConfig) -> Kappa0Breakdown:
     """Per-bug fixed points of budget mu_l (1 - exp(-q_l kappa)) / c_low."""
     _require_positive_floor(config)
     return _best_single_bug(
-        Kappa0Breakdown, budget, config, lambda prizes: solve_kappa_star(prizes, config).kappa_star
+        Kappa0Breakdown, budget, config, lambda prizes: _kappa_root(prizes, config)
     )
 
 
@@ -242,7 +265,7 @@ def convergence_table(
     _require_positive_floor(config)
     if any(n < 1 or n > MAX_TABLE_N for n in n_list):
         raise ValueError(f"n values must lie in [1, {MAX_TABLE_N}]")
-    kappa_star = solve_kappa_star(prizes, config).kappa_star
+    kappa_star = _kappa_root(prizes, config)
     rows = []
     for n in n_list:
         cfg_n = config.with_n(int(n))
@@ -281,8 +304,9 @@ def solution_set_distance(config: GameConfig, n: int, q_a: float) -> SetDistance
     the optimal finite-n threshold c* = min(c_tilde, c_a); the limit slice
     uses mu_l (1-exp(-q_l k))/c_low and (1-exp(-q_a k))/c_low, with
     right-hand side the optimal limiting participation k = min(kappa_tilde,
-    kappa_a). Those two levels take four root solves, and nothing else of
-    either designer is solved. Both slices are convex polytopes and the
+    kappa_a). Those two levels take two root solves where the budget cap is
+    slack and four where it binds (see ``_optimal_levels``), and nothing else
+    of either designer is solved. Both slices are convex polytopes and the
     distance to a convex set is a convex function, so each directed supremum
     sits at a vertex: the result is exact, the largest distance from a
     vertex of one slice to its projection onto the other. A slice has at
@@ -291,18 +315,18 @@ def solution_set_distance(config: GameConfig, n: int, q_a: float) -> SetDistance
     terms of a pattern that depend only on the slice are set up once per
     slice, leaving O(L) work per pattern and vertex. The cost grows as
     L^3 2^L, the memory as L 2^L, so more than ``MAX_SLICE_BUGS`` organic
-    bugs raise ValueError.
+    bugs raise ValueError, as does an n that is not an integer >= 2.
     """
     c_low = _require_positive_floor(config)
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if not (_is_int(n) and n >= 2):
+        raise ValueError("n must be an integer >= 2")
     if not 0.0 < q_a <= 1.0:
         raise ValueError("q_a must lie in (0, 1] for a meaningful slice")
     if len(config.bugs) > MAX_SLICE_BUGS:
         raise ValueError(f"a slice takes at most {MAX_SLICE_BUGS} organic bugs")
 
     budget = config.budget
-    cfg_n = config.with_n(int(n))
+    cfg_n = config.with_n(n)
     c_star, k_star = _optimal_levels(cfg_n)
     finite_set = solution_set(cfg_n, c_star, q_a)
     coeffs_inf = tuple(a / c_low for a in _slice_coeffs(config, lambda q: _p_inf(q, k_star), q_a))
@@ -325,11 +349,44 @@ def _optimal_levels(config: GameConfig) -> tuple[float, float]:
     """min(c_tilde, c_a) and min(kappa_tilde, kappa_a): the levels
     ``design._design`` returns for the finite-n and for the limit stage
     model, that is optimize(config).c_hat_star and
-    optimize_public(config).kappa_hat_star, from four of their root solves."""
-    budget = config.budget
-    c_star = min(solve_c_tilde(config), solve_c_a(budget, config))
-    k_star = min(solve_kappa_tilde(config), solve_kappa_a(budget, config))
+    optimize_public(config).kappa_hat_star, bit for bit. The free levels
+    take a root solve each; a cap (the whole budget on one q_a = 1 planted
+    bug) is solved only where one evaluation of its gap does not show it
+    slack, so a budget that binds costs four solves and one that does not
+    costs two."""
+    planted = _planted(config, config.budget)
+    c_star = _capped(
+        solve_c_tilde(config), _threshold_problem(planted, config), lambda: _threshold(planted, config)[0]
+    )
+    k_star = _capped(
+        solve_kappa_tilde(config), _kappa_problem(planted, config), lambda: _kappa_root(planted, config)
+    )
     return c_star, k_star
+
+
+# A cap is taken as slack only if its gap, read this far past the free level
+# (relative to it), is positive by this much (relative to the point read): a
+# few finder tolerances, so that a tie falls back to the solve.
+_SLACK_GUARD = 4.0 * REL_TOL
+
+
+def _capped(level: float, problem: tuple | None, solve_cap) -> float:
+    """min(level, solve_cap()) for a level >= 0, where ``problem`` is the
+    (gap, lo, hi) that the cap's finder is handed, or None when the cap is 0.
+
+    The cap is not solved when its gap reads above ``_SLACK_GUARD`` x at
+    x = level (1 + _SLACK_GUARD), or at lo if that is higher, below hi. Both
+    gaps (Psi - id, decreasing; Psi_inf - id, concave and 0 at 0) evaluate
+    to within a few ulps of x there, so every point up to x that the finder
+    tries reads positive and its last bracket, at most ``REL_TOL`` wide, lies
+    above the level: the cap exceeds the level, and min() returns the level.
+    """
+    if problem is not None:
+        gap, lo, hi = problem
+        x = max(level + _SLACK_GUARD * level + 4.0 * math.ulp(0.0), lo)
+        if x < hi and gap(x) > _SLACK_GUARD * x:
+            return level
+    return min(level, solve_cap())
 
 
 def _zero_patterns(coeffs) -> list[tuple]:
@@ -361,19 +418,26 @@ def _projection_distance(p, patterns, rhs: float, budget: float) -> float:
     binding, is an equality-constrained QP whose one or two multipliers
     solve by Cramer's rule; the projection is the nearest candidate that
     satisfies every constraint, to a slack of ``_FEAS_TOL`` times the budget.
+    A candidate's squared distance is formed first, and only one nearer than
+    the best so far is tested for feasibility; a pattern whose pinned
+    coordinates alone are no nearer is skipped.
     """
     tol = _FEAS_TOL * budget
     best = math.inf
     for free, pinned, fc, k, aa, a1, det, binds in patterns:
+        sq_pinned = sum(p[i] * p[i] for i in pinned)
+        if not sq_pinned < best:
+            continue
         ap = sum(c * p[i] for c, i in zip(fc, free)) - rhs
         p1 = sum(p[i] for i in free) - budget
         cases = [(ap / aa, 0.0)]
         if binds:
             cases.append(((ap * k - a1 * p1) / det, (aa * p1 - a1 * ap) / det))
-        sq_pinned = sum(p[i] * p[i] for i in pinned)
         for lam, nu in cases:
             step = [lam * c + nu for c in fc]
-            x = [p[i] - s for i, s in zip(free, step)]
-            if min(x) >= -tol and sum(x) <= budget + tol:
-                best = min(best, sq_pinned + sum(s * s for s in step))
+            d = sq_pinned + sum(s * s for s in step)
+            if d < best:
+                x = [p[i] - s for i, s in zip(free, step)]
+                if min(x) >= -tol and sum(x) <= budget + tol:
+                    best = d
     return math.sqrt(best)

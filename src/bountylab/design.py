@@ -29,7 +29,7 @@ from .game import (
     _detect,
     _log_miss,
     _phi,
-    solve_equilibrium,
+    _threshold,
     win_prob_phi,
 )
 from .rootfind import bisect_decreasing
@@ -79,7 +79,7 @@ def solve_c_a(budget: float, config: GameConfig) -> float:
     an artificial bug with q_a = 1 (fixed point of budget * Phi(c; 1))."""
     if not budget > 0.0:
         raise ValueError("budget must be > 0")
-    return solve_equilibrium(_planted(config, budget), config).c_star
+    return _threshold(_planted(config, budget), config)[0]
 
 
 def _planted(config: GameConfig, v_a: float) -> PrizeSchedule:
@@ -107,7 +107,7 @@ class C0Breakdown(_Record):
 def solve_c0(budget: float, config: GameConfig) -> C0Breakdown:
     """Per-bug fixed points of budget * mu_l * Phi(c; q_l) and their max."""
     return _best_single_bug(
-        C0Breakdown, budget, config, lambda prizes: solve_equilibrium(prizes, config).c_star
+        C0Breakdown, budget, config, lambda prizes: _threshold(prizes, config)[0]
     )
 
 
@@ -229,7 +229,7 @@ def collapse_artificial(prizes: PrizeSchedule, config: GameConfig) -> PrizeSched
         return prizes
     if all(a.q_a == 0.0 for a in prizes.artificial):
         return PrizeSchedule(v=prizes.v, artificial=(ArtificialBugDesign(0.0, 0.0),))
-    c_star = solve_equilibrium(prizes, config).c_star
+    c_star = _threshold(prizes, config)[0]
     keep = max(range(len(prizes.artificial)), key=lambda k: prizes.artificial[k].q_a)
     q_keep = prizes.artificial[keep].q_a
     phi_keep = win_prob_phi(c_star, q_keep, config.n, config.dist)

@@ -245,12 +245,22 @@ def solve_equilibrium(prizes: PrizeSchedule, config: GameConfig) -> EquilibriumO
     finite c_high when Psi there still exceeds it, and otherwise the unique
     interior fixed point, which on an unbounded support always exists.
     """
+    c_star, boundary = _threshold(prizes, config)
+    return EquilibriumOutcome(c_star, boundary, *_stage_at(c_star, prizes, config))
+
+
+def _threshold(prizes: PrizeSchedule, config: GameConfig) -> tuple[float, str]:
+    """The equilibrium threshold and where it lies, without the stage outcomes."""
+    return bisect_decreasing(*_threshold_problem(prizes, config))
+
+
+def _threshold_problem(prizes: PrizeSchedule, config: GameConfig) -> tuple:
+    """(gap, lo, hi) that ``_threshold`` hands the finder: Psi - id on the cost support."""
 
     def gap(c: float) -> float:
         return expected_benefit_psi(c, prizes, config) - c
 
-    c_star, boundary = bisect_decreasing(gap, config.dist.c_low, config.dist.c_high)
-    return EquilibriumOutcome(c_star, boundary, *_stage_at(c_star, prizes, config))
+    return gap, config.dist.c_low, config.dist.c_high
 
 
 def _stage_at(c_hat: float, prizes: PrizeSchedule, config: GameConfig) -> tuple:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bountylab import (
@@ -18,13 +18,15 @@ from bountylab import (
     psi_infinity,
     solution_set,
     solution_set_distance,
+    solve_c_tilde,
     solve_kappa0,
     solve_kappa_a,
     solve_kappa_star,
     solve_kappa_tilde,
     utility_infinity,
+    win_prob_phi,
 )
-from bountylab import asymptotic
+from bountylab import asymptotic, design, game, rootfind
 from bountylab.asymptotic import _optimal_levels, _projection_distance, _zero_patterns
 from bountylab.design import _vertices
 from conftest import random_public_game
@@ -447,6 +449,30 @@ def test_solution_set_distance_rejects_bad_args(public_example):
         solution_set_distance(public_example, 5, 0.0)
 
 
+@pytest.mark.parametrize("n", [20.9, 20.0, math.inf, True, np.int64(20)])
+def test_solution_set_distance_rejects_a_non_integer_n(public_example, n):
+    # the result reports n as given, so n must be the integer it solved for
+    with pytest.raises(ValueError, match="integer"):
+        solution_set_distance(public_example, n, 0.5)
+
+
+def test_solution_set_distance_solves_the_cap_only_where_it_binds(monkeypatch):
+    # the figure-5 game: at budget 6 both caps are slack and only the two free
+    # levels are solved; at budget 1.5 both caps bind and are solved as well
+    calls = []
+
+    def counted(g, lo, hi):
+        calls.append((lo, hi))
+        return rootfind.bisect_decreasing(g, lo, hi)
+
+    for module in (game, design, asymptotic):
+        monkeypatch.setattr(module, "bisect_decreasing", counted)
+    for budget, solves in ((6.0, 2), (1.5, 4)):
+        calls.clear()
+        solution_set_distance(_with_budget(TWO_BUGS, budget), 20, 0.5)
+        assert len(calls) == solves, budget
+
+
 def test_solution_set_distance_caps_the_bug_count(public_example, monkeypatch):
     def enumerate_patterns(coeffs):
         raise AssertionError("the zero patterns were enumerated")
@@ -504,21 +530,47 @@ def _dykstra_distances(points, coeffs, rhs, budget, sweeps=50_000):
     return np.linalg.norm(p - x, axis=1)
 
 
-def _assert_projections_match_dykstra(points, coeffs, rhs, budget):
+def _projection_distance_unpruned(p, patterns, rhs, budget):
+    """``_projection_distance`` before its candidates were pruned: every
+    candidate is tested for feasibility. The bitwise oracle of the pruned one."""
+    tol = design._FEAS_TOL * budget
+    best = math.inf
+    for free, pinned, fc, k, aa, a1, det, binds in patterns:
+        ap = sum(c * p[i] for c, i in zip(fc, free)) - rhs
+        p1 = sum(p[i] for i in free) - budget
+        cases = [(ap / aa, 0.0)]
+        if binds:
+            cases.append(((ap * k - a1 * p1) / det, (aa * p1 - a1 * ap) / det))
+        sq_pinned = sum(p[i] * p[i] for i in pinned)
+        for lam, nu in cases:
+            step = [lam * c + nu for c in fc]
+            x = [p[i] - s for i, s in zip(free, step)]
+            if min(x) >= -tol and sum(x) <= budget + tol:
+                best = min(best, sq_pinned + sum(s * s for s in step))
+    return math.sqrt(best)
+
+
+def _assert_projections_match_dykstra(points, coeffs, rhs, budget) -> int:
+    """Checks the projections of ``points`` against Dykstra to 1e-12 of the
+    budget and against the unpruned search bit for bit; returns their count."""
     oracle = _dykstra_distances(points, coeffs, rhs, budget)
     patterns = _zero_patterns(coeffs)
     got = [_projection_distance(tuple(v), patterns, rhs, budget) for v in points]
     assert np.abs(np.asarray(got) - oracle).max() <= 1e-12 * budget, (coeffs, rhs, got, oracle)
+    assert got == [_projection_distance_unpruned(tuple(v), patterns, rhs, budget) for v in points]
+    return len(got)
 
 
 def test_projection_matches_dykstra_on_figure5_slices():
     # L = 2: each vertex of one slice projected onto the other, both ways
     budget = TWO_BUGS.budget
+    projections = 0
     for q_a in FIG5_Q_A:
         for n in FIG5_N:
             (a_n, r_n), (a_inf, r_inf) = _slices(TWO_BUGS, n, q_a)
-            _assert_projections_match_dykstra(_vertices(a_n, r_n, budget), a_inf, r_inf, budget)
-            _assert_projections_match_dykstra(_vertices(a_inf, r_inf, budget), a_n, r_n, budget)
+            projections += _assert_projections_match_dykstra(_vertices(a_n, r_n, budget), a_inf, r_inf, budget)
+            projections += _assert_projections_match_dykstra(_vertices(a_inf, r_inf, budget), a_n, r_n, budget)
+    assert projections == 72
 
 
 def test_projection_matches_dykstra_on_random_slices():
@@ -555,7 +607,47 @@ def _public_games(draw):
     )
 
 
+def _cap_edge_games() -> list[GameConfig]:
+    """Games at the edges of the budget cap, in each cost family (power with
+    alpha below and above 1): the cap meeting the free level (c_a = c_tilde
+    at budget c_tilde / Phi(c_tilde; 1), kappa_a = kappa_tilde at budget
+    c_low kappa_tilde / (1 - exp(-kappa_tilde))), each also nudged by one ulp
+    either way; a cap binding below both free levels; budget at and below
+    c_low (kappa_a = 0); and c_tilde pinned at c_low and at c_high."""
+    bugs = (OrganicBug(0.5, 0.5, 10.0), OrganicBug(0.8, 0.3, 6.0))
+    games = []
+    for dist in (
+        CostDistribution.uniform(1.0, 2.0),
+        CostDistribution.power(0.5, 1.5, 0.5),
+        CostDistribution.power(1.0, 2.5, 2.0),
+        CostDistribution.exponential(0.8, 1.5),
+    ):
+        base = GameConfig(n=20, bugs=bugs, dist=dist, budget=5.0)
+        c_tilde, k_tilde = solve_c_tilde(base), solve_kappa_tilde(base)
+        c_tie = c_tilde / win_prob_phi(c_tilde, 1.0, base.n, dist)
+        k_tie = dist.c_low * k_tilde / -math.expm1(-k_tilde)
+        for tie in (c_tie, k_tie):
+            for budget in (math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf)):
+                games.append(_with_budget(base, budget))
+        for budget in (0.5 * min(c_tie, k_tie), dist.c_low, 0.5 * dist.c_low):
+            games.append(_with_budget(base, budget))
+    # sum w mu q <= c_low pins c_tilde at c_low; Omega(c_high) >= c_high at c_high
+    low = GameConfig(n=20, bugs=(OrganicBug(0.5, 0.5, 2.0),), dist=CostDistribution.uniform(1.0, 2.0), budget=5.0)
+    high = GameConfig(n=2, bugs=(OrganicBug(1.0, 0.5, 20.0),), dist=CostDistribution.uniform(1.0, 2.0), budget=50.0)
+    return games + [low, high, _with_budget(high, 2.5)]
+
+
+def _with_examples(configs):
+    def decorate(test):
+        for config in configs:
+            test = example(config)(test)
+        return test
+
+    return decorate
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@_with_examples(_cap_edge_games())
 @given(_public_games())
 def test_optimal_levels_are_the_designers(config):
     # solution_set_distance reads only these two levels: they must be the
