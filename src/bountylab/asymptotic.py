@@ -49,7 +49,7 @@ from .game import (
 from .rootfind import PINNED_LOW, REL_TOL, bisect_decreasing
 
 # A set distance tries 2^(L+1) zero patterns per slice. On a 2-vCPU Xeon, one
-# distance with 25 / 36 / 48 vertices took 0.08 / 0.42 / 2.6 s and a tracemalloc
+# distance with 25 / 36 / 48 vertices took 0.07 / 0.44 / 2.4 s and a tracemalloc
 # peak of 0.4 / 1.9 / 8.9 MB at L = 8 / 10 / 12 organic bugs; at that growth a
 # 20-bug slice would need gigabytes and hours.
 MAX_SLICE_BUGS = 10
