@@ -2,9 +2,9 @@
 
 Computes the symmetric equilibrium of the second-stage search game, solves
 the designer's prize and artificial-bug problem for invited (finite-n) and
-open (large-crowd limit) programs, validates the closed forms by Monte Carlo
-and enumeration oracles, and implements the commit-reveal protocol that makes
-planted bugs publicly credible.
+open (large-crowd limit) programs, validates the closed forms by Monte Carlo,
+and implements the commit-reveal protocol that makes planted bugs publicly
+credible.
 
 Every public class is a frozen record: it is built from its fields
 (``__match_args__``) by position or keyword, validates them on construction,
@@ -122,7 +122,6 @@ _EXPORTS = {
         "expected_benefit_psi",
         "solve_equilibrium",
         "win_prob_phi",
-        "win_prob_phi_oracle",
     ),
     "design": (
         "C0Breakdown",

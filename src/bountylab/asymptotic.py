@@ -33,6 +33,7 @@ from .design import (
     _vertices,
     designer_utility,
     solution_set,
+    solve_c_a,
     solve_c_tilde,
 )
 from .game import (
@@ -42,17 +43,9 @@ from .game import (
     _check_prize_count,
     _entries,
     _is_int,
-    _threshold,
-    _threshold_problem,
     solve_equilibrium,
 )
-from .rootfind import PINNED_LOW, REL_TOL, bisect_decreasing
-
-# A set distance tries 2^(L+1) zero patterns per slice. On a 2-vCPU Xeon, one
-# distance with 25 / 36 / 48 vertices took 0.07 / 0.44 / 2.4 s and a tracemalloc
-# peak of 0.4 / 1.9 / 8.9 MB at L = 8 / 10 / 12 organic bugs; at that growth a
-# 20-bug slice would need gigabytes and hours.
-MAX_SLICE_BUGS = 10
+from .rootfind import PINNED_LOW, bisect_decreasing
 
 
 def _require_positive_floor(config: GameConfig) -> float:
@@ -109,17 +102,6 @@ def solve_kappa_star(prizes: PrizeSchedule, config: GameConfig) -> PublicOutcome
 
 def _kappa_root(prizes: PrizeSchedule, config: GameConfig) -> float:
     """kappa_star alone, without the outcomes evaluated there."""
-    problem = _kappa_problem(prizes, config)
-    if problem is None:
-        return 0.0
-    root, where = bisect_decreasing(*problem)
-    return 0.0 if where == PINNED_LOW else root
-
-
-def _kappa_problem(prizes: PrizeSchedule, config: GameConfig) -> tuple | None:
-    """(gap, lo, hi) that ``_kappa_root`` hands the finder: Psi_inf - id on a
-    bracket of its positive root; None when the slope at zero is at most 1,
-    so that zero is the only fixed point."""
     c_low = _require_positive_floor(config)
     # Psi_inf is concave with Psi_inf(0) = 0, so a positive fixed point needs
     # a slope s above 1 at zero. Since 1 - exp(-x) >= x - x^2/2, the gap
@@ -129,12 +111,13 @@ def _kappa_problem(prizes: PrizeSchedule, config: GameConfig) -> tuple | None:
     # however close s is to 1.
     slope = sum(v * mu * q for v, mu, q, _ in _entries(prizes, config))
     if not slope / c_low > 1.0:
-        return None
+        return 0.0
 
     def gap(k: float) -> float:
         return psi_infinity(k, prizes, config) - k
 
-    return gap, (slope - c_low) / slope, prizes.total_posted() / c_low
+    root, where = bisect_decreasing(gap, (slope - c_low) / slope, prizes.total_posted() / c_low)
+    return 0.0 if where == PINNED_LOW else root
 
 
 def detect_prob_infinity(q: float, kappa: float) -> float:
@@ -304,26 +287,18 @@ def solution_set_distance(config: GameConfig, n: int, q_a: float) -> SetDistance
     the optimal finite-n threshold c* = min(c_tilde, c_a); the limit slice
     uses mu_l (1-exp(-q_l k))/c_low and (1-exp(-q_a k))/c_low, with
     right-hand side the optimal limiting participation k = min(kappa_tilde,
-    kappa_a). Those two levels take two root solves where the budget cap is
-    slack and four where it binds (see ``_optimal_levels``), and nothing else
-    of either designer is solved. Both slices are convex polytopes and the
-    distance to a convex set is a convex function, so each directed supremum
-    sits at a vertex: the result is exact, the largest distance from a
-    vertex of one slice to its projection onto the other. A slice has at
-    most (L+1)(L+2)/2 vertices. A projection tries every pattern of zero
-    coordinates (2^(L+1) of them) with the budget row slack and binding; the
-    terms of a pattern that depend only on the slice are set up once per
-    slice, leaving O(L) work per pattern and vertex. The cost grows as
-    L^3 2^L, the memory as L 2^L, so more than ``MAX_SLICE_BUGS`` organic
-    bugs raise ValueError, as does an n that is not an integer >= 2.
+    kappa_a) (``_optimal_levels``). Both slices are convex polytopes and the
+    distance to a convex set is convex, so each directed supremum sits at a
+    vertex: the result is the largest distance from a vertex of one slice to
+    its projection onto the other (``_projection_distance``, O(L) memory).
+    A slice has at most (L+1)(L+2)/2 vertices, which set the memory, L^2.
+    An n that is not an integer >= 2 raises ValueError.
     """
     c_low = _require_positive_floor(config)
     if not (_is_int(n) and n >= 2):
         raise ValueError("n must be an integer >= 2")
     if not 0.0 < q_a <= 1.0:
         raise ValueError("q_a must lie in (0, 1] for a meaningful slice")
-    if len(config.bugs) > MAX_SLICE_BUGS:
-        raise ValueError(f"a slice takes at most {MAX_SLICE_BUGS} organic bugs")
 
     budget = config.budget
     cfg_n = config.with_n(n)
@@ -336,108 +311,122 @@ def solution_set_distance(config: GameConfig, n: int, q_a: float) -> SetDistance
     # a projection divides by sums of squared coefficients
     if not all(0.0 < a * a < math.inf for a in finite_set.coeffs + coeffs_inf):
         raise ValueError("a slice coefficient squares out of float range")
-    onto_inf = _zero_patterns(coeffs_inf)
-    onto_finite = _zero_patterns(finite_set.coeffs)
     distance = max(
-        max(_projection_distance(v, onto_inf, k_star, budget) for v in finite_set.vertices),
-        max(_projection_distance(v, onto_finite, c_star, budget) for v in vertices_inf),
+        max(_projection_distance(v, coeffs_inf, k_star, budget) for v in finite_set.vertices),
+        max(_projection_distance(v, finite_set.coeffs, c_star, budget) for v in vertices_inf),
     )
     return SetDistanceResult(distance, True, n, q_a)
 
 
 def _optimal_levels(config: GameConfig) -> tuple[float, float]:
-    """min(c_tilde, c_a) and min(kappa_tilde, kappa_a): the levels
-    ``design._design`` returns for the finite-n and for the limit stage
-    model, that is optimize(config).c_hat_star and
-    optimize_public(config).kappa_hat_star, bit for bit. The free levels
-    take a root solve each; a cap (the whole budget on one q_a = 1 planted
-    bug) is solved only where one evaluation of its gap does not show it
-    slack, so a budget that binds costs four solves and one that does not
-    costs two."""
-    planted = _planted(config, config.budget)
-    c_star = _capped(
-        solve_c_tilde(config), _threshold_problem(planted, config), lambda: _threshold(planted, config)[0]
-    )
-    k_star = _capped(
-        solve_kappa_tilde(config), _kappa_problem(planted, config), lambda: _kappa_root(planted, config)
-    )
+    """min(c_tilde, c_a) and min(kappa_tilde, kappa_a) from the designers' own
+    four solves: optimize(config).c_hat_star and
+    optimize_public(config).kappa_hat_star, bit for bit."""
+    c_star = min(solve_c_tilde(config), solve_c_a(config.budget, config))
+    k_star = min(solve_kappa_tilde(config), solve_kappa_a(config.budget, config))
     return c_star, k_star
 
 
-# A cap is taken as slack only if its gap, read this far past the free level
-# (relative to it), is positive by this much (relative to the point read): a
-# few finder tolerances, so that a tie falls back to the solve.
-_SLACK_GUARD = 4.0 * REL_TOL
-
-
-def _capped(level: float, problem: tuple | None, solve_cap) -> float:
-    """min(level, solve_cap()) for a level >= 0, where ``problem`` is the
-    (gap, lo, hi) that the cap's finder is handed, or None when the cap is 0.
-
-    The cap is not solved when its gap reads above ``_SLACK_GUARD`` x at
-    x = level (1 + _SLACK_GUARD), or at lo if that is higher, below hi. Both
-    gaps (Psi - id, decreasing; Psi_inf - id, concave and 0 at 0) evaluate
-    to within a few ulps of x there, so every point up to x that the finder
-    tries reads positive and its last bracket, at most ``REL_TOL`` wide, lies
-    above the level: the cap exceeds the level, and min() returns the level.
-    """
-    if problem is not None:
-        gap, lo, hi = problem
-        x = max(level + _SLACK_GUARD * level + 4.0 * math.ulp(0.0), lo)
-        if x < hi and gap(x) > _SLACK_GUARD * x:
-            return level
-    return min(level, solve_cap())
-
-
-def _zero_patterns(coeffs) -> list[tuple]:
-    """The slice-only terms of each choice of coordinates pinned at 0, for
-    ``_projection_distance``: the free and the pinned indices, the free
-    coefficients, their count k, sum of squares aa and sum a1, the
-    determinant aa k - a1^2 of the two-row system, and whether the budget
-    row can bind (the rows are not nearly parallel)."""
-    dim = len(coeffs)
-    patterns = []
-    for mask in range(1, 1 << dim):
-        free = [i for i in range(dim) if mask >> i & 1]
-        k = len(free)
-        aa = sum(coeffs[i] * coeffs[i] for i in free)
-        a1 = sum(coeffs[i] for i in free)
-        det = aa * k - a1 * a1
-        pinned = [i for i in range(dim) if not mask >> i & 1]
-        fc = [coeffs[i] for i in free]
-        # rows nearly parallel: the binding case is empty or already the slack one
-        patterns.append((free, pinned, fc, k, aa, a1, det, det > 1e-12 * aa * k))
-    return patterns
-
-
-def _projection_distance(p, patterns, rhs: float, budget: float) -> float:
+def _projection_distance(p, coeffs, rhs: float, budget: float) -> float:
     """Distance from p to {coeffs . x = rhs, x >= 0, sum(x) <= budget}, for
-    positive coeffs and rhs, given ``_zero_patterns(coeffs)``.
+    positive coeffs and rhs whose squares are finite and positive.
 
-    Each choice of coordinates pinned at 0, with the budget row slack or
-    binding, is an equality-constrained QP whose one or two multipliers
-    solve by Cramer's rule; the projection is the nearest candidate that
-    satisfies every constraint, to a slack of ``_FEAS_TOL`` times the budget.
-    A candidate's squared distance is formed first, and only one nearer than
-    the best so far is tested for feasibility; a pattern whose pinned
-    coordinates alone are no nearer is skipped.
+    By the KKT conditions the projection is x_i = max(p_i - lam a_i - nu, 0)
+    with nu >= 0 (Boyd and Vandenberghe, Convex Optimization, 2004, 5.5.3).
+    At nu = 0 the free set (the i with x_i > 0) comes from one sort of the
+    breakpoints p_i / a_i of a . x in lam (Condat, Math. Programming 158,
+    2016); if that point breaks the budget, ``_budget_walk`` finds it at
+    nu > 0. O(L log L) time, O(L) a step of the walk; O(L) memory.
     """
-    tol = _FEAS_TOL * budget
-    best = math.inf
-    for free, pinned, fc, k, aa, a1, det, binds in patterns:
-        sq_pinned = sum(p[i] * p[i] for i in pinned)
-        if not sq_pinned < best:
-            continue
-        ap = sum(c * p[i] for c, i in zip(fc, free)) - rhs
-        p1 = sum(p[i] for i in free) - budget
-        cases = [(ap / aa, 0.0)]
-        if binds:
-            cases.append(((ap * k - a1 * p1) / det, (aa * p1 - a1 * ap) / det))
-        for lam, nu in cases:
-            step = [lam * c + nu for c in fc]
-            d = sq_pinned + sum(s * s for s in step)
-            if d < best:
-                x = [p[i] - s for i, s in zip(free, step)]
-                if min(x) >= -tol and sum(x) <= budget + tol:
-                    best = d
-    return math.sqrt(best)
+    dim = len(coeffs)
+    order = sorted(range(dim), key=lambda i: p[i] / coeffs[i], reverse=True)
+    ap, aa = -rhs, 0.0
+    for j, i in enumerate(order, start=1):
+        ap += coeffs[i] * p[i]
+        aa += coeffs[i] * coeffs[i]
+        if j == dim or ap / aa >= p[order[j]] / coeffs[order[j]]:
+            break
+    free = sorted(order[:j])
+    step = _cramer(p, coeffs, rhs, budget, free, False)
+    if step is None:
+        free = _budget_walk(p, coeffs, rhs, budget, free)
+        step = _cramer(p, coeffs, rhs, budget, free, True) or _orthogonal(p, coeffs, rhs, budget, free)
+    pinned = sorted(set(range(dim)).difference(free))
+    return math.sqrt(sum(p[i] * p[i] for i in pinned) + sum(s * s for s in step))
+
+
+def _system(p, coeffs, rhs: float, budget: float, free: list[int]) -> tuple:
+    """The two-row system on the free indices, summed in ascending order:
+    their count k, sum of squares aa and sum a1, a . p - rhs and
+    sum(p) - budget over them, the determinant aa k - a1^2, and whether the
+    budget row can bind (the rows are not nearly parallel)."""
+    k, fc, fp = len(free), [coeffs[i] for i in free], [p[i] for i in free]
+    aa, a1 = sum([a * a for a in fc]), sum(fc)
+    det = aa * k - a1 * a1
+    ap = sum([a * x for a, x in zip(fc, fp)]) - rhs
+    return k, aa, a1, ap, sum(fp) - budget, det, det > 1e-12 * aa * k
+
+
+def _cramer(p, coeffs, rhs: float, budget: float, free: list[int], binding: bool) -> list | None:
+    """p - x on ``free`` for the point x that is 0 off ``free`` and meets
+    coeffs . x = rhs, and sum(x) = budget as well if ``binding`` and the rows
+    can bind, by Cramer's rule, as a zero-pattern enumeration solves each
+    pattern, bit for bit; None when x breaks x >= 0 or sum(x) <= budget by
+    more than ``_FEAS_TOL`` times the budget."""
+    k, aa, a1, ap, p1, det, binds = _system(p, coeffs, rhs, budget, free)
+    if binding and binds:
+        lam, nu = (ap * k - a1 * p1) / det, (aa * p1 - a1 * ap) / det
+    else:
+        lam, nu = ap / aa, 0.0
+    step = [lam * coeffs[i] + nu for i in free]
+    x = [p[i] - s for i, s in zip(free, step)]
+    if min(x) < -_FEAS_TOL * budget or sum(x) > budget + _FEAS_TOL * budget:
+        return None
+    return step
+
+
+def _orthogonal(p, coeffs, rhs: float, budget: float, free: list[int]) -> list:
+    """``_cramer``'s binding step where rounding breaks its slack (rows nearly
+    parallel), from the orthogonal rows 1 and a - mean(a) on ``free``."""
+    mean = sum(coeffs[i] for i in free) / len(free)
+    d = [coeffs[i] - mean for i in free]
+    nu = (sum(p[i] for i in free) - budget) / len(free)
+    lam = (sum(di * p[i] for di, i in zip(d, free)) - rhs + mean * budget) / sum(di * di for di in d)
+    return [nu + lam * di for di in d]
+
+
+def _budget_walk(p, coeffs, rhs: float, budget: float, free: list[int]) -> list[int]:
+    """The free set of the projection, from the free set at nu = 0 of a
+    point that spends more than the budget.
+
+    On a free set, lam = (ap - nu a1) / aa keeps a . x = rhs, so each x_i
+    is linear in nu with slope a_i a1 / aa - 1 and sum(x) falls with slope
+    k - a1^2 / aa >= 0. The walk raises nu to the next breakpoint, where a
+    free x_i falls to 0 or a pinned one rises to 0, and flips those indices,
+    until the root of sum(x) = budget comes first. A free set holds on one
+    interval of nu and an index flips at most once at one nu: the walk ends.
+    """
+    inside = [i in free for i in range(len(coeffs))]
+    nu, flipped = 0.0, set()
+    while True:
+        k, aa, a1, ap, p1, det, binds = _system(p, coeffs, rhs, budget, free)
+        root = (aa * p1 - a1 * ap) / det if binds else math.inf
+        rp = ap / aa
+        at, movers = math.inf, []
+        for i, (a, x, f) in enumerate(zip(coeffs, p, inside)):
+            slope = a * a1 / aa - 1.0
+            if slope == 0.0 or (slope < 0.0) != f or i in flipped:
+                continue
+            # a breakpoint that rounding puts before nu is taken at nu
+            crossing = max(nu, (a * rp - x) / slope)
+            if crossing < at:
+                at, movers = crossing, [i]
+            elif crossing == at:
+                movers.append(i)
+        if root <= at:
+            return free
+        flipped = flipped.union(movers) if at == nu else set(movers)
+        nu = at
+        for i in movers:
+            inside[i] = not inside[i]
+        free = [i for i, f in enumerate(inside) if f]

@@ -342,8 +342,6 @@ def _figures(cfg: RunConfig) -> list[Table]:
         raise ConfigError("$.prizes", "figures 3 and 4 require a prize schedule")
     if which & {3, 4, 5} and config.dist.c_low <= 0.0:
         raise ConfigError("$.game.dist.c_low", "figures 3 to 5 require c_low > 0")
-    if 5 in which and len(config.bugs) > asymptotic.MAX_SLICE_BUGS:
-        raise ConfigError("$.game.bugs", f"figure 5 takes at most {asymptotic.MAX_SLICE_BUGS} bugs")
     grid_points = params["grid_points"]
     lo = max(config.dist.c_low, 0.0)
     hi = config.dist.upper_bound()

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from math import comb
 
 from . import _Record
 from .costs import CostDistribution
@@ -35,8 +34,6 @@ from .rootfind import bisect_decreasing
 # rounding. A constant, since an attribute lookup per Phi call is measurable.
 _TINY = sys.float_info.min
 
-# Largest n for which the combinatorial oracle is allowed to run.
-ORACLE_MAX_N = 25
 # Largest n of a sweep over crowd sizes: asymptotic.convergence_table and the
 # CLI's n lists. It lives here, not in asymptotic, so the CLI can check a config
 # without executing asymptotic.
@@ -171,27 +168,6 @@ def win_prob_phi(c_hat: float, q: float, n: int, dist: CostDistribution) -> floa
     return _phi(c_hat, dist.cdf(c_hat), q, n, dist)
 
 
-def win_prob_phi_oracle(c_hat: float, q: float, n: int, dist: CostDistribution) -> float:
-    """Direct enumeration oracle for Phi.
-
-    Sums over the number k of the n - 1 rivals that participate and the
-    number t of those that also find the bug; the prize then splits uniformly
-    among the t + 1 finders. Kept independent of the closed form on purpose.
-    """
-    _check_q_n(q, n)
-    if n > ORACLE_MAX_N:
-        raise ValueError(f"oracle limited to n <= {ORACLE_MAX_N}")
-    F = dist.cdf(c_hat)
-    total = 0.0
-    for k in range(n):
-        weight = comb(n - 1, k) * F**k * (1.0 - F) ** (n - 1 - k)
-        inner = sum(
-            comb(k, t) * q**t * (1.0 - q) ** (k - t) / (t + 1) for t in range(k + 1)
-        )
-        total += weight * inner
-    return q * total
-
-
 def detect_prob(c_hat: float, q: float, n: int, dist: CostDistribution) -> float:
     """P(c_hat; q) = 1 - (1 - q F(c_hat))**n, evaluated stably."""
     _check_q_n(q, n)
@@ -251,16 +227,11 @@ def solve_equilibrium(prizes: PrizeSchedule, config: GameConfig) -> EquilibriumO
 
 def _threshold(prizes: PrizeSchedule, config: GameConfig) -> tuple[float, str]:
     """The equilibrium threshold and where it lies, without the stage outcomes."""
-    return bisect_decreasing(*_threshold_problem(prizes, config))
-
-
-def _threshold_problem(prizes: PrizeSchedule, config: GameConfig) -> tuple:
-    """(gap, lo, hi) that ``_threshold`` hands the finder: Psi - id on the cost support."""
 
     def gap(c: float) -> float:
         return expected_benefit_psi(c, prizes, config) - c
 
-    return gap, config.dist.c_low, config.dist.c_high
+    return bisect_decreasing(gap, config.dist.c_low, config.dist.c_high)
 
 
 def _stage_at(c_hat: float, prizes: PrizeSchedule, config: GameConfig) -> tuple:

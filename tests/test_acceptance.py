@@ -34,13 +34,13 @@ from bountylab import (
     solve_kappa_tilde,
     verify_reveal,
     win_prob_phi,
-    win_prob_phi_oracle,
     write_commitment_file,
     write_reveal_file,
     RevealRecord,
     SimConfig,
 )
 from conftest import random_game, random_public_game
+from phi_oracle import win_prob_phi_oracle
 
 DATA = Path(__file__).parent / "data"
 

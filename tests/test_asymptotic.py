@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from bountylab import (
     win_prob_phi,
 )
 from bountylab import asymptotic, design, game, rootfind
-from bountylab.asymptotic import _optimal_levels, _projection_distance, _zero_patterns
+from bountylab.asymptotic import _optimal_levels, _projection_distance
 from bountylab.design import _vertices
 from conftest import random_public_game
 
@@ -456,35 +458,6 @@ def test_solution_set_distance_rejects_a_non_integer_n(public_example, n):
         solution_set_distance(public_example, n, 0.5)
 
 
-def test_solution_set_distance_solves_the_cap_only_where_it_binds(monkeypatch):
-    # the figure-5 game: at budget 6 both caps are slack and only the two free
-    # levels are solved; at budget 1.5 both caps bind and are solved as well
-    calls = []
-
-    def counted(g, lo, hi):
-        calls.append((lo, hi))
-        return rootfind.bisect_decreasing(g, lo, hi)
-
-    for module in (game, design, asymptotic):
-        monkeypatch.setattr(module, "bisect_decreasing", counted)
-    for budget, solves in ((6.0, 2), (1.5, 4)):
-        calls.clear()
-        solution_set_distance(_with_budget(TWO_BUGS, budget), 20, 0.5)
-        assert len(calls) == solves, budget
-
-
-def test_solution_set_distance_caps_the_bug_count(public_example, monkeypatch):
-    def enumerate_patterns(coeffs):
-        raise AssertionError("the zero patterns were enumerated")
-
-    monkeypatch.setattr(asymptotic, "_zero_patterns", enumerate_patterns)
-    # a budget at which the slices are feasible, so only the cap stops the enumeration
-    bugs = public_example.bugs * (asymptotic.MAX_SLICE_BUGS + 1)
-    config = GameConfig(n=2, bugs=bugs, dist=public_example.dist, budget=20.0)
-    with pytest.raises(ValueError, match="at most"):
-        solution_set_distance(config, 5, 0.5)
-
-
 def _scaled_two_bugs(s):
     return GameConfig(
         n=2,
@@ -530,9 +503,58 @@ def _dykstra_distances(points, coeffs, rhs, budget, sweeps=50_000):
     return np.linalg.norm(p - x, axis=1)
 
 
-def _projection_distance_unpruned(p, patterns, rhs, budget):
-    """``_projection_distance`` before its candidates were pruned: every
-    candidate is tested for feasibility. The bitwise oracle of the pruned one."""
+def _zero_patterns(coeffs) -> list[tuple]:
+    """The slice-only terms of each choice of coordinates pinned at 0: the
+    free and the pinned indices, the free coefficients, their count k, sum
+    of squares aa and sum a1, the determinant aa k - a1^2 of the two-row
+    system, and whether the budget row can bind (the rows are not nearly
+    parallel). 2^(L+1) - 1 of them, so the enumeration serves up to L = 8."""
+    dim = len(coeffs)
+    patterns = []
+    for mask in range(1, 1 << dim):
+        free = [i for i in range(dim) if mask >> i & 1]
+        k = len(free)
+        aa = sum(coeffs[i] * coeffs[i] for i in free)
+        a1 = sum(coeffs[i] for i in free)
+        det = aa * k - a1 * a1
+        pinned = [i for i in range(dim) if not mask >> i & 1]
+        fc = [coeffs[i] for i in free]
+        patterns.append((free, pinned, fc, k, aa, a1, det, det > 1e-12 * aa * k))
+    return patterns
+
+
+def _enumerated_distance(p, patterns, rhs, budget):
+    """The projection by enumeration: each choice of coordinates pinned at 0,
+    with the budget row slack or binding, is an equality-constrained QP whose
+    multipliers solve by Cramer's rule, and the distance is that of the
+    nearest candidate within ``_FEAS_TOL`` times the budget of every
+    constraint. A candidate's squared distance is formed first, and only one
+    nearer than the best so far is tested; a pattern whose pinned
+    coordinates alone are no nearer is skipped."""
+    tol = design._FEAS_TOL * budget
+    best = math.inf
+    for free, pinned, fc, k, aa, a1, det, binds in patterns:
+        sq_pinned = sum(p[i] * p[i] for i in pinned)
+        if not sq_pinned < best:
+            continue
+        ap = sum(c * p[i] for c, i in zip(fc, free)) - rhs
+        p1 = sum(p[i] for i in free) - budget
+        cases = [(ap / aa, 0.0)]
+        if binds:
+            cases.append(((ap * k - a1 * p1) / det, (aa * p1 - a1 * ap) / det))
+        for lam, nu in cases:
+            step = [lam * c + nu for c in fc]
+            d = sq_pinned + sum(s * s for s in step)
+            if d < best:
+                x = [p[i] - s for i, s in zip(free, step)]
+                if min(x) >= -tol and sum(x) <= budget + tol:
+                    best = d
+    return math.sqrt(best)
+
+
+def _enumerated_distance_unpruned(p, patterns, rhs, budget):
+    """``_enumerated_distance`` with every candidate tested for feasibility:
+    the bitwise oracle of its pruning."""
     tol = design._FEAS_TOL * budget
     best = math.inf
     for free, pinned, fc, k, aa, a1, det, binds in patterns:
@@ -550,15 +572,23 @@ def _projection_distance_unpruned(p, patterns, rhs, budget):
     return math.sqrt(best)
 
 
-def _assert_projections_match_dykstra(points, coeffs, rhs, budget) -> int:
+def _assert_projections_match(points, coeffs, rhs, budget, bitwise=True) -> list:
     """Checks the projections of ``points`` against Dykstra to 1e-12 of the
-    budget and against the unpruned search bit for bit; returns their count."""
+    budget and, up to L = 8, against the enumeration: bit for bit, or to
+    1e-12 of the budget where ties between zero patterns leave the last bits
+    to rounding. Returns the distances."""
+    got = [_projection_distance(tuple(v), coeffs, rhs, budget) for v in points]
     oracle = _dykstra_distances(points, coeffs, rhs, budget)
-    patterns = _zero_patterns(coeffs)
-    got = [_projection_distance(tuple(v), patterns, rhs, budget) for v in points]
     assert np.abs(np.asarray(got) - oracle).max() <= 1e-12 * budget, (coeffs, rhs, got, oracle)
-    assert got == [_projection_distance_unpruned(tuple(v), patterns, rhs, budget) for v in points]
-    return len(got)
+    if len(coeffs) <= 9:
+        patterns = _zero_patterns(coeffs)
+        enumerated = [_enumerated_distance(tuple(v), patterns, rhs, budget) for v in points]
+        assert enumerated == [_enumerated_distance_unpruned(tuple(v), patterns, rhs, budget) for v in points]
+        if bitwise:
+            assert got == enumerated
+        else:
+            assert np.abs(np.asarray(got) - enumerated).max() <= 1e-12 * budget, (got, enumerated)
+    return got
 
 
 def test_projection_matches_dykstra_on_figure5_slices():
@@ -568,20 +598,113 @@ def test_projection_matches_dykstra_on_figure5_slices():
     for q_a in FIG5_Q_A:
         for n in FIG5_N:
             (a_n, r_n), (a_inf, r_inf) = _slices(TWO_BUGS, n, q_a)
-            projections += _assert_projections_match_dykstra(_vertices(a_n, r_n, budget), a_inf, r_inf, budget)
-            projections += _assert_projections_match_dykstra(_vertices(a_inf, r_inf, budget), a_n, r_n, budget)
+            projections += len(_assert_projections_match(_vertices(a_n, r_n, budget), a_inf, r_inf, budget))
+            projections += len(_assert_projections_match(_vertices(a_inf, r_inf, budget), a_n, r_n, budget))
     assert projections == 72
 
 
 def test_projection_matches_dykstra_on_random_slices():
     # L = 3, points inside and outside the budget simplex
     rng = np.random.default_rng(7)
+    projections = 0
     for _ in range(12):
         coeffs = tuple(float(a) for a in rng.uniform(0.1, 2.0, 4))
         budget = float(rng.uniform(1.0, 5.0))
         rhs = float(rng.uniform(0.05, 0.95)) * budget * max(coeffs)
         points = rng.uniform(-1.0, budget, (6, 4))
-        _assert_projections_match_dykstra(points, coeffs, rhs, budget)
+        projections += len(_assert_projections_match(points, coeffs, rhs, budget))
+    assert projections == 72
+
+
+def _cap_slices():
+    """The figure-5 slices where both caps bind (budget 1.5): at q_a = 1
+    each slice is about one point, the whole budget on the planted bug."""
+    config = _with_budget(TWO_BUGS, 1.5)
+    c_star, k_star = _optimal_levels(config.with_n(20))
+    assert c_star < solve_c_tilde(config.with_n(20)) and k_star < solve_kappa_tilde(config)
+    (a_n, r_n), (a_inf, r_inf) = _slices(config, 20, 1.0)
+    return [
+        (_vertices(a_n, r_n, 1.5), a_inf, r_inf, 1.5),
+        (_vertices(a_inf, r_inf, 1.5), a_n, r_n, 1.5),
+    ]
+
+
+def _degenerate_slices():
+    """(points, coeffs, rhs, budget) of slices where zero patterns tie."""
+    on_slice = _vertices((0.5, 1.0, 1.5), 2.0, 3.0)
+    return {
+        "binding_cap": _cap_slices(),
+        # budget = rhs / max(coeffs): the slice is the one point 3 e_3
+        "one_point": [([(0.0, 0.0, 3.0), (3.0, 0.0, 0.0), (1.0, 1.0, 1.0), (-1.0, 2.0, 4.0)], (0.5, 1.0, 2.0), 6.0, 3.0)],
+        # equal coefficients: every two-row system has det = 0
+        "equal_coeffs": [([(3.0, 0.0, 0.0), (1.0, 1.0, 0.0), (2.0, 2.0, 2.0), (-1.0, 0.5, 4.0)], (1.0, 1.0, 1.0), 2.0, 3.0)],
+        # a vertex of the slice projected onto the slice itself
+        "vertex_on_slice": [(on_slice, (0.5, 1.0, 1.5), 2.0, 3.0)],
+    }
+
+
+@pytest.mark.parametrize("case", ["binding_cap", "one_point", "equal_coeffs", "vertex_on_slice"])
+def test_projection_on_degenerate_slices(case):
+    for points, coeffs, rhs, budget in _degenerate_slices()[case]:
+        _assert_projections_match(points, coeffs, rhs, budget, bitwise=False)
+
+
+def _exact_distance(p, coeffs, rhs, budget):
+    """The projection by enumeration in exact rationals, with no slack: the
+    oracle where nearly parallel rows cost Cramer's rule its digits."""
+    p, a = [Fraction(x) for x in p], [Fraction(x) for x in coeffs]
+    rhs, budget = Fraction(rhs), Fraction(budget)
+    best = None
+    for mask in range(1, 1 << len(a)):
+        free = [i for i in range(len(a)) if mask >> i & 1]
+        k, aa, a1 = len(free), sum(a[i] * a[i] for i in free), sum(a[i] for i in free)
+        ap, p1 = sum(a[i] * p[i] for i in free) - rhs, sum(p[i] for i in free) - budget
+        det = aa * k - a1 * a1
+        cases = [(ap / aa, 0)] + ([((ap * k - a1 * p1) / det, (aa * p1 - a1 * ap) / det)] if det else [])
+        for lam, nu in cases:
+            step = {i: lam * a[i] + nu for i in free}
+            if min(p[i] - s for i, s in step.items()) >= 0 and sum(p[i] - s for i, s in step.items()) <= budget:
+                sq = sum(step.get(i, p[i]) ** 2 for i in range(len(a)))
+                best = sq if best is None else min(best, sq)
+    return math.sqrt(best)
+
+
+def test_projection_on_nearly_parallel_rows():
+    # coefficients 1.897 and 1.922 leave the budget-binding system of the
+    # projection nearly singular: Cramer's rule misses the budget by 5e-12 of
+    # it, so the float enumeration settles on a point 0.67 farther, and
+    # Dykstra has not converged after 4e5 sweeps
+    coeffs = (1.897333868072202, 1.9223292397549514, 1.386598435351513, 1.1420606935732895)
+    rhs, budget = 2.5456992898831636, 1.3346022272624434
+    p = (0.4033692722711095, -0.3933005252681979, -0.6122426841266687, 0.0807920295621265)
+    exact = _exact_distance(p, coeffs, rhs, budget)
+    assert abs(_projection_distance(p, coeffs, rhs, budget) - exact) <= 1e-12 * budget
+
+
+def _wide_game(bugs):
+    rng = np.random.default_rng(0)
+    draw = lambda: OrganicBug(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.1, 1.0)), float(rng.uniform(1.0, 10.0)))
+    return GameConfig(n=2, bugs=tuple(draw() for _ in range(bugs)), dist=CostDistribution.uniform(1.0, 2.0), budget=float(bugs))
+
+
+@pytest.mark.parametrize("bugs", [12, 20])
+def test_solution_set_distance_on_wide_slices(bugs):
+    # beyond the enumeration's reach: every vertex projection against Dykstra;
+    # a projection keeps O(L) floats, a tracemalloc peak of about 2.4 kB at
+    # L = 12 and 4.5 kB at L = 20, held here under 8 kB
+    config = _wide_game(bugs)
+    budget = config.budget
+    (a_n, r_n), (a_inf, r_inf) = _slices(config, 20, 0.5)
+    v_n, v_inf = _vertices(a_n, r_n, budget), _vertices(a_inf, r_inf, budget)
+    got = _assert_projections_match(v_n, a_inf, r_inf, budget) + _assert_projections_match(v_inf, a_n, r_n, budget)
+    assert solution_set_distance(config, 20, 0.5).distance == max(got)
+    tracemalloc.start()
+    try:
+        _projection_distance(v_n[0], a_inf, r_inf, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024, peak
 
 
 @st.composite

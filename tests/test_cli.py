@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bountylab import CostDistribution
-from bountylab.asymptotic import MAX_SLICE_BUGS
 from bountylab.cli import MAX_GRID_POINTS, RunConfig, _linspace, main
 
 DATA = Path(__file__).parent / "data"
@@ -159,13 +158,6 @@ def _figure1_on_two_bugs(cfg):
     cfg["figures"] = {"which": [1]}
 
 
-def _figure5_on_too_many_bugs(cfg):
-    cfg["game"]["dist"] = {"kind": "uniform", "c_low": 1.0, "c_high": 2.0}
-    cfg["game"]["bugs"] = [{"mu": 0.5, "q": 0.5, "w": 1.0}] * (MAX_SLICE_BUGS + 1)
-    cfg["prizes"]["v"] = [0.0] * (MAX_SLICE_BUGS + 1)
-    cfg["figures"] = {"which": [5]}
-
-
 def _figure1_at_q_a(q_a):
     # so small a q_a makes the artificial coefficient Phi(c_tilde; q_a) overflow v_a or vanish
     return lambda c: c.update(figures={"which": [1], "grid_points": 3, "q_a_fig1": [q_a]})
@@ -206,7 +198,6 @@ def _figure1_at_q(q):
         ("figures", "$.game.dist.c_low", lambda c: c.update(figures={"which": [3]})),
         ("figures", "$.figures.which", lambda c: c.update(figures={"which": [6]})),
         ("figures", "$.game.bugs", _figure1_on_two_bugs),
-        ("figures", "$.game.bugs", _figure5_on_too_many_bugs),
         ("design", "$.mode", lambda c: c.update(mode="bogus")),
         ("equilibrium", "$.prizes.v", lambda c: c["prizes"].update(v=[0.0, 1.0])),
         ("design", "$.game.dist.alpha", _set_dist(kind="uniform", c_low=0.0, c_high=1.0, alpha=2.0)),
@@ -230,7 +221,7 @@ def _figure1_at_q(q):
         "n_list_distance_empty", "q_a_fig1_overflow",
         "q_a_fig1_underflow", "q_fig1_overflow", "q_fig1_subnormal",
         "unused_figures_value", "fig5_c_low_zero", "fig3_c_low_zero", "which", "fig1_two_bugs",
-        "fig5_too_many_bugs", "mode", "v_length", "alpha_on_uniform", "rate_on_power", "kind", "c_high_null",
+        "mode", "v_length", "alpha_on_uniform", "rate_on_power", "kind", "c_high_null",
         "c_high_missing", "c_low_missing", "c_high_on_exponential", "alpha_null", "bug_not_object",
         "budget_missing", "design_n_overflows_float", "equilibrium_n_overflows_float",
         "simulate_n_overflows_float",
@@ -549,6 +540,22 @@ def test_figure_5_two_bugs_is_exact_and_bounded(tmp_path):
         d = [float(r["d_hausdorff"]) for r in fig5 if r["q_a"] == q_a]
         assert all(math.isfinite(x) for x in d)
         assert all(b < a for a, b in zip(d, d[1:]))
+
+
+def test_figure_5_takes_twelve_bugs(tmp_path, capsys):
+    # a projection no longer enumerates 2^(L+1) zero patterns, so figure 5
+    # has no bug limit: 12 bugs give 3 q_a x 4 n finite distances
+    bugs = [{"mu": 0.5, "q": 0.2 + 0.05 * l, "w": 2.0} for l in range(12)]
+    cfg = {
+        "spec_version": 1,
+        "game": {"n": 2, "budget": 20.0, "dist": {"kind": "uniform", "c_low": 1.0, "c_high": 2.0}, "bugs": bugs},
+        "figures": {"which": [5]},
+    }
+    code = main(["figures", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    fig5 = _read_csv(tmp_path / "fig5_set_distances.csv")
+    assert len(fig5) == 12
+    assert all(math.isfinite(float(r["d_hausdorff"])) for r in fig5)
 
 
 def test_figures_3_4_require_prizes(tmp_path, capsys):

@@ -11,6 +11,7 @@ from bountylab import (
     PrizeSchedule,
     collapse_artificial,
     designer_utility,
+    detect_prob_infinity,
     expected_benefit_psi,
     omega,
     optimize,
@@ -20,6 +21,7 @@ from bountylab import (
     solve_c_a,
     solve_c_tilde,
     solve_equilibrium,
+    solve_kappa_a,
     solve_kappa_star,
     solve_kappa_tilde,
     utility_infinity,
@@ -543,3 +545,43 @@ def test_solution_set_multi_bug_vertices(uniform01):
         sched = PrizeSchedule(v=v, artificial=(ArtificialBugDesign(point[-1], 1.0),))
         out = solve_equilibrium(sched, config)
         assert abs(out.c_star - 0.2) <= 1e-9
+
+
+# -- the rejection paths ---------------------------------------------------------
+
+_ORGANIC_ONLY = PrizeSchedule.organic_only((0.3,))
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda g, pub: solve_c_a(0.0, g), ValueError),
+        (lambda g, pub: solve_c_a(-1.0, g), ValueError),
+        (lambda g, pub: solve_c0(0.0, g), ValueError),
+        (lambda g, pub: solve_c0(-1.0, g), ValueError),
+        (lambda g, pub: solve_kappa_a(0.0, pub), ValueError),
+        (lambda g, pub: solve_kappa_a(-1.0, pub), ValueError),
+        # an unreachable target: infeasible, with no vertices
+        (lambda g, pub: solution_set(g, -0.1, 0.5), lambda s: not s.feasible and s.vertices == ()),
+        (lambda g, pub: solution_set(g, 0.2, -0.1), ValueError),
+        (lambda g, pub: solution_set(g, 0.2, 1.5), ValueError),
+        # nothing to merge: the schedule comes back as it went in
+        (lambda g, pub: collapse_artificial(_ORGANIC_ONLY, g), lambda s: s is _ORGANIC_ONLY),
+        (lambda g, pub: win_prob_phi(0.5, -0.1, 2, g.dist), ValueError),
+        (lambda g, pub: win_prob_phi(0.5, 1.5, 2, g.dist), ValueError),
+        (lambda g, pub: detect_prob_infinity(-0.1, 1.0), ValueError),
+        (lambda g, pub: detect_prob_infinity(1.5, 1.0), ValueError),
+    ],
+    ids=[
+        "c_a_zero_budget", "c_a_negative_budget", "c0_zero_budget", "c0_negative_budget",
+        "kappa_a_zero_budget", "kappa_a_negative_budget", "solution_set_negative_target",
+        "solution_set_q_a_below_0", "solution_set_q_a_above_1", "collapse_organic_only",
+        "phi_q_below_0", "phi_q_above_1", "detect_inf_q_below_0", "detect_inf_q_above_1",
+    ],
+)
+def test_edge_paths(private_example, public_example, call, outcome):
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call(private_example, public_example)
+    else:
+        assert outcome(call(private_example, public_example))

@@ -14,9 +14,9 @@ from bountylab import (
     expected_benefit_psi,
     solve_equilibrium,
     win_prob_phi,
-    win_prob_phi_oracle,
 )
 from conftest import random_game
+from phi_oracle import win_prob_phi_oracle
 
 
 # -- win probability ----------------------------------------------------------
