@@ -28,7 +28,7 @@ from bountylab import (
     utility_infinity,
     win_prob_phi,
 )
-from bountylab import asymptotic, design, game, rootfind
+from bountylab import design
 from bountylab.asymptotic import _optimal_levels, _projection_distance
 from bountylab.design import _vertices
 from conftest import random_public_game
