@@ -291,8 +291,9 @@ def solution_set_distance(config: GameConfig, n: int, q_a: float) -> SetDistance
     distance to a convex set is convex, so each directed supremum sits at a
     vertex: the result is the largest distance from a vertex of one slice to
     its projection onto the other (``_projection_distance``, O(L) memory).
-    A slice has at most (L+1)(L+2)/2 vertices, which set the memory, L^2.
-    An n that is not an integer >= 2 raises ValueError.
+    A slice has at most (L+1)(L+2)/2 vertices, so a distance takes O(L^2)
+    projections and O(L^2) memory. An n that is not an integer >= 2 raises
+    ValueError.
     """
     c_low = _require_positive_floor(config)
     if not (_is_int(n) and n >= 2):

@@ -543,8 +543,7 @@ def test_figure_5_two_bugs_is_exact_and_bounded(tmp_path):
 
 
 def test_figure_5_takes_twelve_bugs(tmp_path, capsys):
-    # a projection no longer enumerates 2^(L+1) zero patterns, so figure 5
-    # has no bug limit: 12 bugs give 3 q_a x 4 n finite distances
+    # figure 5 has no bug limit: 12 bugs give 3 q_a x 4 n finite distances
     bugs = [{"mu": 0.5, "q": 0.2 + 0.05 * l, "w": 2.0} for l in range(12)]
     cfg = {
         "spec_version": 1,
